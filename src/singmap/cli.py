@@ -25,6 +25,7 @@ from .pipeline import (
     parse_seifert_shorthand,
     synthesize_map,
 )
+from .relations import check_degree_bound, env_degree_cap
 from .suites import SUITES, run_suite
 
 EXIT_PARSE = 2
@@ -100,7 +101,8 @@ def _render_text(output: ClassificationOutput) -> str:
         body = data["relations"]
         lines.append(
             f"relations (degree bound {body['degree_bound']}, "
-            f"complete up to bound: {body['complete_up_to_bound']}):"
+            f"complete up to bound: {body['complete_up_to_bound']}, "
+            f"complete: {body['complete']}, stop reason: {body['stop_reason']}):"
         )
         for relation in body["relations"]:
             lines.append(f"  {relation} = 0")
@@ -146,6 +148,9 @@ def _run_classify(args) -> int:
 
 
 def _run_map(args) -> int:
+    # both bounds are checked up front, also where no relation scan runs
+    check_degree_bound(args.max_degree, "--max-degree")
+    env_degree_cap()
     link = _resolve_link(args)
     try:
         return _emit(synthesize_map(link, args.max_degree), args)

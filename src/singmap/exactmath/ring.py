@@ -65,6 +65,18 @@ class ExactScalar:
         if len(self.coords) != 8:
             raise ValueError("ExactScalar needs 8 coordinates")
 
+    @staticmethod
+    def _of(coords: tuple) -> "ExactScalar":
+        """Wrap a tuple that is already 8 Fractions, skipping the coercion.
+
+        Internal: the ring operations build their results from stored
+        Fraction coordinates, so re-running Fraction() on each would only
+        repeat work.
+        """
+        scalar = object.__new__(ExactScalar)
+        object.__setattr__(scalar, "coords", coords)
+        return scalar
+
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
 
@@ -94,7 +106,9 @@ class ExactScalar:
         other = ExactScalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactScalar(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return ExactScalar._of(
+            tuple((a + b if a else b) if b else a for a, b in zip(self.coords, other.coords))
+        )
 
     __radd__ = __add__
 
@@ -102,7 +116,9 @@ class ExactScalar:
         other = ExactScalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactScalar(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return ExactScalar._of(
+            tuple((a - b if a else -b) if b else a for a, b in zip(self.coords, other.coords))
+        )
 
     def __rsub__(self, other):
         other = ExactScalar._coerce(other)
@@ -111,7 +127,7 @@ class ExactScalar:
         return other - self
 
     def __neg__(self):
-        return ExactScalar(tuple(-a for a in self.coords))
+        return ExactScalar._of(tuple(-a for a in self.coords))
 
     def __mul__(self, other):
         other = ExactScalar._coerce(other)
@@ -127,7 +143,7 @@ class ExactScalar:
                     continue
                 k, factor = row[k2]
                 out[k] += a * b * factor
-        return ExactScalar(out)
+        return ExactScalar._of(tuple(out))
 
     __rmul__ = __mul__
 
@@ -136,7 +152,7 @@ class ExactScalar:
             q = Fraction(other)
             if q == 0:
                 raise ZeroDivisionError("division by zero")
-            return ExactScalar(tuple(a / q for a in self.coords))
+            return ExactScalar._of(tuple(a / q for a in self.coords))
         if isinstance(other, ExactScalar):
             return self * other.inverse()
         return NotImplemented
@@ -178,7 +194,7 @@ class ExactScalar:
                 if e and flip:
                     sign = -sign
             out.append(sign * c)
-        return ExactScalar(out)
+        return ExactScalar._of(tuple(out))
 
     def conjugate(self) -> "ExactScalar":
         """Complex conjugation i -> -i."""

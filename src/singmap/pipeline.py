@@ -41,7 +41,12 @@ from .invariants import (
     monomials_from_exponents,
     product_invariant_monomials,
 )
-from .relations import RelationSet, bounded_degree_relations, monomial_relations
+from .relations import (
+    RelationSet,
+    bounded_degree_relations,
+    monomial_relations,
+    wahl_relation_count,
+)
 
 
 class NotSingularityLinkError(ValueError):
@@ -122,21 +127,54 @@ def parse_lens_shorthand(text: str) -> LensData:
     return LensData(int(parts[0].strip()), int(parts[1].strip()))
 
 
+def _integer(value, what: str) -> int:
+    # bool is a subclass of int, but true/false are not integers in a descriptor
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise LinkError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(value, what: str, length: Optional[int] = None) -> List[int]:
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        shape = f"{length} integers" if length is not None else "integers"
+        raise LinkError(f"{what} must be a list of {shape}, got {value!r}")
+    return [_integer(x, f"each {what} entry") for x in value]
+
+
+def _pairs(value, what: str) -> List[Tuple[int, int]]:
+    if not isinstance(value, list):
+        raise LinkError(f"{what} must be a list of pairs, got {value!r}")
+    return [tuple(_integers(pair, what, 2)) for pair in value]
+
+
+def _body(descriptor: dict, key: str) -> dict:
+    body = descriptor[key]
+    if not isinstance(body, dict):
+        raise LinkError(f"{key} descriptor must be a JSON object, got {body!r}")
+    return body
+
+
 def parse_link_descriptor(descriptor: dict):
     """JSON link descriptor: {'lens': [p, q]} or {'seifert': {...}} or
-    {'graph': {'weights': [...], 'edges': [...]}}."""
+    {'graph': {'weights': [...], 'edges': [...]}}.  Every number must be a
+    JSON integer; anything else raises LinkError."""
     if not isinstance(descriptor, dict):
         raise LinkError("link descriptor must be a JSON object")
     if "lens" in descriptor:
-        p, q = descriptor["lens"]
-        return LensData(int(p), int(q))
+        p, q = _integers(descriptor["lens"], "lens", 2)
+        return LensData(p, q)
     if "seifert" in descriptor:
-        body = descriptor["seifert"]
-        fibers = [tuple(f) for f in body.get("fibers", [])]
-        return SeifertData.normalized(int(body["b"]), fibers)
+        body = _body(descriptor, "seifert")
+        if "b" not in body:
+            raise LinkError("seifert descriptor needs the key b")
+        fibers = _pairs(body.get("fibers", []), "seifert fibers")
+        return SeifertData.normalized(_integer(body["b"], "seifert b"), fibers)
     if "graph" in descriptor:
-        body = descriptor["graph"]
-        graph = PlumbingGraph.build(body["weights"], body.get("edges", []))
+        body = _body(descriptor, "graph")
+        if "weights" not in body:
+            raise LinkError("graph descriptor needs the key weights")
+        weights = _integers(body["weights"], "graph weights")
+        graph = PlumbingGraph.build(weights, _pairs(body.get("edges", []), "graph edges"))
         return graph_to_link(graph)
     raise LinkError("descriptor needs one of the keys: lens, seifert, graph")
 
@@ -168,20 +206,37 @@ def classify_link(link) -> ClassificationOutput:
     return ClassificationOutput(link, family, group, graph, report)
 
 
-def _cyclic_map(p: int, q: int, max_degree):
+def _expected_relation_count(report: SingularityReport, generator_count: int) -> Optional[int]:
+    """Wahl's count when the map is a minimal embedding of a rational
+    singularity, else None (the relation scan then runs to its bound)."""
+    if report.rational and generator_count == report.embedding_dimension:
+        return wahl_relation_count(report.embedding_dimension)
+    return None
+
+
+def _generator_warnings(generator_count: int, report: SingularityReport) -> List[str]:
+    if generator_count == report.embedding_dimension:
+        return []
+    return [
+        f"generator count {generator_count} differs from embedding dimension "
+        f"{report.embedding_dimension}"
+    ]
+
+
+def _cyclic_map(p: int, q: int, report: SingularityReport, max_degree):
     exponents = cyclic_invariant_generators(p, q)
     basis = InvariantBasis.from_polys(monomials_from_exponents(exponents))
+    expected = _expected_relation_count(report, len(exponents))
     if p == 1:
-        relations = RelationSet((), (1, 1), 0, True)
+        relations = RelationSet((), (1, 1), 0, True, expected)
     else:
-        relations = monomial_relations(exponents, max_degree)
-    return basis, relations
+        relations = monomial_relations(exponents, max_degree, expected)
+    return basis, relations, _generator_warnings(len(exponents), report)
 
 
 def _product_map(
     group: GroupDescriptor, report: SingularityReport, max_degree
 ) -> Tuple[InvariantBasis, RelationSet, List[str]]:
-    warnings: List[str] = []
     base = klein_invariants(
         group.family,
         group.params[0] if group.family is GroupFamily.BINARY_DIHEDRAL else None,
@@ -199,14 +254,11 @@ def _product_map(
                     poly = poly * base_poly
             candidates.append(poly)
         generators = minimalize_generators(candidates, target_count=report.embedding_dimension)
-    if len(generators) != report.embedding_dimension:
-        warnings.append(
-            f"generator count {len(generators)} differs from embedding dimension "
-            f"{report.embedding_dimension}"
-        )
     basis = InvariantBasis.from_polys(generators, group)
-    relations = bounded_degree_relations(generators, max_degree)
-    return basis, relations, warnings
+    relations = bounded_degree_relations(
+        generators, max_degree, _expected_relation_count(report, len(generators))
+    )
+    return basis, relations, _generator_warnings(len(generators), report)
 
 
 def synthesize_map(link, max_degree: int = None) -> ClassificationOutput:
@@ -216,23 +268,28 @@ def synthesize_map(link, max_degree: int = None) -> ClassificationOutput:
     binary polyhedral quotients (and their cyclic products) get invariant
     polynomial generators and bounded-degree relations.  D' and T' raise
     UnsupportedFamilyError.
+
+    When the map is a minimal embedding of a rational singularity, the
+    relation scan stops at Wahl's count and the relation set is certified
+    complete; a scan that reaches its degree bound short of that count
+    leaves a warning.
     """
     classified = classify_link(link)
     group = classified.group
-    warnings: List[str] = []
     if group.family is GroupFamily.CYCLIC:
-        basis, relations = _cyclic_map(*group.params, max_degree)
-        if len(basis.generators) != classified.report.embedding_dimension:
-            warnings.append(
-                f"generator count {len(basis.generators)} differs from embedding "
-                f"dimension {classified.report.embedding_dimension}"
-            )
+        basis, relations, warnings = _cyclic_map(*group.params, classified.report, max_degree)
     elif group.family in (GroupFamily.D_PRIME, GroupFamily.T_PRIME):
         raise UnsupportedFamilyError(
             f"no map construction for {group.label()}: no matrix representation"
         )
     else:
         basis, relations, warnings = _product_map(group, classified.report, max_degree)
+    if relations.expected_count is not None and not relations.complete:
+        warnings.append(
+            f"relation search stopped at degree bound {relations.degree_bound} with "
+            f"{len(relations.relations)} of the {relations.expected_count} relations "
+            "Wahl's count requires; the relation set is incomplete"
+        )
     return ClassificationOutput(
         classified.link,
         classified.family,

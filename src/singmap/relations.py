@@ -32,29 +32,69 @@ from .groups import GeneratorSet
 DEGREE_CAP_ENV = "SINGMAP_DEGREE_CAP"
 
 
-def _env_degree_cap() -> Optional[int]:
+def check_degree_bound(bound: Optional[int], source: str = "degree bound") -> Optional[int]:
+    """The bound itself, or ValueError when it is below 1 (None passes)."""
+    if bound is not None and bound < 1:
+        raise ValueError(f"{source} must be at least 1, got {bound}")
+    return bound
+
+
+def env_degree_cap() -> Optional[int]:
+    """The global cap from SINGMAP_DEGREE_CAP, or None when it is unset."""
     raw = os.environ.get(DEGREE_CAP_ENV)
     if not raw:
         return None
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"{DEGREE_CAP_ENV} must be an integer, got {raw!r}")
+    return check_degree_bound(cap, DEGREE_CAP_ENV)
 
 
 def _apply_cap(bound: int) -> int:
-    cap = _env_degree_cap()
+    check_degree_bound(bound)
+    cap = env_degree_cap()
     return min(bound, cap) if cap is not None else bound
+
+
+def wahl_relation_count(embedding_dimension: int) -> int:
+    """Number of minimal equations of a rational surface singularity:
+    (e - 1)(e - 2) / 2 (Wahl, Ann. Sci. ENS 10, 1977); 0 for the smooth
+    point e = 2."""
+    e = embedding_dimension
+    return (e - 1) * (e - 2) // 2
 
 
 @dataclass(frozen=True)
 class RelationSet:
-    """Weighted-homogeneous relations among the map components."""
+    """Weighted-homogeneous relations among the map components.
+
+    complete_up_to_bound: every minimal relation of degree at most
+    degree_bound is listed.  expected_count is Wahl's count when the caller
+    knows the map is a minimal embedding of a rational singularity; the set
+    is certified complete exactly when it holds that many relations.
+    """
 
     relations: Tuple[MultiPoly, ...]
     weights: Tuple[int, ...]
     degree_bound: int
     complete_up_to_bound: bool
+    expected_count: Optional[int] = None
+
+    def __post_init__(self):
+        if self.expected_count is not None and len(self.relations) > self.expected_count:
+            raise RuntimeError(
+                f"{len(self.relations)} minimal relations exceed Wahl's count "
+                f"{self.expected_count}; the relation search is broken"
+            )
+
+    @property
+    def complete(self) -> bool:
+        return self.expected_count == len(self.relations)
+
+    @property
+    def stop_reason(self) -> str:
+        return "wahl-count" if self.complete else "degree-bound"
 
     def to_dict(self) -> dict:
         from .exactmath import format_multi
@@ -63,7 +103,14 @@ class RelationSet:
             "relations": [format_multi(r) for r in self.relations],
             "degree_bound": self.degree_bound,
             "complete_up_to_bound": self.complete_up_to_bound,
+            "complete": self.complete,
+            "expected_relation_count": self.expected_count,
+            "stop_reason": self.stop_reason,
         }
+
+
+def _count_reached(relations: Sequence, expected_count: Optional[int]) -> bool:
+    return expected_count is not None and len(relations) >= expected_count
 
 
 def verify_relation(relation: MultiPoly, generators: Sequence[BivariatePoly]) -> bool:
@@ -139,7 +186,9 @@ class _UnionFind:
 
 
 def monomial_relations(
-    gens: Sequence[Tuple[int, int]], degree_bound: int = None
+    gens: Sequence[Tuple[int, int]],
+    degree_bound: int = None,
+    expected_count: Optional[int] = None,
 ) -> RelationSet:
     """Binomial generators of the relation ideal of a monomial map.
 
@@ -149,7 +198,9 @@ def monomial_relations(
     already connect the two factorizations (that connectivity equals
     membership in the same-degree span of multiples of earlier relations).
     The default bound 2 * p * max-degree covers every minimal generator of
-    the cyclic-quotient ideals in scope.
+    the cyclic-quotient ideals in scope.  With expected_count (Wahl's
+    count), the scan stops after the degree at which that many relations
+    have been found.
     """
     gens = [tuple(g) for g in gens]
     weights = tuple(a + b for a, b in gens)
@@ -161,6 +212,8 @@ def monomial_relations(
     relations: List[MultiPoly] = []
     moves: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
     for degree in range(min(weights), degree_bound + 1):
+        if _count_reached(relations, expected_count):
+            break
         for a_part in range(degree + 1):
             image = (a_part, degree - a_part)
             fiber = _factorizations(image, gens)
@@ -191,7 +244,7 @@ def monomial_relations(
                 # other > anchor in graded-lex, so the leading sign is +1
                 relations.append(MultiPoly.binomial(nvars, weights, other, anchor))
                 moves.append((other, anchor))
-    return RelationSet(tuple(relations), weights, degree_bound, True)
+    return RelationSet(tuple(relations), weights, degree_bound, True, expected_count)
 
 
 # -- bounded-degree relations of polynomial maps ---------------------------------
@@ -262,7 +315,9 @@ def _normalize_relation(vector, exponents, nvars, weights) -> MultiPoly:
 
 
 def bounded_degree_relations(
-    gens: Sequence[BivariatePoly], degree_bound: int = None
+    gens: Sequence[BivariatePoly],
+    degree_bound: int = None,
+    expected_count: Optional[int] = None,
 ) -> RelationSet:
     """Relations of a homogeneous polynomial map up to a weighted degree.
 
@@ -270,7 +325,9 @@ def bounded_degree_relations(
     substitutions, and take the exact kernel of the coefficient matrix over
     the scalar field; kernel vectors already explained by multiples of
     lower-degree relations are quotiented away.  Each emitted relation is
-    re-verified by substitution before it is returned.
+    re-verified by substitution before it is returned.  With expected_count
+    (Wahl's count), the scan stops after the degree at which that many
+    relations have been found.
     """
     gens = list(gens)
     weights = []
@@ -289,6 +346,8 @@ def bounded_degree_relations(
     relations: List[MultiPoly] = []
     step = gcd(*weights) if len(weights) > 1 else weights[0]
     for degree in range(step, degree_bound + 1, step):
+        if _count_reached(relations, expected_count):
+            break
         exponents = _weighted_exponents(weights, degree)
         if not exponents:
             continue
@@ -312,7 +371,7 @@ def bounded_degree_relations(
                 raise RuntimeError(f"unsound relation {relation}; kernel logic broken")
             relations.append(relation)
     relations.sort(key=lambda r: (r.weighted_degree(), grlex_key(r.leading_exponent())))
-    return RelationSet(tuple(relations), weights, degree_bound, True)
+    return RelationSet(tuple(relations), weights, degree_bound, True, expected_count)
 
 
 def _kernel_over_scalars(matrix, ncols) -> List[List[ExactScalar]]:

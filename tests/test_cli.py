@@ -91,6 +91,23 @@ class TestClassify:
         assert code == 2
         assert "star" in err or "valence" in err
 
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            {"seifert": {"fibers": [[2, 1], [3, 2], [5, 4]]}},
+            {"graph": {"weights": None}},
+            {"lens": [5, 2.7]},
+            {"lens": [True, 0]},
+        ],
+    )
+    def test_malformed_descriptor(self, capsys, tmp_path, descriptor):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(descriptor))
+        code, out, err = run_cli(capsys, "classify", "--graph", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "classify", "--seifert", "3;(2,1)(3,1)(5,1)")
         _, second, _ = run_cli(capsys, "classify", "--seifert", "3;(2,1)(3,1)(5,1)")
@@ -139,6 +156,7 @@ class TestMap:
         assert "map components:" in out
         assert "u^2" in out
         assert "o weight -2" in out
+        assert "complete: True, stop reason: wahl-count" in out
 
     def test_degree_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("SINGMAP_DEGREE_CAP", "10")
@@ -146,6 +164,49 @@ class TestMap:
         assert code == 0
         data = json.loads(out)
         assert data["relations"]["degree_bound"] == 10
+        # the three relations of L(5,2) have weighted degrees 8, 9 and 10
+        assert data["relations"]["complete"] is True
+        assert "warnings" not in data
+
+
+    def test_degree_cap_short_of_wahl_count_warns(self, capsys, monkeypatch):
+        monkeypatch.setenv("SINGMAP_DEGREE_CAP", "9")
+        code, out, _ = run_cli(capsys, "map", "--lens", "5,2")
+        assert code == 0
+        data = json.loads(out)
+        body = data["relations"]
+        assert len(body["relations"]) == 2
+        assert body["complete"] is False
+        assert body["expected_relation_count"] == 3
+        assert body["stop_reason"] == "degree-bound"
+        assert body["degree_bound"] == 9
+        assert any("incomplete" in w for w in data["warnings"])
+
+    def test_lens_19_1_stops_at_wahl_count(self, capsys):
+        code, out, _ = run_cli(capsys, "map", "--lens", "19,1")
+        assert code == 0
+        body = json.loads(out)["relations"]
+        assert len(body["relations"]) == 171
+        assert body["degree_bound"] == 722
+        assert body["complete"] is True
+        assert body["expected_relation_count"] == 171
+        assert body["stop_reason"] == "wahl-count"
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("lens", ["5,2", "1,0"])
+    def test_degree_cap_env_below_one(self, capsys, monkeypatch, cap, lens):
+        monkeypatch.setenv("SINGMAP_DEGREE_CAP", cap)
+        code, out, err = run_cli(capsys, "map", "--lens", lens)
+        assert code == 2
+        assert out == ""
+        assert "SINGMAP_DEGREE_CAP" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    def test_max_degree_below_one(self, capsys, bound):
+        code, out, err = run_cli(capsys, "map", "--lens", "5,2", "--max-degree", bound)
+        assert code == 2
+        assert out == ""
+        assert "--max-degree" in err and err.count("\n") == 1
 
 
 class TestVerify:

@@ -64,6 +64,29 @@ class TestExactScalar:
                 continue
             assert a * a.inverse() == ONE
 
+    def test_results_hold_eight_fractions(self):
+        # ring operations wrap their results without re-coercing, which is
+        # sound only while every coordinate they produce is a Fraction
+        rng = random.Random(20260418)
+        for _ in range(200):
+            a, b = random_scalar(rng), random_scalar(rng)
+            n = rng.randint(-5, 5) or 1
+            f = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+            results = [
+                a + b, a - b, -a, a * b,
+                a + n, n + a, a - n, n - a, a * n, n * a, a / n,
+                a + f, f + a, a - f, f - a, a * f, f * a, a / f,
+                a.galois(True, True, True),
+            ]
+            for result in results:
+                assert len(result.coords) == 8
+                assert all(type(c) is Fraction for c in result.coords)
+
+    def test_public_constructor_coerces_and_checks_length(self):
+        assert all(type(c) is Fraction for c in ExactScalar([1, 0, 2, 0, 0, 0, 0, 3]).coords)
+        with pytest.raises(ValueError):
+            ExactScalar([1, 2, 3])
+
     def test_inverse_of_zero(self):
         with pytest.raises(ZeroDivisionError):
             ZERO.inverse()

@@ -48,6 +48,14 @@ class TestMonomialRelations:
         z5 = parse_multi("x2^5 - x1^3*x4", weights)
         assert verify_relation(z5, polys)
 
+    def test_wahl_count_stops_the_scan(self):
+        gens = cyclic_invariant_generators(19, 1)
+        result = monomial_relations(gens, expected_count=171)
+        assert len(result.relations) == 171
+        assert {r.weighted_degree() for r in result.relations} == {38}
+        assert result.degree_bound == 722
+        assert result.complete and result.stop_reason == "wahl-count"
+
     def test_2_1_single_relation(self):
         # y^2 = xz for (x, y, z) = (u^2, uv, v^2); normalization puts the
         # graded-lex leading monomial x1*x3 first with positive sign
@@ -116,6 +124,47 @@ class TestBoundedDegreeRelations:
         result = bounded_degree_relations(gens, 20)
         assert result.relations == ()
         assert result.complete_up_to_bound
+
+    def test_without_expected_count_scans_to_the_bound(self):
+        gens = list(klein_invariants(GroupFamily.BINARY_TETRAHEDRAL).generators)
+        result = bounded_degree_relations(gens)
+        assert result.degree_bound == 2 * (12 + 8)
+        assert result.expected_count is None
+        assert not result.complete
+        assert result.stop_reason == "degree-bound"
+        assert result.to_dict()["expected_relation_count"] is None
+
+    def test_wahl_count_stops_the_scan(self):
+        gens = list(klein_invariants(GroupFamily.BINARY_TETRAHEDRAL).generators)
+        full = bounded_degree_relations(gens, 48)
+        stopped = bounded_degree_relations(gens, 48, expected_count=1)
+        assert stopped.relations == full.relations
+        assert stopped.degree_bound == 48
+        assert stopped.complete and stopped.stop_reason == "wahl-count"
+
+    def test_bound_short_of_wahl_count_is_incomplete(self):
+        gens = list(klein_invariants(GroupFamily.BINARY_TETRAHEDRAL).generators)
+        result = bounded_degree_relations(gens, 20, expected_count=1)
+        assert result.relations == ()
+        assert result.complete_up_to_bound
+        assert not result.complete
+        assert result.stop_reason == "degree-bound"
+
+    def test_more_relations_than_wahl_count_is_an_error(self):
+        gens = list(klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2).generators)
+        product = [gens[0] ** 3, gens[0] ** 2 * gens[1], gens[1] ** 3, gens[2]]
+        with pytest.raises(RuntimeError):
+            bounded_degree_relations(product, 24, expected_count=2)
+        with pytest.raises(RuntimeError):
+            # the six relations of L(4,1) all have weighted degree 8
+            monomial_relations(cyclic_invariant_generators(4, 1), expected_count=5)
+
+    def test_degree_bound_below_one_rejected(self):
+        gens = list(klein_invariants(GroupFamily.BINARY_TETRAHEDRAL).generators)
+        with pytest.raises(ValueError):
+            bounded_degree_relations(gens, 0)
+        with pytest.raises(ValueError):
+            monomial_relations(cyclic_invariant_generators(5, 2), -1)
 
     def test_filtration_consistency(self):
         gens = list(klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2).generators)
