@@ -33,6 +33,17 @@ EXIT_NOT_LINK = 3
 EXIT_INFINITE = 4
 EXIT_UNSUPPORTED = 5
 
+# error class -> exit code; the first match wins, so the subclasses of
+# ValueError come before ValueError (which covers LinkError and
+# json.JSONDecodeError)
+EXIT_CODES = (
+    (NotSingularityLinkError, EXIT_NOT_LINK),
+    (InfinitePi1Error, EXIT_INFINITE),
+    (UnsupportedFamilyError, EXIT_UNSUPPORTED),
+    (ValueError, EXIT_PARSE),
+    (OSError, EXIT_PARSE),
+)
+
 
 def _add_link_arguments(parser: argparse.ArgumentParser):
     parser.add_argument("--lens", metavar="P,Q", help="lens space L(p,q)")
@@ -198,18 +209,9 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (LinkError, json.JSONDecodeError, OSError, ValueError) as error:
-        if isinstance(error, NotSingularityLinkError):
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_NOT_LINK
-        if isinstance(error, InfinitePi1Error):
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_INFINITE
-        if isinstance(error, UnsupportedFamilyError):
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
+    except tuple(kind for kind, _ in EXIT_CODES) as error:
         print(f"error: {error}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kind, code in EXIT_CODES if isinstance(error, kind))
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 polynomials, exact linear algebra, and the polynomial text format."""
 
 from .ring import ExactScalar, HALF, I, ONE, SQRT2, SQRT5, SQRT10, ZERO
-from .poly import BivariatePoly, MultiPoly, grlex_key
+from .poly import BivariatePoly, MultiPoly, Powers, grlex_key, weighted_exponents
 from .linalg import ExactMatrix, in_span, nullspace_basis, rref
 from .textform import (
     format_bivariate,
@@ -17,6 +17,7 @@ __all__ = [
     "ExactScalar",
     "BivariatePoly",
     "MultiPoly",
+    "Powers",
     "ExactMatrix",
     "ZERO",
     "ONE",
@@ -26,6 +27,7 @@ __all__ = [
     "SQRT10",
     "HALF",
     "grlex_key",
+    "weighted_exponents",
     "nullspace_basis",
     "rref",
     "in_span",

@@ -111,12 +111,18 @@ def rref(rows: List[List[object]]):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = _invert(rows[r][col])
-        rows[r] = [x * inv for x in rows[r]]
+        # the rows are mostly zero: touch only the pivot row's nonzero columns
+        pivot = rows[r] = list(rows[r])
+        support = [j for j, x in enumerate(pivot) if not _is_zero(x)]
+        inv = _invert(pivot[col])
+        for j in support:
+            pivot[j] = pivot[j] * inv
         for i in range(nrows):
             if i != r and not _is_zero(rows[i][col]):
                 factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+                row = rows[i] = list(rows[i])
+                for j in support:
+                    row[j] = row[j] - factor * pivot[j]
         pivots.append(col)
         r += 1
         if r == nrows:
@@ -157,5 +163,5 @@ def in_span(span_rows: List[List[object]], vector: List[object]) -> bool:
     for row, col in zip(reduced, pivots):
         if not _is_zero(residue[col]):
             factor = residue[col]
-            residue = [x - factor * y for x, y in zip(residue, row)]
+            residue = [x - factor * y if y else x for x, y in zip(residue, row)]
     return all(_is_zero(x) for x in residue)

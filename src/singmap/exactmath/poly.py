@@ -9,9 +9,10 @@ the earlier variable larger) wherever a deterministic order is needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from math import lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .ring import ExactScalar, ONE, ZERO
+from .ring import _MUL, ExactScalar, ONE, ZERO, _reduced
 
 Exponent2 = Tuple[int, int]
 
@@ -25,6 +26,43 @@ def _coerce_scalar(c) -> ExactScalar:
 def grlex_key(exponent: Sequence[int]):
     """Sort key for graded-lex order; larger key means larger monomial."""
     return (sum(exponent), tuple(exponent))
+
+
+def weighted_exponents(weights: Sequence[int], degree: int) -> List[Tuple[int, ...]]:
+    """Exponent vectors alpha with sum alpha_i * weights_i = degree, in
+    descending graded-lex order.  With no weights only degree 0 has one,
+    the empty vector."""
+    if not weights:
+        return [()] if degree == 0 else []
+    out: List[Tuple[int, ...]] = []
+    last = len(weights) - 1
+
+    def scan(position: int, prefix: List[int], remaining: int):
+        w = weights[position]
+        if position == last:
+            if remaining % w == 0:
+                out.append(tuple(prefix + [remaining // w]))
+            return
+        for count in range(remaining // w + 1):
+            scan(position + 1, prefix + [count], remaining - count * w)
+
+    if degree >= 0:
+        scan(0, [], degree)
+    return sorted(out, key=grlex_key, reverse=True)
+
+
+def _components(terms: Dict[Exponent2, ExactScalar]):
+    """(D, parts): D is the common denominator of the coefficients and
+    parts[k] lists (exponent, integer coordinate k times D) for every term
+    with a nonzero coordinate on basis symbol k."""
+    den = lcm(*(c.den for c in terms.values()))
+    parts: Dict[int, List[Tuple[Exponent2, int]]] = {}
+    for exp, coeff in terms.items():
+        scale = den // coeff.den
+        for k, a in enumerate(coeff.num):
+            if a:
+                parts.setdefault(k, []).append((exp, a * scale))
+    return den, parts
 
 
 class BivariatePoly:
@@ -96,12 +134,26 @@ class BivariatePoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
             return self.scale(other)
-        acc: Dict[Exponent2, ExactScalar] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                exp = (a1 + a2, b1 + b2)
-                acc[exp] = acc.get(exp, ZERO) + c1 * c2
-        return BivariatePoly(acc)
+        d1, left = _components(self.terms)
+        d2, right = _components(other.terms)
+        # integer coordinates over d1 * d2 per output exponent
+        acc: Dict[Exponent2, List[int]] = {}
+        for k1, terms1 in left.items():
+            row = _MUL[k1]
+            for k2, terms2 in right.items():
+                k, factor = row[k2]
+                for (a1, b1), x in terms1:
+                    x *= factor
+                    for (a2, b2), y in terms2:
+                        exp = (a1 + a2, b1 + b2)
+                        vector = acc.get(exp)
+                        if vector is None:
+                            acc[exp] = vector = [0, 0, 0, 0, 0, 0, 0, 0]
+                        vector[k] += x * y
+        den = d1 * d2
+        return BivariatePoly(
+            {exp: _reduced(tuple(vector), den) for exp, vector in acc.items() if any(vector)}
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
@@ -169,17 +221,10 @@ class BivariatePoly:
         (a, b), (c, d) = rows
         image_u = BivariatePoly({(1, 0): _coerce_scalar(a), (0, 1): _coerce_scalar(b)})
         image_v = BivariatePoly({(1, 0): _coerce_scalar(c), (0, 1): _coerce_scalar(d)})
-        max_a = max((e[0] for e in self.terms), default=0)
-        max_b = max((e[1] for e in self.terms), default=0)
-        u_pows = [BivariatePoly.constant(1)]
-        for _ in range(max_a):
-            u_pows.append(u_pows[-1] * image_u)
-        v_pows = [BivariatePoly.constant(1)]
-        for _ in range(max_b):
-            v_pows.append(v_pows[-1] * image_v)
+        powers = Powers((image_u, image_v))
         acc = BivariatePoly.zero()
-        for (ea, eb), coeff in self.terms.items():
-            acc = acc + (u_pows[ea] * v_pows[eb]).scale(coeff)
+        for exp, coeff in self.terms.items():
+            acc = acc + powers.monomial(exp).scale(coeff)
         return acc
 
     def __str__(self):
@@ -189,6 +234,33 @@ class BivariatePoly:
 
     def __repr__(self):
         return f"BivariatePoly({self})"
+
+
+class Powers:
+    """Monomials prod bases[i]^alpha[i] in fixed bivariate polynomials.
+
+    Each power bases[i]^n is computed once, by one multiplication from the
+    power below it, and kept for the life of the instance; every caller
+    builds its own instance, so independent checks share no products.
+    """
+
+    def __init__(self, bases: Sequence[BivariatePoly]):
+        self.bases = tuple(bases)
+        self._powers = [[BivariatePoly.constant(1), base] for base in self.bases]
+
+    def power(self, i: int, n: int) -> BivariatePoly:
+        powers = self._powers[i]
+        while len(powers) <= n:
+            powers.append(powers[-1] * self.bases[i])
+        return powers[n]
+
+    def monomial(self, alpha: Sequence[int]) -> BivariatePoly:
+        product = None
+        for i, e in enumerate(alpha):
+            if e:
+                factor = self.power(i, e)
+                product = factor if product is None else product * factor
+        return BivariatePoly.constant(1) if product is None else product
 
 
 class MultiPoly:
@@ -283,21 +355,10 @@ class MultiPoly:
         """Evaluate at x_i = generators[i]; exact."""
         if len(generators) != self.nvars:
             raise ValueError("generator count must match variable count")
-        pow_cache = [{0: BivariatePoly.constant(1)} for _ in generators]
-
-        def power(i, n):
-            cache = pow_cache[i]
-            if n not in cache:
-                cache[n] = power(i, n - 1) * generators[i]
-            return cache[n]
-
+        powers = Powers(generators)
         acc = BivariatePoly.zero()
         for exp, coeff in self.terms.items():
-            term = BivariatePoly.constant(coeff)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * power(i, e)
-            acc = acc + term
+            acc = acc + powers.monomial(exp).scale(coeff)
         return acc
 
     def __str__(self):

@@ -6,8 +6,11 @@ An element is stored by its coordinates over the eight-element basis
 
 where s2 = sqrt(2), s5 = sqrt(5) and s10 = s2*s5.  Multiplication reduces
 via i^2 = -1, s2^2 = 2 and s5^2 = 5, so products of basis symbols stay in
-the basis up to an integer factor.  All coordinates are Fractions, so every
-operation is exact and equality is decidable.
+the basis up to an integer factor.  The coordinates are held as eight
+integer numerators over one positive integer denominator, always in lowest
+terms (gcd(den, *num) == 1, zero is ((0,) * 8, 1)), so every operation is
+exact, equal values have equal representations, and the arithmetic runs on
+Python integers.
 
 The ring is in fact the degree-8 number field Q(i, sqrt2, sqrt5); inversion
 is available via the product of Galois conjugates.  Division by anything
@@ -17,6 +20,7 @@ other than a rational is only needed when eliminating over the field.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 # Basis symbol k is i^e1 * s2^e2 * s5^e5 for (e1, e2, e5) = _BASIS[k].
@@ -50,47 +54,60 @@ def _basis_product(b1, b2):
 # _MUL[k1][k2] = (index, factor) with e_{k1} * e_{k2} = factor * e_index.
 _MUL = tuple(tuple(_basis_product(b1, b2) for b2 in _BASIS) for b1 in _BASIS)
 
+
 Rationalish = Union[int, Fraction]
 
-_ZERO8 = (Fraction(0),) * 8
+_ZERO_NUM = (0,) * 8
 
 
 class ExactScalar:
-    """Immutable element of Q[i, sqrt2, sqrt5]."""
+    """Immutable element of Q[i, sqrt2, sqrt5]: num[k] / den is the
+    coordinate on basis symbol k, in lowest terms with den > 0."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in coords))
-        if len(self.coords) != 8:
+        coords = tuple(Fraction(c) for c in coords)
+        if len(coords) != 8:
             raise ValueError("ExactScalar needs 8 coordinates")
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = lcm(*(c.denominator for c in coords))
+        _SET_NUM(self, tuple(c.numerator * (den // c.denominator) for c in coords))
+        _SET_DEN(self, den)
 
     @staticmethod
-    def _of(coords: tuple) -> "ExactScalar":
-        """Wrap a tuple that is already 8 Fractions, skipping the coercion.
+    def _of(num: tuple, den: int) -> "ExactScalar":
+        """Wrap numerators already in lowest terms over den > 0.
 
-        Internal: the ring operations build their results from stored
-        Fraction coordinates, so re-running Fraction() on each would only
-        repeat work.
+        Internal and trusted: callers pass a tuple of eight ints with
+        gcd(den, *num) == 1; _reduced brings any other pair there first.
         """
-        scalar = object.__new__(ExactScalar)
-        object.__setattr__(scalar, "coords", coords)
+        scalar = _NEW(ExactScalar)
+        _SET_NUM(scalar, num)
+        _SET_DEN(scalar, den)
         return scalar
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
 
+    @property
+    def coords(self) -> tuple:
+        """The eight coordinates as Fractions (a read-only view)."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rational(q: Rationalish) -> "ExactScalar":
-        return ExactScalar((Fraction(q),) + _ZERO8[1:])
+        q = Fraction(q)
+        return ExactScalar._of((q.numerator,) + _ZERO_NUM[1:], q.denominator)
 
     @staticmethod
     def basis_element(index: int) -> "ExactScalar":
-        c = [Fraction(0)] * 8
-        c[index] = Fraction(1)
-        return ExactScalar(c)
+        num = [0] * 8
+        num[index] = 1
+        return ExactScalar._of(tuple(num), 1)
 
     @staticmethod
     def _coerce(value) -> "ExactScalar":
@@ -103,22 +120,26 @@ class ExactScalar:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = ExactScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExactScalar._of(
-            tuple((a + b if a else b) if b else a for a, b in zip(self.coords, other.coords))
-        )
+        if other.__class__ is not ExactScalar:
+            other = ExactScalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _reduced(tuple(a + b for a, b in zip(self.num, other.num)), d1)
+        return _reduced(tuple(a * d2 + b * d1 for a, b in zip(self.num, other.num)), d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = ExactScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExactScalar._of(
-            tuple((a - b if a else -b) if b else a for a, b in zip(self.coords, other.coords))
-        )
+        if other.__class__ is not ExactScalar:
+            other = ExactScalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _reduced(tuple(a - b for a, b in zip(self.num, other.num)), d1)
+        return _reduced(tuple(a * d2 - b * d1 for a, b in zip(self.num, other.num)), d1 * d2)
 
     def __rsub__(self, other):
         other = ExactScalar._coerce(other)
@@ -127,23 +148,22 @@ class ExactScalar:
         return other - self
 
     def __neg__(self):
-        return ExactScalar._of(tuple(-a for a in self.coords))
+        return ExactScalar._of(tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
-        other = ExactScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = [Fraction(0)] * 8
-        for k1, a in enumerate(self.coords):
-            if not a:
-                continue
-            row = _MUL[k1]
-            for k2, b in enumerate(other.coords):
-                if not b:
-                    continue
-                k, factor = row[k2]
-                out[k] += a * b * factor
-        return ExactScalar._of(tuple(out))
+        if other.__class__ is not ExactScalar:
+            other = ExactScalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        out = [0, 0, 0, 0, 0, 0, 0, 0]
+        for k1, a in enumerate(self.num):
+            if a:
+                row = _MUL[k1]
+                for k2, b in enumerate(other.num):
+                    if b:
+                        k, factor = row[k2]
+                        out[k] += a * b * factor
+        return _reduced(tuple(out), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -152,49 +172,51 @@ class ExactScalar:
             q = Fraction(other)
             if q == 0:
                 raise ZeroDivisionError("division by zero")
-            return ExactScalar._of(tuple(a / q for a in self.coords))
+            # (num / den) / (n / d) = (num * d) / (den * n), kept with den > 0
+            n, d = q.numerator, q.denominator
+            if n < 0:
+                n, d = -n, -d
+            return _reduced(tuple(a * d for a in self.num), self.den * n)
         if isinstance(other, ExactScalar):
             return self * other.inverse()
         return NotImplemented
 
     def __eq__(self, other):
-        other = ExactScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coords == other.coords
+        if other.__class__ is not ExactScalar:
+            other = ExactScalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.num, self.den))
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     # -- predicates and parts ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     # -- Galois conjugations -----------------------------------------------
 
     def galois(self, flip_i=False, flip_sqrt2=False, flip_sqrt5=False) -> "ExactScalar":
         """Apply the field automorphism flipping the chosen square roots."""
         flips = (flip_i, flip_sqrt2, flip_sqrt5)
-        out = []
-        for k, c in enumerate(self.coords):
-            sign = 1
-            for e, flip in zip(_BASIS[k], flips):
-                if e and flip:
-                    sign = -sign
-            out.append(sign * c)
-        return ExactScalar._of(tuple(out))
+        num = tuple(
+            -a if sum(e for e, flip in zip(b, flips) if flip) % 2 else a
+            for b, a in zip(_BASIS, self.num)
+        )
+        return ExactScalar._of(num, self.den)
 
     def conjugate(self) -> "ExactScalar":
         """Complex conjugation i -> -i."""
@@ -240,6 +262,22 @@ class ExactScalar:
 
     def __repr__(self):
         return f"ExactScalar({self})"
+
+
+_NEW = object.__new__
+# slot setters: they bypass the __setattr__ that keeps instances immutable
+_SET_NUM = ExactScalar.num.__set__
+_SET_DEN = ExactScalar.den.__set__
+
+
+def _reduced(num: tuple, den: int) -> ExactScalar:
+    """The scalar num / den for eight ints over den > 0, in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
+    return ExactScalar._of(num, den)
 
 
 ZERO = ExactScalar.rational(0)

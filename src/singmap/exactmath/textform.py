@@ -119,11 +119,11 @@ def format_terms(terms: Dict[tuple, ExactScalar], variables: Sequence[str]) -> s
     for exponent in sorted(terms, key=grlex_key, reverse=True):
         coeff = terms[exponent]
         monomial = _monomial_text(exponent, variables)
-        for coord, symbol in zip(coeff.coords, BASIS_SYMBOLS):
-            if coord == 0:
+        for numerator, symbol in zip(coeff.num, BASIS_SYMBOLS):
+            if numerator == 0:
                 continue
-            sign = "-" if coord < 0 else "+"
-            mag = abs(coord)
+            sign = "-" if numerator < 0 else "+"
+            mag = Fraction(abs(numerator), coeff.den)
             pieces = []
             if mag != 1 or (not symbol and not monomial):
                 pieces.append(str(mag))

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactmath import BivariatePoly, ExactScalar, SQRT5, grlex_key, in_span
+from .exactmath import (
+    BivariatePoly,
+    ExactScalar,
+    Powers,
+    SQRT5,
+    grlex_key,
+    in_span,
+    weighted_exponents,
+)
 from .groups import (
     GeneratorSet,
     GroupDescriptor,
@@ -284,27 +292,6 @@ def product_invariant_monomials(degrees: Sequence[int], m: int) -> List[Tuple[in
     return sorted(basis, reverse=True)
 
 
-def _weighted_monomials(weights: Sequence[int], degree: int) -> List[Tuple[int, ...]]:
-    """Exponent vectors with sum alpha_i * weights_i = degree."""
-    out = []
-
-    def scan(position, prefix, remaining):
-        if position == len(weights):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        w = weights[position]
-        if position == len(weights) - 1:
-            if remaining % w == 0:
-                out.append(tuple(prefix + [remaining // w]))
-            return
-        for count in range(remaining // w + 1):
-            scan(position + 1, prefix + [count], remaining - count * w)
-
-    scan(0, [], degree)
-    return sorted(out, key=grlex_key, reverse=True)
-
-
 def _poly_coefficient_vector(poly: BivariatePoly, exponent_index: Dict[Tuple[int, int], int]):
     from .exactmath import ZERO
 
@@ -331,16 +318,11 @@ def expressible_in(candidate: BivariatePoly, others: Sequence[BivariatePoly]) ->
         if d is None:
             raise InvariantError("candidates must be homogeneous")
         weights.append(d)
-    exponents = _weighted_monomials(weights, degree)
+    exponents = weighted_exponents(weights, degree)
     if not exponents:
         return False
-    products = []
-    for alpha in exponents:
-        term = BivariatePoly.constant(1)
-        for base, power in zip(others, alpha):
-            for _ in range(power):
-                term = term * base
-        products.append(term)
+    powers = Powers(others)
+    products = [powers.monomial(alpha) for alpha in exponents]
     support = set(candidate.terms)
     for product in products:
         support.update(product.terms)

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .exactmath import BivariatePoly, format_bivariate
+from .exactmath import Powers, format_bivariate
 from .linkdata import (
     Family,
     LensData,
@@ -246,13 +246,8 @@ def _product_map(
         generators = list(base.generators)
     else:
         exponent_triples = product_invariant_monomials(base.degrees, m)
-        candidates = []
-        for triple in exponent_triples:
-            poly = BivariatePoly.constant(1)
-            for base_poly, power in zip(base.generators, triple):
-                for _ in range(power):
-                    poly = poly * base_poly
-            candidates.append(poly)
+        powers = Powers(base.generators)
+        candidates = [powers.monomial(triple) for triple in exponent_triples]
         generators = minimalize_generators(candidates, target_count=report.embedding_dimension)
     basis = InvariantBasis.from_polys(generators, group)
     relations = bounded_degree_relations(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import (
@@ -23,9 +23,11 @@ from .exactmath import (
     ExactScalar,
     MultiPoly,
     ONE,
+    Powers,
     ZERO,
     grlex_key,
     rref,
+    weighted_exponents,
 )
 from .groups import GeneratorSet
 
@@ -250,44 +252,6 @@ def monomial_relations(
 # -- bounded-degree relations of polynomial maps ---------------------------------
 
 
-def _weighted_exponents(weights: Sequence[int], degree: int) -> List[Tuple[int, ...]]:
-    out: List[Tuple[int, ...]] = []
-
-    def scan(position: int, prefix: List[int], remaining: int):
-        if position == len(weights) - 1:
-            w = weights[position]
-            if remaining % w == 0:
-                out.append(tuple(prefix + [remaining // w]))
-            return
-        w = weights[position]
-        for count in range(remaining // w + 1):
-            scan(position + 1, prefix + [count], remaining - count * w)
-
-    if weights:
-        scan(0, [], degree)
-    return sorted(out, key=grlex_key, reverse=True)
-
-
-class _PowerCache:
-    def __init__(self, gens: Sequence[BivariatePoly]):
-        self.gens = list(gens)
-        self.cache = [{0: BivariatePoly.constant(1)} for _ in gens]
-
-    def power(self, i: int, n: int) -> BivariatePoly:
-        cache = self.cache[i]
-        while n not in cache:
-            top = max(cache)
-            cache[top + 1] = cache[top] * self.gens[i]
-        return cache[n]
-
-    def monomial(self, alpha: Sequence[int]) -> BivariatePoly:
-        acc = BivariatePoly.constant(1)
-        for i, e in enumerate(alpha):
-            if e:
-                acc = acc * self.power(i, e)
-        return acc
-
-
 def _normalize_relation(vector, exponents, nvars, weights) -> MultiPoly:
     """Scale so the graded-lex leading coefficient is a positive integer and
     the rational content over the 8-basis coordinates is 1."""
@@ -299,16 +263,9 @@ def _normalize_relation(vector, exponents, nvars, weights) -> MultiPoly:
     poly = MultiPoly(nvars, weights, terms)
     lead = poly.terms[poly.leading_exponent()]
     poly = poly.scale(lead.inverse())
-    lcm = 1
-    for coeff in poly.terms.values():
-        for coordinate in coeff.coords:
-            if coordinate:
-                lcm = lcm * coordinate.denominator // gcd(lcm, coordinate.denominator)
-    poly = poly.scale(lcm)
-    content = 0
-    for coeff in poly.terms.values():
-        for coordinate in coeff.coords:
-            content = gcd(content, coordinate.numerator)
+    # a scalar in lowest terms has the lcm of its coordinate denominators as den
+    poly = poly.scale(lcm(*(coeff.den for coeff in poly.terms.values())))
+    content = gcd(*(n for coeff in poly.terms.values() for n in coeff.num))
     if content > 1:
         poly = poly.scale(Fraction(1, content))
     return poly
@@ -342,13 +299,13 @@ def bounded_degree_relations(
         degree_bound = 2 * sum(top_two)
     degree_bound = _apply_cap(degree_bound)
     nvars = len(gens)
-    powers = _PowerCache(gens)
+    powers = Powers(gens)
     relations: List[MultiPoly] = []
     step = gcd(*weights) if len(weights) > 1 else weights[0]
     for degree in range(step, degree_bound + 1, step):
         if _count_reached(relations, expected_count):
             break
-        exponents = _weighted_exponents(weights, degree)
+        exponents = weighted_exponents(weights, degree)
         if not exponents:
             continue
         substituted = [powers.monomial(alpha) for alpha in exponents]
@@ -391,7 +348,7 @@ def _lower_degree_multiples(relations, weights, degree, exponents) -> List[List[
         gap = degree - relation.weighted_degree()
         if gap <= 0:
             continue
-        for gamma in _weighted_exponents(weights, gap):
+        for gamma in weighted_exponents(weights, gap):
             row = [ZERO] * len(exponents)
             for alpha, coeff in relation.terms.items():
                 shifted = tuple(a + g for a, g in zip(alpha, gamma))
@@ -410,7 +367,7 @@ def _quotient_vectors(kernel, old_span):
         for row, col in zip(reduced_old, pivots_old):
             coeff = residue[col]
             if not (coeff.is_zero() if isinstance(coeff, ExactScalar) else coeff == 0):
-                residue = [x - coeff * y for x, y in zip(residue, row)]
+                residue = [x - coeff * y if y else x for x, y in zip(residue, row)]
         return residue
 
     new_rows = []

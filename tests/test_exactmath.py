@@ -3,6 +3,7 @@ and the text format."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,6 +14,7 @@ from singmap.exactmath import (
     HALF,
     I,
     ONE,
+    Powers,
     SQRT2,
     SQRT5,
     SQRT10,
@@ -23,6 +25,7 @@ from singmap.exactmath import (
     nullspace_basis,
     parse_bivariate,
     parse_multi,
+    weighted_exponents,
 )
 
 
@@ -65,8 +68,9 @@ class TestExactScalar:
             assert a * a.inverse() == ONE
 
     def test_results_hold_eight_fractions(self):
-        # ring operations wrap their results without re-coercing, which is
-        # sound only while every coordinate they produce is a Fraction
+        # scalars store integer numerators over one denominator; coords is
+        # the public view of them and must read as eight Fractions after
+        # every operation
         rng = random.Random(20260418)
         for _ in range(200):
             a, b = random_scalar(rng), random_scalar(rng)
@@ -105,6 +109,142 @@ class TestExactScalar:
                     if fi or f2 or f5:
                         product = product * a.galois(fi, f2, f5)
         assert product.is_rational()
+
+
+# -- reference arithmetic: eight Fraction coordinates, products worked out
+# from i^2 = -1, s2^2 = 2, s5^2 = 5 independently of the package's table
+
+REF_BASIS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1))
+REF_ONE = (Fraction(1),) + (Fraction(0),) * 7
+
+
+def ref_mul(x, y):
+    out = [Fraction(0)] * 8
+    for b1, a in zip(REF_BASIS, x):
+        for b2, c in zip(REF_BASIS, y):
+            factor = 1
+            for e1, e2, square in zip(b1, b2, (-1, 2, 5)):
+                if e1 and e2:
+                    factor *= square
+            out[REF_BASIS.index(tuple((e1 + e2) % 2 for e1, e2 in zip(b1, b2)))] += a * c * factor
+    return tuple(out)
+
+
+def ref_add(x, y):
+    return tuple(a + c for a, c in zip(x, y))
+
+
+def ref_galois(x, flips):
+    return tuple(
+        -c if sum(e for e, flip in zip(b, flips) if flip) % 2 else c
+        for b, c in zip(REF_BASIS, x)
+    )
+
+
+def sparse_scalar(rng):
+    """Random scalar, about half its coordinates zero, denominators 1..12."""
+    return ExactScalar(
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.5 else 0
+         for _ in range(8)]
+    )
+
+
+def assert_lowest_terms(scalar):
+    assert len(scalar.num) == 8 and all(type(n) is int for n in scalar.num)
+    assert type(scalar.den) is int and scalar.den > 0
+    assert gcd(scalar.den, *scalar.num) == 1
+    assert scalar.coords == tuple(Fraction(n, scalar.den) for n in scalar.num)
+
+
+class TestScalarAgainstReference:
+    def test_ring_operations(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            a, b, c = sparse_scalar(rng), sparse_scalar(rng), sparse_scalar(rng)
+            assert (a + b).coords == ref_add(a.coords, b.coords)
+            assert (a - b).coords == ref_add(a.coords, tuple(-x for x in b.coords))
+            assert (-a).coords == tuple(-x for x in a.coords)
+            assert (a * b).coords == ref_mul(a.coords, b.coords)
+            assert (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
+            assert a * b == b * a
+            assert a + ZERO == a and a * ONE == a and a * ZERO == ZERO
+
+    def test_inverse_and_division(self):
+        rng = random.Random(12)
+        for _ in range(150):
+            a, b = sparse_scalar(rng), sparse_scalar(rng)
+            q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12))
+            assert (a / q).coords == tuple(x / q for x in a.coords)
+            assert (a / q.numerator).coords == tuple(x / q.numerator for x in a.coords)
+            if b.is_zero():
+                continue
+            assert ref_mul(b.coords, b.inverse().coords) == REF_ONE
+            assert ref_mul((a / b).coords, b.coords) == a.coords
+        with pytest.raises(ZeroDivisionError):
+            ONE / 0
+
+    def test_galois(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            a = sparse_scalar(rng)
+            for flips in [(fi, f2, f5) for fi in (0, 1) for f2 in (0, 1) for f5 in (0, 1)]:
+                image = a.galois(*flips)
+                assert image.coords == ref_galois(a.coords, flips)
+                assert_lowest_terms(image)
+
+    def test_lowest_terms_after_every_operation(self):
+        rng = random.Random(77)
+        for _ in range(200):
+            a, b = sparse_scalar(rng), sparse_scalar(rng)
+            q = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+            results = [a, a + b, a - b, a - a, -a, a * b, a * ZERO, a / q, a / 6,
+                       a + q, q - a, a * q, ExactScalar.rational(q), a.conjugate()]
+            if not b.is_zero():
+                results += [b.inverse(), a / b]
+            for result in results:
+                assert_lowest_terms(result)
+        assert (ZERO.num, ZERO.den) == ((0,) * 8, 1)
+        assert ((HALF + HALF) - ONE).den == 1
+
+    def test_equal_values_compare_and_hash_equal(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            a, b = sparse_scalar(rng), sparse_scalar(rng)
+            n = rng.randint(1, 12)
+            same = [(a / n) * n, a + b - b, a * n / n, ExactScalar(a.coords),
+                    ExactScalar([Fraction(2 * x.numerator, 2 * x.denominator) for x in a.coords])]
+            if not b.is_zero():
+                same += [(a * b) / b, a * b * b.inverse()]
+            for value in same:
+                assert value == a
+                assert hash(value) == hash(a)
+        assert ExactScalar.rational(Fraction(6, 4)) == Fraction(3, 2)
+        assert hash(ExactScalar.rational(Fraction(6, 4))) == hash(ExactScalar.rational(Fraction(3, 2)))
+
+
+def random_poly(rng, terms):
+    return BivariatePoly({(rng.randint(0, 6), rng.randint(0, 6)): sparse_scalar(rng)
+                          for _ in range(terms)})
+
+
+class TestPolyProductAgainstReference:
+    def test_random_products_term_by_term(self):
+        rng = random.Random(404)
+        for _ in range(60):
+            p, q = random_poly(rng, rng.randint(0, 6)), random_poly(rng, rng.randint(0, 6))
+            expected = {}
+            for (a1, b1), c1 in p.terms.items():
+                for (a2, b2), c2 in q.terms.items():
+                    exp = (a1 + a2, b1 + b2)
+                    expected[exp] = ref_add(expected.get(exp, (Fraction(0),) * 8),
+                                            ref_mul(c1.coords, c2.coords))
+            expected = {exp: c for exp, c in expected.items() if any(c)}
+            product = p * q
+            assert {exp: c.coords for exp, c in product.terms.items()} == expected
+            for coeff in product.terms.values():
+                assert_lowest_terms(coeff)
+            assert product == q * p
 
 
 class TestBivariatePoly:
@@ -180,6 +320,27 @@ class TestMultiPoly:
     def test_mixed_degrees_not_homogeneous(self):
         r = parse_multi("x1 + x2", [2, 3])
         assert not r.is_weighted_homogeneous()
+
+
+class TestHelpers:
+    def test_weighted_exponents_in_descending_grlex_order(self):
+        assert weighted_exponents((2, 3), 6) == [(3, 0), (0, 2)]
+        assert weighted_exponents((1, 1, 2), 2) == [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 1)]
+        assert weighted_exponents((4, 6), 5) == []
+        assert weighted_exponents((4, 6), 0) == [(0, 0)]
+
+    def test_weighted_exponents_of_no_weights(self):
+        assert weighted_exponents((), 0) == [()]
+        assert weighted_exponents((), 3) == []
+
+    def test_powers_match_repeated_products(self):
+        p = parse_bivariate("u*v^5 - u^5*v")
+        q = parse_bivariate("1/2*u^2 + s5*v^2")
+        powers = Powers([p, q])
+        assert powers.monomial((0, 0)) == BivariatePoly.constant(1)
+        assert powers.monomial((3, 0)) == p * p * p
+        assert powers.monomial((2, 3)) == p * p * q * q * q
+        assert powers.power(1, 4) == q ** 4
 
 
 class TestNullspace:
