@@ -70,7 +70,10 @@ def _resolve_link(args) -> object:
     if args.seifert:
         return parse_seifert_shorthand(args.seifert)
     with open(args.graph) as handle:
-        descriptor = json.load(handle)
+        try:
+            descriptor = json.load(handle)
+        except RecursionError:
+            raise LinkError(f"{args.graph}: JSON nested too deeply") from None
     return parse_link_descriptor(descriptor)
 
 

@@ -1,8 +1,9 @@
 """Generating invariant polynomials for the acting groups.
 
 Three routes.  Cyclic (p, q) actions: the Hilbert basis of the exponent
-semigroup {(a, b) : a + q b = 0 mod p} gives a minimal list of invariant
-monomials.  Binary polyhedral groups: the classical degree-(4, 2n, 2n+2) /
+semigroup {(a, b) : a + q b = 0 mod p}, read off the Hirzebruch-Jung
+expansion of p/(p - q), gives a minimal list of invariant monomials.
+Binary polyhedral groups: the classical degree-(4, 2n, 2n+2) /
 (6, 8, 12) / (12, 8, 18) / (12, 20, 30) generator triples, checked against
 the exact generator matrices at first use.  Products with a cyclic factor:
 monomials in the three generators whose weighted degree is 0 mod m, pruned
@@ -31,6 +32,7 @@ from .groups import (
     UnsupportedFamilyError,
     generator_matrices,
 )
+from .linkdata import hj_expand
 
 
 class InvariantError(RuntimeError):
@@ -67,9 +69,10 @@ def semigroup_member(target: Sequence[int], gens: Sequence[Sequence[int]]) -> bo
 def cyclic_invariant_generators(p: int, q: int) -> List[Tuple[int, int]]:
     """Hilbert basis of {(a, b) : a + q b = 0 mod p}, sorted by b.
 
-    Candidates are (p, 0), ((-q b) mod p, b) for 1 <= b < p, and (0, p);
-    a candidate stays iff it is not a sum of the others.  For the smooth
-    action p = 1 the basis is {(1, 0), (0, 1)}.
+    Riemenschneider's closed form: from (p, 0), (p - q, 1), each entry c of
+    the Hirzebruch-Jung expansion of p/(p - q) appends c*e1 - e0, where
+    e0, e1 are the last two pairs.  For the smooth action p = 1 the basis
+    is {(1, 0), (0, 1)}.
     """
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
@@ -77,15 +80,11 @@ def cyclic_invariant_generators(p: int, q: int) -> List[Tuple[int, int]]:
         return [(1, 0), (0, 1)]
     if not (1 <= q < p) or gcd(p, q) != 1:
         raise ValueError(f"need gcd(p, q) = 1 and 1 <= q < p, got ({p}, {q})")
-    candidates = [(p, 0)]
-    candidates += [((-q * b) % p, b) for b in range(1, p)]
-    candidates.append((0, p))
-    kept = []
-    for index, candidate in enumerate(candidates):
-        others = [c for k, c in enumerate(candidates) if k != index]
-        if not semigroup_member(candidate, others):
-            kept.append(candidate)
-    return sorted(kept, key=lambda ab: ab[1])
+    basis = [(p, 0), (p - q, 1)]
+    for c in hj_expand(p, p - q):
+        (i0, j0), (i1, j1) = basis[-2:]
+        basis.append((c * i1 - i0, c * j1 - j0))
+    return basis
 
 
 def monomials_from_exponents(exponents: Sequence[Tuple[int, int]]) -> List[BivariatePoly]:

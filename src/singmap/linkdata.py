@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import List, Sequence, Tuple
 
@@ -88,21 +89,19 @@ class PlumbingGraph:
     def size(self) -> int:
         return len(self.weights)
 
-    def neighbors(self, i: int) -> List[int]:
-        out = []
+    @cached_property
+    def _adjacency(self) -> Tuple[Tuple[int, ...], ...]:
+        adjacent = [[] for _ in self.weights]
         for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+        return tuple(tuple(sorted(row)) for row in adjacent)
+
+    def neighbors(self, i: int) -> Tuple[int, ...]:
+        return self._adjacency[i]
 
     def valences(self) -> List[int]:
-        val = [0] * self.size
-        for a, b in self.edges:
-            val[a] += 1
-            val[b] += 1
-        return val
+        return [len(row) for row in self._adjacency]
 
     def is_connected(self) -> bool:
         if self.size == 0:
@@ -119,16 +118,6 @@ class PlumbingGraph:
 
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.edges) == self.size - 1
-
-    def intersection_matrix(self) -> List[List[int]]:
-        """Symmetric matrix: diagonal e_i, entry 1 per edge."""
-        m = [[0] * self.size for _ in range(self.size)]
-        for i, w in enumerate(self.weights):
-            m[i][i] = w
-        for a, b in self.edges:
-            m[a][b] += 1
-            m[b][a] += 1
-        return m
 
 
 # -- Hirzebruch-Jung continued fractions ------------------------------------
@@ -193,25 +182,30 @@ def seifert_to_plumbing(link) -> PlumbingGraph:
 
 
 def negdef_check(graph: PlumbingGraph) -> bool:
-    """Exact negative-definiteness of the intersection matrix.
+    """Exact negative-definiteness of the intersection matrix of a tree.
 
-    Sylvester on -M with fraction-free (Bareiss) elimination: all leading
-    principal minors of -M must be positive.
+    Gaussian elimination on -M that takes leaves first, which on a tree
+    creates no fill-in (Neumann's plumbing calculus): each vertex's pivot is
+    -w_v minus 1/pivot of each of its children, and -M is positive definite
+    iff every pivot is positive.  Linear in the number of vertices.
     """
     if not graph.is_connected():
         raise LinkError("graph must be connected")
-    n = graph.size
-    m = graph.intersection_matrix()
-    work = [[-m[i][j] for j in range(n)] for i in range(n)]
-    previous_pivot = 1
-    for k in range(n):
-        # Bareiss pivot equals the (k+1)-st leading principal minor of -M
-        if work[k][k] <= 0:
+    if len(graph.edges) != graph.size - 1:
+        raise LinkError("graph must be a tree")
+    # BFS from vertex 0; on a tree the parent is the only neighbor seen before
+    order, parent = [0], [-1] * graph.size
+    for v in order:
+        for u in graph.neighbors(v):
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    pivots = [Fraction(-w) for w in graph.weights]
+    for v in reversed(order):
+        if pivots[v] <= 0:
             return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // previous_pivot
-        previous_pivot = work[k][k]
+        if parent[v] >= 0:
+            pivots[parent[v]] -= 1 / pivots[v]
     return True
 
 

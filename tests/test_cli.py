@@ -2,6 +2,7 @@
 determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -113,6 +114,19 @@ class TestClassify:
         _, second, _ = run_cli(capsys, "classify", "--seifert", "3;(2,1)(3,1)(5,1)")
         assert first == second
 
+
+    def test_long_chain_is_fast(self, capsys):
+        # L(400, 399): a chain of 399 (-2)-vertices; the lens closed form
+        # sum a_i - 2(k - 1) gives multiplicity 2
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "classify", "--lens", "400,399")
+        elapsed = time.perf_counter() - start
+        assert code == 0 and err == ""
+        report = json.loads(out)["report"]
+        assert report["multiplicity"] == 2 * 399 - 2 * (399 - 1) == 2
+        assert report["embedding_dimension"] == 3
+        assert report["fundamental_cycle"] == [1] * 399
+        assert elapsed < 0.5, f"classify --lens 400,399 took {elapsed:.2f} s"
 
 class TestMap:
     def test_lens_3_2(self, capsys):

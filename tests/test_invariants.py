@@ -76,6 +76,46 @@ class TestCyclicInvariants:
                 assert len(gens) == report.embedding_dimension
 
 
+    def test_long_chain_closed_form(self):
+        # L(p, p - 1) is A_{p-1}: x^p, xy, y^p
+        assert cyclic_invariant_generators(4000, 3999) == [(4000, 0), (1, 1), (0, 4000)]
+        gens = cyclic_invariant_generators(4000, 1)
+        assert len(gens) == 4001
+        assert gens == [(4000 - b, b) for b in range(4001)]
+
+
+def reference_cyclic_basis(p, q):
+    """Minimal nonzero elements of {(a, b) in N^2 : a + q b = 0 mod p}.
+
+    Every nonzero element lies above one of (p, 0), ((-q b) mod p, b) for
+    0 < b < p, (0, p); a candidate is a sum of two nonzero elements iff
+    another candidate lies below it componentwise, and the difference is
+    then again in the semigroup.
+    """
+    candidates = [(p, 0)] + [((-q * b) % p, b) for b in range(1, p)] + [(0, p)]
+    return [
+        c for c in candidates
+        if not any(g != c and g[0] <= c[0] and g[1] <= c[1] for g in candidates)
+    ]
+
+
+class TestCyclicClosedFormAgainstSearch:
+    def test_reference_agrees_with_semigroup_member(self):
+        for p, q in [(5, 2), (7, 3), (11, 4), (12, 5), (13, 1)]:
+            basis = reference_cyclic_basis(p, q)
+            for k, g in enumerate(basis):
+                assert not semigroup_member(g, basis[:k] + basis[k + 1 :])
+
+    def test_every_coprime_pair_below_60(self):
+        checked = 0
+        for p in range(2, 60):
+            for q in range(1, p):
+                if gcd(p, q) == 1:
+                    assert cyclic_invariant_generators(p, q) == reference_cyclic_basis(p, q), (p, q)
+                    checked += 1
+        assert checked == 1085
+
+
 class TestKleinInvariants:
     def test_tetrahedral_degrees(self):
         basis = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)

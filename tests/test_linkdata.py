@@ -1,6 +1,7 @@
 """Tests for Seifert data, plumbing graphs, continued fractions and the
 finiteness criterion."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -131,6 +132,111 @@ class TestNegativeDefinite:
                         assert negdef_check(graph) == (e < 0), link
                         checked += 1
         assert checked == 4 * len(pairs) ** 2
+
+
+    def test_rejects_connected_non_tree(self):
+        triangle = PlumbingGraph.build([-2, -2, -2], [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(LinkError, match="tree"):
+            negdef_check(triangle)
+        doubled = PlumbingGraph.build([-2, -2], [(0, 1), (0, 1)])
+        with pytest.raises(LinkError, match="tree"):
+            negdef_check(doubled)
+
+    def test_rejects_disconnected(self):
+        for graph in (
+            PlumbingGraph.build([-2, -2], []),
+            PlumbingGraph.build([-2, -2, -2, -2], [(0, 1), (0, 1), (2, 3)]),
+            PlumbingGraph.build([], []),
+        ):
+            with pytest.raises(LinkError, match="graph must be connected"):
+                negdef_check(graph)
+
+
+# -- reference: dense Sylvester test by fraction-free (Bareiss) elimination,
+# cubic in the number of vertices but independent of the tree structure
+
+
+def reference_negdef(graph: PlumbingGraph) -> bool:
+    n = graph.size
+    work = [[0] * n for _ in range(n)]
+    for i, w in enumerate(graph.weights):
+        work[i][i] = -w
+    for a, b in graph.edges:
+        work[a][b] -= 1
+        work[b][a] -= 1
+    previous_pivot = 1
+    for k in range(n):
+        # the Bareiss pivot is the (k+1)-st leading principal minor of -M
+        if work[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // previous_pivot
+        previous_pivot = work[k][k]
+    return True
+
+
+def random_tree(rng: random.Random) -> PlumbingGraph:
+    """1-12 vertices, weights in [-5, 0], random shape, shuffled labels."""
+    n = rng.randint(1, 12)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges = [(labels[v], labels[rng.randrange(v)]) for v in range(1, n)]
+    weights = [rng.randint(-5, 0) for _ in range(n)]
+    return PlumbingGraph.build(weights, edges)
+
+
+class TestNegativeDefiniteAgainstReference:
+    def test_reference_on_known_cases(self):
+        e8 = SeifertData.normalized(2, [(2, 1), (3, 2), (5, 4)])
+        assert reference_negdef(seifert_to_plumbing(e8))
+        b1 = SeifertData.normalized(1, [(2, 1), (2, 1), (2, 1)])
+        assert not reference_negdef(seifert_to_plumbing(b1))
+
+    def test_random_trees(self):
+        rng = random.Random(20261018)
+        definite = 0
+        for _ in range(6000):
+            graph = random_tree(rng)
+            assert graph.is_tree()
+            expected = reference_negdef(graph)
+            assert negdef_check(graph) == expected, graph
+            definite += expected
+        # both answers are exercised
+        assert 500 < definite < 5500
+
+    def test_random_stars_and_bamboos(self):
+        # the two shapes the pipeline builds, with long legs
+        rng = random.Random(4)
+        for _ in range(300):
+            legs = rng.choice([1, 2, 3])
+            fibers = []
+            for _ in range(legs):
+                p = rng.randint(2, 30)
+                q = rng.choice([q for q in range(1, p) if gcd(p, q) == 1])
+                fibers.append((p, q))
+            link = SeifertData.normalized(rng.randint(1, 4), fibers)
+            graph = seifert_to_plumbing(link)
+            assert negdef_check(graph) == reference_negdef(graph), link
+
+
+class TestAdjacency:
+    def test_neighbors_match_edge_scan(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            graph = random_tree(rng)
+            for i in range(graph.size):
+                scan = sorted(
+                    [b for a, b in graph.edges if a == i] + [a for a, b in graph.edges if b == i]
+                )
+                assert graph.neighbors(i) == tuple(scan)
+                assert graph.neighbors(i) is graph.neighbors(i)
+
+    def test_cached_adjacency_leaves_equality_and_hash(self):
+        first = PlumbingGraph.build([-2, -3], [(0, 1)])
+        second = PlumbingGraph.build([-2, -3], [(1, 0)])
+        first.neighbors(0)
+        assert first == second and hash(first) == hash(second)
 
 
 class TestEulerInvariants:
