@@ -52,12 +52,13 @@ print("  (each triple is fixed by both group generators, exactly)")
 print()
 print("Hypersurface equations found by exact linear algebra")
 print("=" * 50)
+triple = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]  # x, y, z as Klein exponents
 tetra = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
-found = bounded_degree_relations(list(tetra.generators), 24)
+found = bounded_degree_relations(tetra, triple, 24)
 print("  E6:", str(found.relations[0]), "= 0")
 
 icosa = klein_invariants(GroupFamily.BINARY_ICOSAHEDRAL)
-found = bounded_degree_relations(list(icosa.generators), 60)
+found = bounded_degree_relations(icosa, triple, 60)
 print("  E8:", str(found.relations[0]), "= 0")
 print()
 print("  the degree-30 icosahedral invariant, for the record:")

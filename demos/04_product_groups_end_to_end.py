@@ -1,10 +1,14 @@
 """A product group Z/m x D*_8, end to end.
 
 Adding a central factor diag(zeta_m, zeta_m) to a binary polyhedral group
-keeps exactly those products of its three basic invariants whose total
-degree is divisible by m.  The Hilbert basis of that congruence semigroup
-over-generates; exact linear algebra prunes it to the embedding dimension,
-and the image equations come out of the bounded-degree kernel search.
+keeps exactly those products x^a y^b z^c of its three basic invariants whose
+total degree is divisible by m.  The Hilbert basis of that congruence
+semigroup over-generates.  Klein's relation z^2 = S(x, y) gives every such
+monomial a normal form x^a y^b z^(c mod 2) S^(c div 2); a candidate is
+dropped when its normal form lies in the span of the normal forms of
+products of the others, which prunes the list to the embedding dimension.
+The image equations come out of the bounded-degree kernel search on the
+same normal forms, and only the chosen generators are expanded in u, v.
 
 The worked case: Seifert data {3; (2,1)(2,1)(2,1)}, fundamental group
 Z/3 x D*_8, a quotient of embedding dimension 4.
@@ -25,6 +29,7 @@ print("group:", group.label(), "of order", group.order)
 
 base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2)
 print("\nbase invariants have degrees", base.degrees)
+print("Klein relation:", base.relation(), "= 0")
 triples = product_invariant_monomials(base.degrees, group.cyclic_factor)
 print("degree condition mod", group.cyclic_factor, "admits exponent triples:")
 for t in triples:

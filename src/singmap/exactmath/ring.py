@@ -13,13 +13,15 @@ exact, equal values have equal representations, and the arithmetic runs on
 Python integers.
 
 The ring is in fact the degree-8 number field Q(i, sqrt2, sqrt5); inversion
-is available via the product of Galois conjugates.  Division by anything
-other than a rational is only needed when eliminating over the field.
+takes norms down the tower Q(i, s2, s5) > Q(s2, s5) > Q(s5) > Q.  Division
+by anything other than a rational is only needed when eliminating over the
+field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from typing import Union
 
@@ -211,30 +213,34 @@ class ExactScalar:
 
     def galois(self, flip_i=False, flip_sqrt2=False, flip_sqrt5=False) -> "ExactScalar":
         """Apply the field automorphism flipping the chosen square roots."""
-        flips = (flip_i, flip_sqrt2, flip_sqrt5)
-        num = tuple(
-            -a if sum(e for e, flip in zip(b, flips) if flip) % 2 else a
-            for b, a in zip(_BASIS, self.num)
-        )
-        return ExactScalar._of(num, self.den)
+        signs = _GALOIS_SIGNS[bool(flip_i), bool(flip_sqrt2), bool(flip_sqrt5)]
+        return ExactScalar._of(tuple(s * a for s, a in zip(signs, self.num)), self.den)
 
     def conjugate(self) -> "ExactScalar":
         """Complex conjugation i -> -i."""
         return self.galois(flip_i=True)
 
     def inverse(self) -> "ExactScalar":
-        """Multiplicative inverse via the product of Galois conjugates."""
+        """Multiplicative inverse via norms down the tower i -> s2 -> s5.
+
+        n1 = a * a' (i flipped) lies in Q(s2, s5), n2 = n1 * n1' (s2 flipped)
+        in Q(s5), and n3 = n2 * n2' (s5 flipped) in Q; then
+        1/a = a' * n1' * n2' / n3.  A rational is inverted directly.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        prod = ONE
-        for fi in (False, True):
-            for f2 in (False, True):
-                for f5 in (False, True):
-                    if fi or f2 or f5:
-                        prod = prod * self.galois(fi, f2, f5)
-        norm = self * prod
-        # The full norm is Galois-invariant, hence rational.
-        return prod / norm.as_fraction()
+        if self.is_rational():
+            n, d = self.num[0], self.den
+            if n < 0:
+                n, d = -n, -d
+            return ExactScalar._of((d,) + _ZERO_NUM[1:], n)
+        a1 = self.galois(flip_i=True)
+        n1 = self * a1
+        n1c = n1.galois(flip_sqrt2=True)
+        n2 = n1 * n1c
+        n2c = n2.galois(flip_sqrt5=True)
+        n3 = n2 * n2c
+        return (a1 * n1c * n2c) / n3.as_fraction()
 
     # -- printing ------------------------------------------------------------
 
@@ -268,6 +274,12 @@ _NEW = object.__new__
 # slot setters: they bypass the __setattr__ that keeps instances immutable
 _SET_NUM = ExactScalar.num.__set__
 _SET_DEN = ExactScalar.den.__set__
+
+# sign of each basis symbol under the automorphism, per (flip_i, flip_s2, flip_s5)
+_GALOIS_SIGNS = {
+    flips: tuple(-1 if sum(e for e, f in zip(b, flips) if f) % 2 else 1 for b in _BASIS)
+    for flips in product((False, True), repeat=3)
+}
 
 
 def _reduced(num: tuple, den: int) -> ExactScalar:

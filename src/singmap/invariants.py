@@ -4,23 +4,31 @@ Three routes.  Cyclic (p, q) actions: the Hilbert basis of the exponent
 semigroup {(a, b) : a + q b = 0 mod p}, read off the Hirzebruch-Jung
 expansion of p/(p - q), gives a minimal list of invariant monomials.
 Binary polyhedral groups: the classical degree-(4, 2n, 2n+2) /
-(6, 8, 12) / (12, 8, 18) / (12, 20, 30) generator triples, checked against
-the exact generator matrices at first use.  Products with a cyclic factor:
-monomials in the three generators whose weighted degree is 0 mod m, pruned
-to a minimal generating set by exact linear algebra.
+(6, 8, 12) / (12, 8, 18) / (12, 20, 30) generator triples (x, y, z) with
+Klein's relation z^2 = S(x, y), both checked at first use, the triple
+against the exact generator matrices and the relation by substitution.
+Products with a cyclic factor: monomials x^a y^b z^c whose weighted degree
+is 0 mod m, pruned to a minimal generating set in the normal form
+x^a y^b z^(c mod 2) S^(c div 2) of C[x, y, z]/(z^2 - S).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import (
     BivariatePoly,
     ExactScalar,
+    MultiPoly,
+    ONE,
     Powers,
     SQRT5,
+    ZERO,
     grlex_key,
     in_span,
     weighted_exponents,
@@ -195,6 +203,65 @@ def _icosahedral_triple() -> List[BivariatePoly]:
 _KLEIN_VERIFIED: Dict[object, bool] = {}
 
 
+@dataclass(frozen=True)
+class KleinBasis(InvariantBasis):
+    """The Klein triple (x, y, z) of a binary polyhedral group G with its
+    relation z^2 = S(x, y), so that C[u, v]^G = C[x, y, z]/(z^2 - S).
+
+    square is S, a BivariatePoly whose two variables stand for x and y.  A
+    Klein monomial x^a y^b z^c is its exponent triple (a, b, c); its normal
+    form x^a y^b z^(c mod 2) S^(c div 2) is a dict {(i, j, e): coefficient}
+    with e in {0, 1}.  The ring is free over C[x, y] on 1 and z, and x, y
+    are algebraically independent, so the normal form is injective: linear
+    relations among Klein monomials are exactly the linear relations among
+    their normal forms, which have a few terms where the (u, v) expansions
+    have hundreds.
+    """
+
+    square: Optional[BivariatePoly] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "_powers", Powers(self.generators))
+        object.__setattr__(self, "_square_powers", Powers((self.square,)))
+        object.__setattr__(self, "_leads", [g.leading_exponent() for g in self.generators])
+
+    def relation(self) -> MultiPoly:
+        """z^2 - S(x, y) in the variables x1, x2, x3."""
+        terms = {(i, j, 0): -coeff for (i, j), coeff in self.square.terms.items()}
+        terms[(0, 0, 2)] = ONE
+        return MultiPoly(3, self.degrees, terms)
+
+    def degree(self, exponent: Sequence[int]) -> int:
+        return sum(e * d for e, d in zip(exponent, self.degrees))
+
+    @staticmethod
+    def power_product(alpha: Sequence[int], monomials: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+        """The Klein monomial prod monomials[i]^alpha[i]."""
+        a = b = c = 0
+        for e, (x, y, z) in zip(alpha, monomials):
+            a, b, c = a + e * x, b + e * y, c + e * z
+        return a, b, c
+
+    def normal_form(self, exponent: Sequence[int]) -> Dict[Tuple[int, int, int], ExactScalar]:
+        """x^a y^b z^(c mod 2) S^(c div 2) as {(i, j, e): coefficient}."""
+        a, b, c = exponent
+        k, e = divmod(c, 2)
+        terms = self._square_powers.power(0, k).terms
+        return {(i + a, j + b, e): coeff for (i, j), coeff in terms.items()}
+
+    def leading_exponent(self, exponent: Sequence[int]) -> Tuple[int, int]:
+        """Graded-lex leading (u, v) exponent of the expansion: leading
+        terms multiply, so it is the weighted sum of the triple's."""
+        return (
+            sum(e * lead[0] for e, lead in zip(exponent, self._leads)),
+            sum(e * lead[1] for e, lead in zip(exponent, self._leads)),
+        )
+
+    def expand(self, exponent: Sequence[int]) -> BivariatePoly:
+        """The Klein monomial as a polynomial in u, v."""
+        return self._powers.monomial(exponent)
+
+
 def _matrices_for_invariance(tag: GroupFamily, n: int) -> Optional[GeneratorSet]:
     descriptor = {
         GroupFamily.BINARY_DIHEDRAL: lambda: GroupDescriptor(tag, (n,), 1, 4 * n),
@@ -212,31 +279,38 @@ def _check_diagonal_action(poly: BivariatePoly, order: int, ru: int, rv: int) ->
     return all((ru * a + rv * b) % order == 0 for a, b in poly.terms)
 
 
-def klein_invariants(tag: GroupFamily, n: int = None) -> InvariantBasis:
-    """The classical generator triple for D*_{4n}, T*, O* or I*.
+def klein_invariants(tag: GroupFamily, n: int = None) -> KleinBasis:
+    """The classical generator triple for D*_{4n}, T*, O* or I*, with
+    Klein's relation z^2 = S(x, y):
 
-    Each triple is verified to be fixed by both group generators before it
-    is handed out; a failure aborts loudly since every downstream relation
-    would be wrong.  For D* with 2n outside {2, 4, 8} the diagonal
-    generator is checked through the exponent congruence instead of an
-    explicit root of unity.
+        D*_{4n}: S = x y^2 - 4 x^(n+1)     T*: S = y^3 - 108 x^4
+        O*:      S = x y^3 - 108 x^3       I*: S = -(27 x^5 + 25 s5 y^3)/4
+
+    Each triple is verified to be fixed by both group generators, and the
+    relation to vanish under exact substitution, before it is handed out; a
+    failure aborts loudly since every downstream relation would be wrong.
+    For D* with 2n outside {2, 4, 8} the diagonal generator is checked
+    through the exponent congruence instead of an explicit root of unity.
     """
     if tag is GroupFamily.BINARY_DIHEDRAL:
         if n is None or n < 1:
             raise ValueError("D* needs the index n >= 1 of D*_{4n}")
-        polys = _dihedral_triple(n)
+        polys, square = _dihedral_triple(n), [(1, 1, 2), (-4, n + 1, 0)]
         cache_key = (tag, n)
     elif tag is GroupFamily.BINARY_TETRAHEDRAL:
-        polys = _tetrahedral_triple()
+        polys, square = _tetrahedral_triple(), [(1, 0, 3), (-108, 4, 0)]
         cache_key = tag
     elif tag is GroupFamily.BINARY_OCTAHEDRAL:
-        polys = _octahedral_triple()
+        polys, square = _octahedral_triple(), [(1, 1, 3), (-108, 3, 0)]
         cache_key = tag
     elif tag is GroupFamily.BINARY_ICOSAHEDRAL:
         polys = _icosahedral_triple()
+        square = [(Fraction(-27, 4), 5, 0), (ExactScalar.rational(Fraction(-25, 4)) * SQRT5, 0, 3)]
         cache_key = tag
     else:
         raise UnsupportedFamilyError(f"no invariant triple for {tag}")
+    plain = InvariantBasis.from_polys(polys)
+    basis = KleinBasis(plain.generators, plain.degrees, square=BivariatePoly.from_terms(square))
     if not _KLEIN_VERIFIED.get(cache_key):
         gens = _matrices_for_invariance(tag, n)
         for poly in polys:
@@ -255,8 +329,10 @@ def klein_invariants(tag: GroupFamily, n: int = None) -> InvariantBasis:
 
                 if poly.substitute_linear(_J) != poly:
                     raise InvariantError(f"{poly} not fixed by the antidiagonal action")
+        if not basis.relation().substitute(polys).is_zero():
+            raise InvariantError(f"Klein relation {basis.relation()} = 0 does not hold")
         _KLEIN_VERIFIED[cache_key] = True
-    return InvariantBasis.from_polys(polys)
+    return basis
 
 
 # -- product group invariants --------------------------------------------------------
@@ -265,107 +341,115 @@ def klein_invariants(tag: GroupFamily, n: int = None) -> InvariantBasis:
 def product_invariant_monomials(degrees: Sequence[int], m: int) -> List[Tuple[int, ...]]:
     """Hilbert basis of {a in N^j : sum a_i d_i = 0 mod m}.
 
-    Any element with a coordinate above m reduces by m*e_i, so candidates
-    live in the box [0..m]^j; minimality is semigroup membership among the
-    remaining solutions.  Output sorted lexicographically descending.
+    The difference of two solutions a >= b is again a solution, so the
+    basis is the set of nonzero solutions with no other nonzero solution
+    below them coordinatewise.  Each lies in the box [0..m]^j, since m*e_i
+    is a solution.  For a fixed prefix (a_1..a_{j-1}) only the least
+    completing a_j can be minimal, as every larger one lies above it.  The
+    prefixes are walked in ascending lexicographic order, in which
+    everything below a solution comes before it, so a solution is kept
+    unless an element already kept lies below it.  Output sorted
+    lexicographically descending.
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    degrees = tuple(int(d) for d in degrees)
-    solutions = []
-
-    def scan(prefix, remainder):
-        if len(prefix) == len(degrees):
-            if remainder % m == 0 and any(prefix):
-                solutions.append(tuple(prefix))
-            return
-        for value in range(m + 1):
-            scan(prefix + [value], remainder + value * degrees[len(prefix)])
-
-    scan([], 0)
-    basis = []
-    for index, candidate in enumerate(solutions):
-        others = [s for k, s in enumerate(solutions) if k != index]
-        if not semigroup_member(candidate, others):
-            basis.append(candidate)
+    *head, last = (int(d) for d in degrees)
+    least = [next((v for v in range(m + 1) if (r + v * last) % m == 0), None) for r in range(m)]
+    basis: List[Tuple[int, ...]] = []
+    for prefix in product(range(m + 1), repeat=len(head)):
+        if any(prefix):
+            value = least[sum(a * d for a, d in zip(prefix, head)) % m]
+            if value is None:
+                continue
+        else:
+            value = m // gcd(last, m)  # the least positive completion of zero
+        solution = prefix + (value,)
+        if not any(all(k <= s for k, s in zip(kept, solution)) for kept in basis):
+            basis.append(solution)
     return sorted(basis, reverse=True)
 
 
-def _poly_coefficient_vector(poly: BivariatePoly, exponent_index: Dict[Tuple[int, int], int]):
-    from .exactmath import ZERO
+def expressible_in(
+    base: KleinBasis, candidate: Sequence[int], others: Sequence[Sequence[int]]
+) -> bool:
+    """Whether the Klein monomial candidate is a polynomial in others.
 
-    vector = [ZERO] * len(exponent_index)
-    for exponent, coeff in poly.terms.items():
-        vector[exponent_index[exponent]] = coeff
+    Everything is homogeneous, so only the products of others whose
+    weighted degree equals the candidate's can contribute; the question
+    reduces to membership of the candidate's normal form in the span of
+    theirs.
+    """
+    # the answer does not depend on the order of rows and columns, but the
+    # elimination is shorter in descending monomial order: with the products
+    # unsorted, map on Z/89 x I* takes about three times as long
+    products = sorted(_products_of_degree(base, others, base.degree(candidate)), reverse=True)
+    if not products:
+        return False
+    forms = [base.normal_form(t) for t in products]
+    target = base.normal_form(candidate)
+    support = sorted(set(target).union(*forms), reverse=True)
+    index = {monomial: k for k, monomial in enumerate(support)}
+    return in_span([_form_vector(f, index) for f in forms], _form_vector(target, index))
+
+
+def _products_of_degree(base: KleinBasis, factors, degree: int):
+    """The distinct Klein monomials prod factors^alpha of the given weighted
+    degree, by an unbounded knapsack over degrees: there are far fewer of
+    them than exponent vectors alpha."""
+    reach = {0: {(0, 0, 0)}}
+    for x, y, z in factors:
+        weight = base.degree((x, y, z))
+        for total in range(weight, degree + 1):  # ascending, so a factor may repeat
+            below = reach.get(total - weight)
+            if below:
+                reach.setdefault(total, set()).update(
+                    (a + x, b + y, c + z) for a, b, c in below
+                )
+    return reach.get(degree, set())
+
+
+def _form_vector(form: Dict[Tuple[int, int, int], ExactScalar], index) -> List[ExactScalar]:
+    vector = [ZERO] * len(index)
+    for monomial, coeff in form.items():
+        vector[index[monomial]] = coeff
     return vector
 
 
-def expressible_in(candidate: BivariatePoly, others: Sequence[BivariatePoly]) -> bool:
-    """Whether candidate is a weighted-homogeneous polynomial in others.
-
-    Everything is homogeneous, so only monomials in the others whose
-    weighted degree equals the candidate's degree can contribute; the
-    question reduces to membership of the candidate's coefficient vector in
-    their span.
-    """
-    degree = candidate.homogeneous_degree()
-    if degree is None:
-        raise InvariantError("candidates must be homogeneous")
-    weights = []
-    for other in others:
-        d = other.homogeneous_degree()
-        if d is None:
-            raise InvariantError("candidates must be homogeneous")
-        weights.append(d)
-    exponents = weighted_exponents(weights, degree)
-    if not exponents:
-        return False
-    powers = Powers(others)
-    products = [powers.monomial(alpha) for alpha in exponents]
-    support = set(candidate.terms)
-    for product in products:
-        support.update(product.terms)
-    index = {e: k for k, e in enumerate(sorted(support, key=grlex_key, reverse=True))}
-    span_rows = [_poly_coefficient_vector(p, index) for p in products]
-    return in_span(span_rows, _poly_coefficient_vector(candidate, index))
-
-
 def minimalize_generators(
-    candidates: Sequence[BivariatePoly],
+    base: KleinBasis,
+    candidates: Sequence[Sequence[int]],
     target_count: int = None,
     degree_bound: int = None,
-) -> List[BivariatePoly]:
-    """Greedily drop candidates expressible in the remaining ones.
+) -> List[Tuple[int, int, int]]:
+    """Greedily drop Klein monomials expressible in the remaining ones.
 
-    Each round scans candidates in descending graded-lex order of their
-    leading monomial, removes the first expressible one, and restarts,
-    stopping once target_count generators remain (when given).  The
+    The scan visits candidates in descending graded-lex order of the
+    leading monomial of their (u, v) expansion; candidates that share it
+    are ordered by their sorted (u, v) support, so only those are expanded.
+    Each expressible one is dropped, until target_count generators remain
+    (when given).  One pass is enough: dropping a candidate only shrinks the
+    others' pools, so a candidate found inexpressible stays so.  The
     returned list keeps the input order of the survivors.  degree_bound
     caps the degree of expressions considered; since expressions of
     homogeneous polynomials are forced to the candidate's own degree the
     default (max candidate degree) is always enough.
     """
-    pool = list(candidates)
+    candidates = [tuple(c) for c in candidates]
+    leads = [base.leading_exponent(c) for c in candidates]
+    shared = Counter(leads)
 
-    def scan_order():
-        return sorted(
-            range(len(pool)),
-            key=lambda k: (
-                grlex_key(pool[k].leading_exponent()),
-                tuple(sorted(pool[k].terms)),
-            ),
-            reverse=True,
-        )
+    def scan_key(k):
+        lead = leads[k]
+        support = tuple(sorted(base.expand(candidates[k]).terms)) if shared[lead] > 1 else ()
+        return grlex_key(lead), support
 
-    changed = True
-    while changed and (target_count is None or len(pool) > target_count):
-        changed = False
-        for k in scan_order():
-            if degree_bound is not None and pool[k].homogeneous_degree() > degree_bound:
-                continue  # kept as-is: expressions above the bound are not searched
-            rest = pool[:k] + pool[k + 1 :]
-            if expressible_in(pool[k], rest):
-                pool = rest
-                changed = True
-                break
-    return pool
+    kept = list(range(len(candidates)))
+    for k in sorted(kept, key=scan_key, reverse=True):
+        if target_count is not None and len(kept) <= target_count:
+            break
+        if degree_bound is not None and base.degree(candidates[k]) > degree_bound:
+            continue  # kept as-is: expressions above the bound are not searched
+        rest = [candidates[j] for j in kept if j != k]
+        if expressible_in(base, candidates[k], rest):
+            kept.remove(k)
+    return [candidates[j] for j in kept]

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .exactmath import Powers, format_bivariate
+from .exactmath import format_bivariate
 from .linkdata import (
     Family,
     LensData,
@@ -243,17 +243,15 @@ def _product_map(
     )
     m = group.cyclic_factor
     if m == 1:
-        generators = list(base.generators)
+        exponents = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     else:
-        exponent_triples = product_invariant_monomials(base.degrees, m)
-        powers = Powers(base.generators)
-        candidates = [powers.monomial(triple) for triple in exponent_triples]
-        generators = minimalize_generators(candidates, target_count=report.embedding_dimension)
-    basis = InvariantBasis.from_polys(generators, group)
+        candidates = product_invariant_monomials(base.degrees, m)
+        exponents = minimalize_generators(base, candidates, target_count=report.embedding_dimension)
+    basis = InvariantBasis.from_polys([base.expand(e) for e in exponents], group)
     relations = bounded_degree_relations(
-        generators, max_degree, _expected_relation_count(report, len(generators))
+        base, exponents, max_degree, _expected_relation_count(report, len(exponents))
     )
-    return basis, relations, _generator_warnings(len(generators), report)
+    return basis, relations, _generator_warnings(len(exponents), report)
 
 
 def synthesize_map(link, max_degree: int = None) -> ClassificationOutput:

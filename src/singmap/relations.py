@@ -3,10 +3,11 @@
 Two discovery routes and one verifier.  Monomial maps (cyclic quotients)
 get binomial relations: two factorizations of the same (u, v)-monomial give
 x^alpha - x^beta, filtered degree by degree so that only binomials outside
-the ideal generated so far are kept.  General homogeneous maps get
-bounded-degree relations: for each weighted degree, the exact nullspace of
-the substitution matrix over Q(i, sqrt2, sqrt5), reduced modulo multiples
-of lower-degree relations.  verify_relation substitutes the generators and
+the ideal generated so far are kept.  Maps by monomials in a Klein triple
+(binary polyhedral quotients and their cyclic products) get bounded-degree
+relations: for each weighted degree, the exact nullspace of the matrix of
+Klein normal forms over Q(i, sqrt2, sqrt5), reduced modulo multiples of
+lower-degree relations.  verify_relation substitutes the generators and
 demands the identically zero polynomial.
 """
 
@@ -23,7 +24,6 @@ from .exactmath import (
     ExactScalar,
     MultiPoly,
     ONE,
-    Powers,
     ZERO,
     grlex_key,
     rref,
@@ -272,34 +272,34 @@ def _normalize_relation(vector, exponents, nvars, weights) -> MultiPoly:
 
 
 def bounded_degree_relations(
-    gens: Sequence[BivariatePoly],
+    base,
+    gens: Sequence[Sequence[int]],
     degree_bound: int = None,
     expected_count: Optional[int] = None,
 ) -> RelationSet:
-    """Relations of a homogeneous polynomial map up to a weighted degree.
+    """Relations of a map by Klein monomials up to a weighted degree.
 
-    Per weighted degree: enumerate candidate monomials in x, expand their
-    substitutions, and take the exact kernel of the coefficient matrix over
-    the scalar field; kernel vectors already explained by multiples of
-    lower-degree relations are quotiented away.  Each emitted relation is
-    re-verified by substitution before it is returned.  With expected_count
-    (Wahl's count), the scan stops after the degree at which that many
-    relations have been found.
+    base is the KleinBasis of the generators' Klein triple and gens their
+    exponent triples.  Per weighted degree: enumerate candidate monomials
+    x^alpha in the generators, write each as a Klein monomial in normal
+    form, and take the exact kernel of the coefficient matrix over the
+    scalar field; since the normal form is injective this is the kernel of
+    the (u, v) substitution.  Kernel vectors already explained by multiples
+    of lower-degree relations are quotiented away.  Each emitted relation is
+    re-verified by substituting the generators' (u, v) expansions before it
+    is returned.  With expected_count (Wahl's count), the scan stops after
+    the degree at which that many relations have been found.
     """
-    gens = list(gens)
-    weights = []
-    for g in gens:
-        d = g.homogeneous_degree()
-        if d is None:
-            raise ValueError(f"generator {g} is not homogeneous")
-        weights.append(d)
-    weights = tuple(weights)
+    gens = [tuple(g) for g in gens]
+    weights = tuple(base.degree(g) for g in gens)
+    if not all(w > 0 for w in weights):
+        raise ValueError("every generator needs a positive degree")
     if degree_bound is None:
         top_two = sorted(weights)[-2:]
         degree_bound = 2 * sum(top_two)
     degree_bound = _apply_cap(degree_bound)
     nvars = len(gens)
-    powers = Powers(gens)
+    expanded = [base.expand(g) for g in gens]
     relations: List[MultiPoly] = []
     step = gcd(*weights) if len(weights) > 1 else weights[0]
     for degree in range(step, degree_bound + 1, step):
@@ -308,15 +308,12 @@ def bounded_degree_relations(
         exponents = weighted_exponents(weights, degree)
         if not exponents:
             continue
-        substituted = [powers.monomial(alpha) for alpha in exponents]
-        support = set()
-        for poly in substituted:
-            support.update(poly.terms)
-        row_index = {e: k for k, e in enumerate(sorted(support, key=grlex_key, reverse=True))}
+        forms = [base.normal_form(base.power_product(alpha, gens)) for alpha in exponents]
+        row_index = {t: k for k, t in enumerate(sorted(set().union(*forms), reverse=True))}
         matrix = [[ZERO] * len(exponents) for _ in row_index]
-        for col, poly in enumerate(substituted):
-            for exponent, coeff in poly.terms.items():
-                matrix[row_index[exponent]][col] = coeff
+        for col, form in enumerate(forms):
+            for monomial, coeff in form.items():
+                matrix[row_index[monomial]][col] = coeff
         kernel = _kernel_over_scalars(matrix, len(exponents))
         if not kernel:
             continue
@@ -324,7 +321,7 @@ def bounded_degree_relations(
         new_vectors = _quotient_vectors(kernel, old_span)
         for vector in new_vectors:
             relation = _normalize_relation(vector, exponents, nvars, weights)
-            if not verify_relation(relation, gens):
+            if not verify_relation(relation, expanded):
                 raise RuntimeError(f"unsound relation {relation}; kernel logic broken")
             relations.append(relation)
     relations.sort(key=lambda r: (r.weighted_degree(), grlex_key(r.leading_exponent())))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
-from .exactmath import parse_bivariate, parse_multi
+from .exactmath import parse_bivariate
 from .linkdata import (
     Family,
     FamilyTag,
@@ -70,30 +70,17 @@ def suite_cyclic_table() -> List[Check]:
 
 
 def _ade_cases():
-    cases = []
-    for n in (2, 3, 4, 5):
-        gens = klein_invariants(GroupFamily.BINARY_DIHEDRAL, n).generators
-        relation = parse_multi(
-            f"x1*x2^2 - 4*x1^{n + 1} - x3^2", [4, 2 * n, 2 * n + 2]
-        )
-        cases.append((f"D (n={n}): x(y^2-4x^{n})-z^2", relation, gens))
-    t = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
-    cases.append(
-        ("E6: 108x^4-y^3+z^2", parse_multi("108*x1^4 - x2^3 + x3^2", t.degrees), t.generators)
-    )
-    o = klein_invariants(GroupFamily.BINARY_OCTAHEDRAL)
-    cases.append(
-        ("E7: 108x^3-xy^3+z^2", parse_multi("108*x1^3 - x1*x2^3 + x3^2", o.degrees), o.generators)
-    )
-    i = klein_invariants(GroupFamily.BINARY_ICOSAHEDRAL)
-    cases.append(
-        (
-            "E8: 27x^5+25*s5*y^3+4z^2",
-            parse_multi("27*x1^5 + 25*s5*x2^3 + 4*x3^2", i.degrees),
-            i.generators,
-        )
-    )
-    return cases
+    """(name, Klein relation z^2 - S(x, y), triple) for each family."""
+    cases = [
+        (f"D (n={n}): x(y^2-4x^{n})-z^2", klein_invariants(GroupFamily.BINARY_DIHEDRAL, n))
+        for n in (2, 3, 4, 5)
+    ]
+    cases += [
+        ("E6: 108x^4-y^3+z^2", klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)),
+        ("E7: 108x^3-xy^3+z^2", klein_invariants(GroupFamily.BINARY_OCTAHEDRAL)),
+        ("E8: 27x^5+25*s5*y^3+4z^2", klein_invariants(GroupFamily.BINARY_ICOSAHEDRAL)),
+    ]
+    return [(name, base.relation(), base.generators) for name, base in cases]
 
 
 def suite_ade_equations() -> List[Check]:

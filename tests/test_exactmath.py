@@ -141,6 +141,15 @@ def ref_galois(x, flips):
     )
 
 
+def conjugate_product_inverse(a):
+    """1/a as the product of the seven nontrivial Galois conjugates of a
+    over the full norm, which is rational."""
+    prod = ONE
+    for flips in [(fi, f2, f5) for fi in (0, 1) for f2 in (0, 1) for f5 in (0, 1)][1:]:
+        prod = prod * ExactScalar(ref_galois(a.coords, flips))
+    return prod / (a * prod).as_fraction()
+
+
 def sparse_scalar(rng):
     """Random scalar, about half its coordinates zero, denominators 1..12."""
     return ExactScalar(
@@ -183,6 +192,20 @@ class TestScalarAgainstReference:
             assert ref_mul((a / b).coords, b.coords) == a.coords
         with pytest.raises(ZeroDivisionError):
             ONE / 0
+
+    def test_inverse_against_conjugate_product(self):
+        rng = random.Random(2026)
+        samples = [sparse_scalar(rng) for _ in range(300)]
+        samples += [ExactScalar.rational(Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
+                    for _ in range(50)]
+        samples += [SQRT5, -I, SQRT10 * 3, ONE + I * SQRT2, HALF * (SQRT5 - ONE)]
+        for a in samples:
+            if a.is_zero():
+                continue
+            inverse = a.inverse()
+            assert inverse == conjugate_product_inverse(a)
+            assert_lowest_terms(inverse)
+            assert a * inverse == ONE
 
     def test_galois(self):
         rng = random.Random(5)

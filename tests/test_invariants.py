@@ -1,12 +1,15 @@
-"""Tests for invariant generation: cyclic monomials, the classical triples,
-product-group congruence search and minimalization."""
+"""Tests for invariant generation: cyclic monomials, the classical triples
+with Klein's relation and normal form, product-group congruence search and
+minimalization."""
 
 import pytest
 
-from singmap.exactmath import BivariatePoly, parse_bivariate
+from singmap.exactmath import BivariatePoly, parse_bivariate, parse_multi, weighted_exponents
 from singmap.groups import GroupDescriptor, GroupFamily, generator_matrices
 from singmap.invariants import (
+    KleinBasis,
     cyclic_invariant_generators,
+    expressible_in,
     klein_invariants,
     minimalize_generators,
     monomials_from_exponents,
@@ -16,6 +19,7 @@ from singmap.invariants import (
 from singmap.linkdata import LensData, seifert_to_plumbing
 from singmap.resolution import multiplicity_and_embdim
 from singmap.relations import check_invariance
+from itertools import product
 from math import gcd
 
 
@@ -163,6 +167,55 @@ class TestKleinInvariants:
         assert basis.degrees == (4, 6, 8)
 
 
+def normal_form_in_uv(base, form):
+    """Substitute the Klein triple into a normal form {(i, j, e): c}."""
+    x, y, z = base.generators
+    total = BivariatePoly.zero()
+    for (i, j, e), coeff in form.items():
+        total = total + (x ** i * y ** j * z ** e).scale(coeff)
+    return total
+
+
+class TestKleinNormalForm:
+    # family, D* index, weighted degree up to which every monomial is checked
+    CASES = [
+        (GroupFamily.BINARY_DIHEDRAL, 2, 36),
+        (GroupFamily.BINARY_DIHEDRAL, 3, 40),
+        (GroupFamily.BINARY_DIHEDRAL, 5, 52),
+        (GroupFamily.BINARY_TETRAHEDRAL, None, 60),
+        (GroupFamily.BINARY_OCTAHEDRAL, None, 72),
+        (GroupFamily.BINARY_ICOSAHEDRAL, None, 120),
+    ]
+
+    @pytest.mark.parametrize("family,n,top", CASES)
+    def test_normal_form_is_the_product(self, family, n, top):
+        base = klein_invariants(family, n)
+        x, y, z = base.generators
+        z_powers = set()
+        for degree in range(1, top + 1):
+            for a, b, c in weighted_exponents(base.degrees, degree):
+                form = base.normal_form((a, b, c))
+                assert all(e in (0, 1) for _, _, e in form)
+                assert normal_form_in_uv(base, form) == x ** a * y ** b * z ** c, (a, b, c)
+                z_powers.add(c)
+        assert {0, 1, 2, 3, 4} <= z_powers
+
+    def test_relation_vanishes_and_a_wrong_square_does_not(self):
+        base = klein_invariants(GroupFamily.BINARY_OCTAHEDRAL)
+        assert base.relation().substitute(list(base.generators)).is_zero()
+        assert base.relation() == parse_multi("108*x1^3 - x1*x2^3 + x3^2", base.degrees)
+        flipped = {exp: (-c if exp == (3, 0) else c) for exp, c in base.square.terms.items()}
+        wrong = KleinBasis(base.generators, base.degrees, square=BivariatePoly(flipped))
+        assert not wrong.relation().substitute(list(base.generators)).is_zero()
+        z = base.generators[2]
+        assert normal_form_in_uv(wrong, wrong.normal_form((0, 0, 2))) != z * z
+
+    def test_leading_exponent_adds_up(self):
+        base = klein_invariants(GroupFamily.BINARY_ICOSAHEDRAL)
+        for t in [(5, 0, 0), (0, 3, 0), (2, 1, 3), (0, 0, 2)]:
+            assert base.leading_exponent(t) == base.expand(t).leading_exponent()
+
+
 class TestProductMonomials:
     def test_dihedral_example(self):
         expected = [(3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0), (0, 0, 1)]
@@ -198,35 +251,86 @@ class TestProductMonomials:
                 assert sum(x * d for x, d in zip(a, degrees)) % m == 0
 
 
+def reference_product_monomials(degrees, m):
+    """The congruence semigroup's Hilbert basis by semigroup membership:
+    every nonzero solution in the box [0..m]^j that is not a sum of the
+    other box solutions, sorted descending."""
+    solutions = [
+        a for a in product(range(m + 1), repeat=len(degrees))
+        if any(a) and sum(x * d for x, d in zip(a, degrees)) % m == 0
+    ]
+    return sorted(
+        (a for k, a in enumerate(solutions)
+         if not semigroup_member(a, solutions[:k] + solutions[k + 1:])),
+        reverse=True,
+    )
+
+
+class TestProductMonomialsAgainstSearch:
+    # the degree triples of D*_8, D*_12, D*_16, D*_20, T*, O* and I*
+    FAMILY_DEGREES = [
+        (4, 4, 6), (4, 6, 8), (4, 8, 10), (4, 10, 12), (6, 8, 12), (12, 8, 18), (12, 20, 30),
+    ]
+
+    def test_family_degrees_up_to_m_13(self):
+        for degrees in self.FAMILY_DEGREES:
+            for m in range(1, 14):
+                assert product_invariant_monomials(degrees, m) == \
+                    reference_product_monomials(degrees, m), (degrees, m)
+
+
 class TestMinimalize:
     def test_dihedral_candidates_reduce_to_four(self):
-        base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2).generators
+        base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2)
         triples = product_invariant_monomials((4, 4, 6), 3)
-        candidates = []
-        for a1, a2, a3 in triples:
-            candidates.append(base[0] ** a1 * base[1] ** a2 * base[2] ** a3)
-        kept = minimalize_generators(candidates, target_count=4)
+        kept = minimalize_generators(base, triples, target_count=4)
+        assert kept == [(3, 0, 0), (2, 1, 0), (0, 3, 0), (0, 0, 1)]
         expected = [
             parse_bivariate("u^6*v^6"),
             parse_bivariate("u^8*v^4 + u^4*v^8"),
             parse_bivariate("u^12 + 3*u^8*v^4 + 3*u^4*v^8 + v^12"),
             parse_bivariate("u^5*v - u*v^5"),
         ]
-        assert kept == expected
+        assert [base.expand(t) for t in kept] == expected
 
     def test_cyclic_monomials_already_minimal(self):
-        polys = monomials_from_exponents(cyclic_invariant_generators(5, 2))
-        assert minimalize_generators(polys, target_count=4) == polys
+        # the degree-3 monomials in x, y alone: without z no relation applies
+        base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2)
+        triples = [(3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0)]
+        assert minimalize_generators(base, triples, target_count=3) == triples
 
     def test_power_eliminated(self):
-        u = BivariatePoly.u()
-        kept = minimalize_generators([u ** 2, u ** 4], target_count=1)
-        assert kept == [u ** 2]
+        base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2)
+        kept = minimalize_generators(base, [(1, 0, 0), (2, 0, 0)], target_count=1)
+        assert kept == [(1, 0, 0)]
 
     def test_degree_bound_skips_large_candidates(self):
-        u = BivariatePoly.u()
-        kept = minimalize_generators([u ** 2, u ** 4], target_count=1, degree_bound=3)
-        assert kept == [u ** 2, u ** 4]  # u^4 is above the bound, so untouched
+        base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2)
+        kept = minimalize_generators(base, [(1, 0, 0), (2, 0, 0)], target_count=1, degree_bound=7)
+        assert kept == [(1, 0, 0), (2, 0, 0)]  # x^2 is above the bound, so untouched
+
+    @pytest.mark.parametrize("n,m,kept", [
+        # Z/13 x D*_28 (3;(2,1)(2,1)(7,1)) and Z/15 x D*_32 (3;(2,1)(2,1)(8,1))
+        (7, 13, [(13, 0, 0), (9, 0, 1), (3, 1, 0), (1, 9, 0), (1, 0, 3),
+                 (0, 13, 0), (0, 10, 1), (0, 4, 3), (0, 1, 4)]),
+        (8, 15, [(15, 0, 0), (11, 1, 0), (3, 0, 1), (2, 1, 2), (1, 8, 1),
+                 (0, 15, 0), (0, 12, 1), (0, 9, 2), (0, 3, 4), (0, 0, 5)]),
+    ])
+    def test_shared_leading_monomials_are_ordered_by_support(self, n, m, kept):
+        # candidates with the same leading (u, v) monomial are scanned in the
+        # order of their sorted (u, v) supports; the survivors depend on it
+        base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, n)
+        candidates = product_invariant_monomials(base.degrees, m)
+        leads = [base.leading_exponent(c) for c in candidates]
+        assert len(set(leads)) < len(leads)
+        assert minimalize_generators(base, candidates, target_count=len(kept)) == kept
+
+    def test_z_squared_is_rewritten(self):
+        # x*y^2 = z^2 + 4*x^3 in the D*_8 ring: expressible in z and x^3 only
+        base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2)
+        assert expressible_in(base, (1, 2, 0), [(3, 0, 0), (0, 0, 1)])
+        assert not expressible_in(base, (1, 2, 0), [(3, 0, 0), (0, 3, 0)])
+        assert not expressible_in(base, (0, 0, 1), [(3, 0, 0), (1, 2, 0)])
 
 
 def test_map_string():

@@ -1,9 +1,12 @@
-"""The product-map outputs pinned in perfbench/reference.json, and the
-reach of `map` on a large product group.
+"""The product-map outputs pinned in perfbench/reference.json, further
+product links pinned here, and the reach of `map` on large product groups.
 
 reference.json stores, per CLI input, the exit code and a sha256 digest of
 the output's pinned keys (named in its header).  The digest is recomputed
 here from the JSON that `singmap map` prints; the file is only read.
+PINNED_OUTPUTS holds the exit code and the first 16 hex digits of the
+sha256 of the whole stdout and stderr, recorded with the (u, v)
+minimalizer and kernel that the Klein normal form replaced.
 """
 
 import hashlib
@@ -11,6 +14,9 @@ import io
 import json
 from contextlib import redirect_stdout
 from pathlib import Path
+
+import time
+from contextlib import redirect_stderr
 
 import pytest
 
@@ -29,6 +35,43 @@ PRODUCT_MAP = (
     "2;(2,1)(3,1)(4,3)",
     "2;(2,1)(3,2)(4,1)",
 )
+
+
+PINNED_OUTPUTS = {
+    # b;(2,1)(2,1)(n,q), b in {2, 3}, n <= 6: Z/m x D*, D*, and D' (exit 5)
+    "map --seifert 2;(2,1)(2,1)(2,1)": (0, "49ef6c0a0dcedbe3", "e3b0c44298fc1c14"),
+    "map --seifert 2;(2,1)(2,1)(3,1)": (5, "e3b0c44298fc1c14", "388b44725e094492"),
+    "map --seifert 2;(2,1)(2,1)(3,2)": (0, "2efc264f6c1b7129", "e3b0c44298fc1c14"),
+    "map --seifert 2;(2,1)(2,1)(4,1)": (0, "8ffe98d96803075f", "e3b0c44298fc1c14"),
+    "map --seifert 2;(2,1)(2,1)(4,3)": (0, "a728a596d07fdf81", "e3b0c44298fc1c14"),
+    "map --seifert 2;(2,1)(2,1)(5,1)": (5, "e3b0c44298fc1c14", "d4bf8c1c42e12f63"),
+    "map --seifert 2;(2,1)(2,1)(5,2)": (0, "75470ffbf3e09c2e", "e3b0c44298fc1c14"),
+    "map --seifert 2;(2,1)(2,1)(5,3)": (5, "e3b0c44298fc1c14", "477ae4ed82ec5249"),
+    "map --seifert 2;(2,1)(2,1)(5,4)": (0, "529d56a00fef693d", "e3b0c44298fc1c14"),
+    "map --seifert 2;(2,1)(2,1)(6,1)": (0, "f3238f2f6d93b1c5", "e3b0c44298fc1c14"),
+    "map --seifert 2;(2,1)(2,1)(6,5)": (0, "aace429e0c305421", "e3b0c44298fc1c14"),
+    "map --seifert 3;(2,1)(2,1)(2,1)": (0, "7637881393e999e0", "e3b0c44298fc1c14"),
+    "map --seifert 3;(2,1)(2,1)(3,1)": (0, "7ed6e6c7cf9d69ec", "e3b0c44298fc1c14"),
+    "map --seifert 3;(2,1)(2,1)(3,2)": (5, "e3b0c44298fc1c14", "113c3d6ee98cc008"),
+    "map --seifert 3;(2,1)(2,1)(4,1)": (0, "7be66b3ef94b4292", "e3b0c44298fc1c14"),
+    "map --seifert 3;(2,1)(2,1)(4,3)": (0, "4d5d8cc6111a068d", "e3b0c44298fc1c14"),
+    "map --seifert 3;(2,1)(2,1)(5,1)": (0, "38256c1b02b4ffb4", "e3b0c44298fc1c14"),
+    "map --seifert 3;(2,1)(2,1)(5,2)": (5, "e3b0c44298fc1c14", "42c29421c18809f7"),
+    "map --seifert 3;(2,1)(2,1)(5,3)": (0, "6453eb1ab5f7a018", "e3b0c44298fc1c14"),
+    "map --seifert 3;(2,1)(2,1)(5,4)": (5, "e3b0c44298fc1c14", "969db51710c3e32b"),
+    "map --seifert 3;(2,1)(2,1)(6,1)": (0, "0de5e7ee32e2ade3", "e3b0c44298fc1c14"),
+    "map --seifert 3;(2,1)(2,1)(6,5)": (0, "99a2c698583e4c70", "e3b0c44298fc1c14"),
+    # Z/11 x O*, Z/11 x T*, Z/7 x I*, Z/13 x I*, Z/23 x O*
+    "map --seifert 2;(2,1)(3,1)(4,1)": (0, "b308d78f81c193fc", "e3b0c44298fc1c14"),
+    "map --seifert 3;(2,1)(3,1)(3,1)": (0, "caa7bfdc9a328b0b", "e3b0c44298fc1c14"),
+    "map --seifert 2;(2,1)(3,2)(5,3)": (0, "4c45404e3d935e3e", "e3b0c44298fc1c14"),
+    "map --seifert 2;(2,1)(3,2)(5,2)": (0, "a8a9aa3ee98a723e", "e3b0c44298fc1c14"),
+    "map --seifert 3;(2,1)(3,1)(4,1)": (0, "1f6fe9ef4a3c7973", "e3b0c44298fc1c14"),
+    # --text reports
+    "map --seifert 3;(2,1)(2,1)(2,1) --text": (0, "588d3168d1a05bff", "e3b0c44298fc1c14"),
+    "map --seifert 2;(2,1)(3,1)(4,3) --text": (0, "a524d909b4e8c3ac", "e3b0c44298fc1c14"),
+    "map --seifert 2;(2,1)(3,2)(5,4) --text": (0, "6ca2c18537eeb491", "e3b0c44298fc1c14"),
+}
 
 
 def run(argv):
@@ -74,3 +117,28 @@ def test_z11_times_icosahedral_is_complete():
     assert body["complete"] is True
     assert body["stop_reason"] == "wahl-count"
     assert len(body["relations"]) == body["expected_relation_count"] == (e - 1) * (e - 2) // 2
+
+
+def sha16(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_OUTPUTS))
+def test_pinned_product_outputs(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv.split())
+    assert (code, sha16(out.getvalue()), sha16(err.getvalue())) == PINNED_OUTPUTS[argv]
+
+
+def test_z29_times_icosahedral_is_complete_and_fast():
+    # Z/29 x I*: embedding dimension 7, so Wahl's count is 15
+    start = time.perf_counter()
+    code, data = run(["map", "--seifert", "2;(2,1)(3,1)(5,1)"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert data["group"]["label"] == "Z/29 x I*"
+    body = data["relations"]
+    assert body["complete"] is True
+    assert len(body["relations"]) == body["expected_relation_count"] == 15
+    assert elapsed < 10.0

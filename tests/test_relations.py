@@ -85,11 +85,14 @@ class TestMonomialRelations:
                 assert verify_relation(r, polys), (p, q, format_multi(r))
 
 
+KLEIN_TRIPLE = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
 class TestBoundedDegreeRelations:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_binary_dihedral_hypersurface(self, n):
-        gens = list(klein_invariants(GroupFamily.BINARY_DIHEDRAL, n).generators)
-        result = bounded_degree_relations(gens, 4 * n + 4)
+        base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, n)
+        result = bounded_degree_relations(base, KLEIN_TRIPLE, 4 * n + 4)
         assert len(result.relations) == 1
         expected = parse_multi(
             f"4*x1^{n + 1} - x1*x2^2 + x3^2", [4, 2 * n, 2 * n + 2]
@@ -97,21 +100,17 @@ class TestBoundedDegreeRelations:
         assert result.relations[0] == expected
 
     def test_tetrahedral_e6(self):
-        gens = list(klein_invariants(GroupFamily.BINARY_TETRAHEDRAL).generators)
-        result = bounded_degree_relations(gens, 24)
+        base = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
+        result = bounded_degree_relations(base, KLEIN_TRIPLE, 24)
         assert [format_multi(r) for r in result.relations] == [
             "108*x1^4 - x2^3 + x3^2"
         ]
 
     def test_dihedral_product_relations(self):
-        base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2).generators
-        gens = [
-            base[0] ** 3,
-            base[0] ** 2 * base[1],
-            base[1] ** 3,
-            base[2],
-        ]
-        result = bounded_degree_relations(gens, 24)
+        base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2)
+        # x^3, x^2 y, y^3, z
+        gens = [(3, 0, 0), (2, 1, 0), (0, 3, 0), (0, 0, 1)]
+        result = bounded_degree_relations(base, gens, 24)
         texts = {format_multi(r) for r in result.relations}
         assert texts == {
             "x2*x4^2 + 4*x1*x2 - x1*x3",
@@ -120,14 +119,14 @@ class TestBoundedDegreeRelations:
         }
 
     def test_bound_too_small_is_empty_but_complete(self):
-        gens = list(klein_invariants(GroupFamily.BINARY_TETRAHEDRAL).generators)
-        result = bounded_degree_relations(gens, 20)
+        base = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
+        result = bounded_degree_relations(base, KLEIN_TRIPLE, 20)
         assert result.relations == ()
         assert result.complete_up_to_bound
 
     def test_without_expected_count_scans_to_the_bound(self):
-        gens = list(klein_invariants(GroupFamily.BINARY_TETRAHEDRAL).generators)
-        result = bounded_degree_relations(gens)
+        base = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
+        result = bounded_degree_relations(base, KLEIN_TRIPLE)
         assert result.degree_bound == 2 * (12 + 8)
         assert result.expected_count is None
         assert not result.complete
@@ -135,46 +134,48 @@ class TestBoundedDegreeRelations:
         assert result.to_dict()["expected_relation_count"] is None
 
     def test_wahl_count_stops_the_scan(self):
-        gens = list(klein_invariants(GroupFamily.BINARY_TETRAHEDRAL).generators)
-        full = bounded_degree_relations(gens, 48)
-        stopped = bounded_degree_relations(gens, 48, expected_count=1)
+        base = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
+        full = bounded_degree_relations(base, KLEIN_TRIPLE, 48)
+        stopped = bounded_degree_relations(base, KLEIN_TRIPLE, 48, expected_count=1)
         assert stopped.relations == full.relations
         assert stopped.degree_bound == 48
         assert stopped.complete and stopped.stop_reason == "wahl-count"
 
     def test_bound_short_of_wahl_count_is_incomplete(self):
-        gens = list(klein_invariants(GroupFamily.BINARY_TETRAHEDRAL).generators)
-        result = bounded_degree_relations(gens, 20, expected_count=1)
+        base = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
+        result = bounded_degree_relations(base, KLEIN_TRIPLE, 20, expected_count=1)
         assert result.relations == ()
         assert result.complete_up_to_bound
         assert not result.complete
         assert result.stop_reason == "degree-bound"
 
     def test_more_relations_than_wahl_count_is_an_error(self):
-        gens = list(klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2).generators)
-        product = [gens[0] ** 3, gens[0] ** 2 * gens[1], gens[1] ** 3, gens[2]]
+        base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2)
+        product = [(3, 0, 0), (2, 1, 0), (0, 3, 0), (0, 0, 1)]
         with pytest.raises(RuntimeError):
-            bounded_degree_relations(product, 24, expected_count=2)
+            bounded_degree_relations(base, product, 24, expected_count=2)
         with pytest.raises(RuntimeError):
             # the six relations of L(4,1) all have weighted degree 8
             monomial_relations(cyclic_invariant_generators(4, 1), expected_count=5)
 
     def test_degree_bound_below_one_rejected(self):
-        gens = list(klein_invariants(GroupFamily.BINARY_TETRAHEDRAL).generators)
+        base = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
         with pytest.raises(ValueError):
-            bounded_degree_relations(gens, 0)
+            bounded_degree_relations(base, KLEIN_TRIPLE, 0)
         with pytest.raises(ValueError):
             monomial_relations(cyclic_invariant_generators(5, 2), -1)
 
     def test_filtration_consistency(self):
-        gens = list(klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2).generators)
-        small = bounded_degree_relations(gens, 12)
-        large = bounded_degree_relations(gens, 24)
+        base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2)
+        small = bounded_degree_relations(base, KLEIN_TRIPLE, 12)
+        large = bounded_degree_relations(base, KLEIN_TRIPLE, 24)
         assert small.relations == large.relations[: len(small.relations)]
 
-    def test_inhomogeneous_generator_rejected(self):
+    def test_constant_generator_rejected(self):
+        # the empty Klein monomial is the constant 1, outside the maximal ideal
+        base = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
         with pytest.raises(ValueError):
-            bounded_degree_relations([parse_bivariate("u^2 + u")], 8)
+            bounded_degree_relations(base, [(0, 0, 0), (0, 1, 0)], 8)
 
 
 class TestOctahedralProduct:
