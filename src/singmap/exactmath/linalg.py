@@ -14,12 +14,6 @@ from typing import List, Sequence
 from .ring import ExactScalar
 
 
-def _is_zero(x) -> bool:
-    if isinstance(x, ExactScalar):
-        return x.is_zero()
-    return x == 0
-
-
 class ExactMatrix:
     """Immutable dense matrix over Fraction or ExactScalar entries."""
 
@@ -107,18 +101,18 @@ def rref(rows: List[List[object]]):
     pivots = []
     r = 0
     for col in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if not _is_zero(rows[i][col])), None)
+        pivot_row = next((i for i in range(r, nrows) if rows[i][col]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         # the rows are mostly zero: touch only the pivot row's nonzero columns
         pivot = rows[r] = list(rows[r])
-        support = [j for j, x in enumerate(pivot) if not _is_zero(x)]
+        support = [j for j, x in enumerate(pivot) if x]
         inv = _invert(pivot[col])
         for j in support:
             pivot[j] = pivot[j] * inv
         for i in range(nrows):
-            if i != r and not _is_zero(rows[i][col]):
+            if i != r and rows[i][col]:
                 factor = rows[i][col]
                 row = rows[i] = list(rows[i])
                 for j in support:
@@ -161,7 +155,7 @@ def in_span(span_rows: List[List[object]], vector: List[object]) -> bool:
     reduced, pivots = rref(work) if work else ([], [])
     residue = list(vector)
     for row, col in zip(reduced, pivots):
-        if not _is_zero(residue[col]):
+        if residue[col]:
             factor = residue[col]
             residue = [x - factor * y if y else x for x, y in zip(residue, row)]
-    return all(_is_zero(x) for x in residue)
+    return not any(residue)

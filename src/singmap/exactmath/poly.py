@@ -189,11 +189,6 @@ class BivariatePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(a + b for a, b in self.terms)
-
     def homogeneous_degree(self) -> Optional[int]:
         """Common total degree of all terms, or None if inhomogeneous."""
         degrees = {a + b for a, b in self.terms}
@@ -203,10 +198,6 @@ class BivariatePoly:
 
     def is_homogeneous(self) -> bool:
         return self.is_zero() or self.homogeneous_degree() is not None
-
-    def sorted_terms(self):
-        """Terms in descending graded-lex order (u larger than v)."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
     def leading_exponent(self) -> Exponent2:
         if not self.terms:
@@ -342,9 +333,6 @@ class MultiPoly:
 
     def is_weighted_homogeneous(self) -> bool:
         return self.is_zero() or self.weighted_degree() is not None
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
     def leading_exponent(self) -> tuple:
         if not self.terms:

@@ -263,9 +263,9 @@ def synthesize_map(link, max_degree: int = None) -> ClassificationOutput:
     UnsupportedFamilyError.
 
     When the map is a minimal embedding of a rational singularity, the
-    relation scan stops at Wahl's count and the relation set is certified
-    complete; a scan that reaches its degree bound short of that count
-    leaves a warning.
+    relation set is certified complete once it holds Wahl's count of
+    relations; a degree bound that cuts it short of that count leaves a
+    warning.
     """
     classified = classify_link(link)
     group = classified.group

@@ -2,8 +2,10 @@
 
 Two discovery routes and one verifier.  Monomial maps (cyclic quotients)
 get binomial relations: two factorizations of the same (u, v)-monomial give
-x^alpha - x^beta, filtered degree by degree so that only binomials outside
-the ideal generated so far are kept.  Maps by monomials in a Klein triple
+x^alpha - x^beta.  Only Riemenschneider's images g_(k-1) + g_(l+1) of the
+Hirzebruch-Jung ordered generators are read, since the minimal relations
+sit there and nowhere else, and a binomial is kept only when it lies
+outside the ideal generated so far.  Maps by monomials in a Klein triple
 (binary polyhedral quotients and their cyclic products) get bounded-degree
 relations: for each weighted degree, the exact nullspace of the matrix of
 Klein normal forms over Q(i, sqrt2, sqrt5), reduced modulo multiples of
@@ -30,6 +32,7 @@ from .exactmath import (
     weighted_exponents,
 )
 from .groups import GeneratorSet
+from .invariants import cyclic_invariant_generators
 
 DEGREE_CAP_ENV = "SINGMAP_DEGREE_CAP"
 
@@ -132,45 +135,6 @@ def check_invariance(poly: BivariatePoly, generators) -> bool:
 # -- binomial relations of monomial maps ----------------------------------------
 
 
-def _factorizations(
-    target: Tuple[int, int], gens: Sequence[Tuple[int, int]]
-) -> List[Tuple[int, ...]]:
-    """All exponent vectors alpha with sum alpha_i gens_i = target."""
-    out: List[Tuple[int, ...]] = []
-    k = len(gens)
-
-    def scan(position: int, prefix: List[int], a: int, b: int):
-        if position == k:
-            if a == 0 and b == 0:
-                out.append(tuple(prefix))
-            return
-        ga, gb = gens[position]
-        if position == k - 1:
-            if ga == 0 and gb == 0:
-                return
-            count: Optional[int] = None
-            if ga:
-                if a % ga:
-                    return
-                count = a // ga
-            if gb:
-                if b % gb:
-                    return
-                if count is None:
-                    count = b // gb
-                elif count != b // gb:
-                    return
-            if count * ga == a and count * gb == b:
-                scan(position + 1, prefix + [count], 0, 0)
-            return
-        top = min(a // ga if ga else a + b, b // gb if gb else a + b)
-        for count in range(top + 1):
-            scan(position + 1, prefix + [count], a - count * ga, b - count * gb)
-
-    scan(0, [], target[0], target[1])
-    return out
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -192,60 +156,70 @@ def monomial_relations(
     degree_bound: int = None,
     expected_count: Optional[int] = None,
 ) -> RelationSet:
-    """Binomial generators of the relation ideal of a monomial map.
+    """Binomial generators of the relation ideal of a cyclic quotient map.
 
-    Images (A, B) are processed in increasing weighted degree A + B.  Two
-    factorizations of the same image give a relation; a binomial is new
-    exactly when the earlier relations, used as rewriting moves, do not
-    already connect the two factorizations (that connectivity equals
-    membership in the same-degree span of multiples of earlier relations).
-    The default bound 2 * p * max-degree covers every minimal generator of
-    the cyclic-quotient ideals in scope.  With expected_count (Wahl's
-    count), the scan stops after the degree at which that many relations
-    have been found.
+    gens must be cyclic_invariant_generators(p, q), the Hilbert basis
+    g_0, ..., g_(e-1) in Hirzebruch-Jung order (ValueError otherwise).  The
+    minimal relations then sit exactly at the images g_(k-1) + g_(l+1),
+    1 <= k <= l <= e - 2 (Riemenschneider's quasi-determinantal equations,
+    Math. Ann. 209, 1974), and only those images are visited, in increasing
+    weighted degree A + B, then increasing A; images above degree_bound are
+    skipped.  Two factorizations of the same image give a relation; a
+    binomial is new exactly when the earlier relations, used as rewriting
+    moves, do not already connect the two factorizations (that
+    connectivity equals membership in the same-degree span of multiples of
+    earlier relations).  The default bound 2 * p * max-degree covers every
+    image.  expected_count (Wahl's count) only certifies completeness.
     """
     gens = [tuple(g) for g in gens]
+    try:
+        p = gens[0][0]
+        hilbert_basis = cyclic_invariant_generators(p, p - gens[1][0])
+    except (IndexError, ValueError):
+        hilbert_basis = None
+    if gens != hilbert_basis:
+        raise ValueError(
+            f"need the Hirzebruch-Jung ordered Hilbert basis of a cyclic action, got {gens}"
+        )
     weights = tuple(a + b for a, b in gens)
     if degree_bound is None:
-        p = max(max(a for a, _ in gens), max(b for _, b in gens))
         degree_bound = 2 * p * max(weights)
     degree_bound = _apply_cap(degree_bound)
     nvars = len(gens)
+    images = {
+        (gens[k - 1][0] + gens[l + 1][0], gens[k - 1][1] + gens[l + 1][1])
+        for k in range(1, nvars - 1)
+        for l in range(k, nvars - 1)
+    }
     relations: List[MultiPoly] = []
     moves: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-    for degree in range(min(weights), degree_bound + 1):
-        if _count_reached(relations, expected_count):
-            break
-        for a_part in range(degree + 1):
-            image = (a_part, degree - a_part)
-            fiber = _factorizations(image, gens)
-            if len(fiber) < 2:
-                continue
-            fiber.sort(key=grlex_key)
-            index = {alpha: k for k, alpha in enumerate(fiber)}
-            uf = _UnionFind(len(fiber))
-            for alpha, beta in moves:
-                for k, element in enumerate(fiber):
-                    if all(e >= a for e, a in zip(element, alpha)):
-                        partner = tuple(e - a + b for e, a, b in zip(element, alpha, beta))
-                        uf.union(k, index[partner])
-            components: Dict[int, int] = {}
-            for k in range(len(fiber)):
-                root = uf.find(k)
-                if root not in components or grlex_key(fiber[k]) < grlex_key(
-                    fiber[components[root]]
-                ):
-                    components[root] = k
-            if len(components) < 2:
-                continue
-            representatives = sorted(
-                (fiber[k] for k in components.values()), key=grlex_key
-            )
-            anchor = representatives[0]
-            for other in representatives[1:]:
-                # other > anchor in graded-lex, so the leading sign is +1
-                relations.append(MultiPoly.binomial(nvars, weights, other, anchor))
-                moves.append((other, anchor))
+    degree = None
+    for a_part, b_part in sorted(
+        (image for image in images if sum(image) <= degree_bound),
+        key=lambda image: (sum(image), image[0]),
+    ):
+        if a_part + b_part != degree:
+            degree = a_part + b_part
+            fibers: Dict[int, List[Tuple[int, ...]]] = {}
+            for alpha in weighted_exponents(weights, degree):
+                u_part = sum(e * g[0] for e, g in zip(alpha, gens))
+                fibers.setdefault(u_part, []).append(alpha)
+        fiber = fibers[a_part][::-1]  # ascending graded-lex
+        index = {alpha: k for k, alpha in enumerate(fiber)}
+        uf = _UnionFind(len(fiber))
+        for alpha, beta in moves:
+            for k, element in enumerate(fiber):
+                if all(e >= a for e, a in zip(element, alpha)):
+                    partner = tuple(e - a + b for e, a, b in zip(element, alpha, beta))
+                    uf.union(k, index[partner])
+        least: Dict[int, int] = {}
+        for k in range(len(fiber)):
+            least.setdefault(uf.find(k), k)  # the fiber ascends, so k is least
+        anchor, *others = (fiber[k] for k in sorted(least.values()))
+        for other in others:
+            # other > anchor in graded-lex, so the leading sign is +1
+            relations.append(MultiPoly.binomial(nvars, weights, other, anchor))
+            moves.append((other, anchor))
     return RelationSet(tuple(relations), weights, degree_bound, True, expected_count)
 
 
@@ -255,11 +229,7 @@ def monomial_relations(
 def _normalize_relation(vector, exponents, nvars, weights) -> MultiPoly:
     """Scale so the graded-lex leading coefficient is a positive integer and
     the rational content over the 8-basis coordinates is 1."""
-    terms = {
-        exponents[k]: coeff
-        for k, coeff in enumerate(vector)
-        if not (coeff.is_zero() if isinstance(coeff, ExactScalar) else coeff == 0)
-    }
+    terms = {exponents[k]: coeff for k, coeff in enumerate(vector) if coeff}
     poly = MultiPoly(nvars, weights, terms)
     lead = poly.terms[poly.leading_exponent()]
     poly = poly.scale(lead.inverse())
@@ -363,14 +333,14 @@ def _quotient_vectors(kernel, old_span):
         residue = list(vector)
         for row, col in zip(reduced_old, pivots_old):
             coeff = residue[col]
-            if not (coeff.is_zero() if isinstance(coeff, ExactScalar) else coeff == 0):
+            if coeff:
                 residue = [x - coeff * y if y else x for x, y in zip(residue, row)]
         return residue
 
     new_rows = []
     for vector in kernel:
         residue = reduce_vector(vector)
-        if any(not (x.is_zero() if isinstance(x, ExactScalar) else x == 0) for x in residue):
+        if any(residue):
             new_rows.append(residue)
     if not new_rows:
         return []

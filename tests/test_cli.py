@@ -206,6 +206,17 @@ class TestMap:
         assert body["expected_relation_count"] == 171
         assert body["stop_reason"] == "wahl-count"
 
+    def test_long_chain_is_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "map", "--lens", "400,399")
+        elapsed = time.perf_counter() - start
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["map"] == ["u^400", "u*v", "v^400"]
+        assert data["relations"]["relations"] == ["x2^400 - x1*x3"]
+        assert data["relations"]["complete"] is True
+        assert elapsed < 1.0, f"map --lens 400,399 took {elapsed:.2f} s"
+
     @pytest.mark.parametrize("cap", ["0", "-5"])
     @pytest.mark.parametrize("lens", ["5,2", "1,0"])
     def test_degree_cap_env_below_one(self, capsys, monkeypatch, cap, lens):

@@ -1,14 +1,18 @@
 """Tests for relation discovery (binomial and bounded-degree) and the
 substitution verifier."""
 
+import json
 import random
+import time
 from math import gcd
 
 import pytest
 
 from singmap.exactmath import (
     BivariatePoly,
+    MultiPoly,
     format_multi,
+    grlex_key,
     parse_bivariate,
     parse_multi,
 )
@@ -19,10 +23,12 @@ from singmap.invariants import (
     monomials_from_exponents,
 )
 from singmap.relations import (
+    RelationSet,
     bounded_degree_relations,
     check_invariance,
     monomial_relations,
     verify_relation,
+    wahl_relation_count,
 )
 
 
@@ -83,6 +89,127 @@ class TestMonomialRelations:
             assert result.relations, (p, q)
             for r in result.relations:
                 assert verify_relation(r, polys), (p, q, format_multi(r))
+
+
+def reference_factorizations(target, gens):
+    """All exponent vectors alpha with sum alpha_i gens_i = target."""
+    out = []
+    k = len(gens)
+
+    def scan(position, prefix, a, b):
+        if position == k:
+            if a == 0 and b == 0:
+                out.append(tuple(prefix))
+            return
+        ga, gb = gens[position]
+        if position == k - 1:
+            if ga == 0 and gb == 0:
+                return
+            count = None
+            if ga:
+                if a % ga:
+                    return
+                count = a // ga
+            if gb:
+                if b % gb:
+                    return
+                if count is None:
+                    count = b // gb
+                elif count != b // gb:
+                    return
+            if count * ga == a and count * gb == b:
+                scan(position + 1, prefix + [count], 0, 0)
+            return
+        top = min(a // ga if ga else a + b, b // gb if gb else a + b)
+        for count in range(top + 1):
+            scan(position + 1, prefix + [count], a - count * ga, b - count * gb)
+
+    scan(0, [], target[0], target[1])
+    return out
+
+
+def reference_monomial_relations(gens, degree_bound=None, expected_count=None):
+    """The degree-by-degree scan over every image (A, B), each fiber found
+    by search and connected by the earlier relations as rewriting moves;
+    it stops after the degree at which expected_count relations are found."""
+    gens = [tuple(g) for g in gens]
+    weights = tuple(a + b for a, b in gens)
+    if degree_bound is None:
+        p = max(max(a for a, _ in gens), max(b for _, b in gens))
+        degree_bound = 2 * p * max(weights)
+    nvars = len(gens)
+    relations = []
+    moves = []
+    for degree in range(min(weights), degree_bound + 1):
+        if expected_count is not None and len(relations) >= expected_count:
+            break
+        for a_part in range(degree + 1):
+            fiber = sorted(reference_factorizations((a_part, degree - a_part), gens), key=grlex_key)
+            index = {alpha: k for k, alpha in enumerate(fiber)}
+            parent = list(range(len(fiber)))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for alpha, beta in moves:
+                for k, element in enumerate(fiber):
+                    if all(e >= a for e, a in zip(element, alpha)):
+                        partner = tuple(e - a + b for e, a, b in zip(element, alpha, beta))
+                        rx, ry = find(k), find(index[partner])
+                        if rx != ry:
+                            parent[ry] = rx
+            least = {}
+            for k, alpha in enumerate(fiber):
+                root = find(k)
+                if root not in least or grlex_key(alpha) < grlex_key(least[root]):
+                    least[root] = alpha
+            representatives = sorted(least.values(), key=grlex_key)
+            for other in representatives[1:]:
+                relations.append(MultiPoly.binomial(nvars, weights, other, representatives[0]))
+                moves.append((other, representatives[0]))
+    return RelationSet(tuple(relations), weights, degree_bound, True, expected_count)
+
+
+class TestRiemenschneiderImagesAgainstScan:
+    def test_same_relations_as_the_full_scan(self):
+        for p in range(2, 21):
+            for q in range(1, p):
+                if gcd(p, q) != 1:
+                    continue
+                gens = cyclic_invariant_generators(p, q)
+                wahl = wahl_relation_count(len(gens))
+                for bound, count in [(None, wahl), (p, wahl), (p, None)]:
+                    found = json.dumps(monomial_relations(gens, bound, count).to_dict())
+                    expected = json.dumps(
+                        reference_monomial_relations(gens, bound, count).to_dict()
+                    )
+                    assert found == expected, (p, q, bound, count)
+
+    def test_long_chain_is_fast(self):
+        # L(400, 399): three generators (u^400, u v, v^400), one relation at
+        # degree 800, which the full scan reaches after 321,000 images
+        start = time.perf_counter()
+        result = monomial_relations(cyclic_invariant_generators(400, 399), expected_count=1)
+        elapsed = time.perf_counter() - start
+        assert [format_multi(r) for r in result.relations] == ["x2^400 - x1*x3"]
+        assert result.complete
+        assert elapsed < 1.0, f"L(400, 399) relations took {elapsed:.2f} s"
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [(2, 0), (0, 2), (1, 1)],  # the basis of L(2, 1), not in chain order
+            [(5, 0), (1, 2), (3, 1), (0, 5)],
+            [(5, 0), (3, 1), (1, 2)],  # L(5, 2) without its last generator
+            [(4, 0)],
+            [],
+        ],
+    )
+    def test_not_a_hirzebruch_jung_basis_rejected(self, gens):
+        with pytest.raises(ValueError):
+            monomial_relations(gens)
 
 
 KLEIN_TRIPLE = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
