@@ -1,17 +1,31 @@
-"""Exact matrices and nullspace computation.
+"""Exact matrices and one sparse exact elimination.
 
-ExactMatrix holds entries that are either plain Fractions or ExactScalars;
-elimination works over either since both support exact +, -, * and /.
-Nullspace bases come from the reduced row echelon form with a fixed
-left-to-right pivot scan, so the result is deterministic.
+Entries are Fractions or ExactScalars; both support exact +, -, * and /.
+A row is a dict {column: coefficient} with no zero entries, and a
+semi-echelon form is a dict {pivot column: row} whose rows are monic at
+their pivot and zero left of it.  reduce_row subtracts rows of a form,
+visiting pivots in ascending order, until the row is zero at every pivot;
+insert_row reduces a row and stores what is left, made monic, under its
+leading column.  rref, nullspace_basis and in_span keep their dense
+list-of-rows signatures and run on these two.
+
+No result depends on the order of the rows.  For a fixed column order the
+pivots of any semi-echelon basis of a span S are the leading columns of the
+nonzero vectors of S.  Two vectors congruent modulo S and zero at every
+pivot differ by a vector of S with no entry at a pivot, which is zero; so
+the reduction of a vector is unique, and so are the reduced row echelon
+form and the nullspace basis read from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Sequence
 
 from .ring import ExactScalar
+
+Row = Dict[int, object]
 
 
 class ExactMatrix:
@@ -33,12 +47,6 @@ class ExactMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
-
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        )
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -64,64 +72,84 @@ class ExactMatrix:
             ]
         )
 
-    def mul_vector(self, vec: Sequence[object]) -> List[object]:
-        if len(vec) != self.ncols:
-            raise ValueError("dimension mismatch")
-        out = []
-        for row in self.rows:
-            acc = row[0] * vec[0]
-            for a, x in zip(row[1:], vec[1:]):
-                acc = acc + a * x
-            out.append(acc)
-        return out
-
-    def rank(self) -> int:
-        _, pivots = rref([list(r) for r in self.rows])
-        return len(pivots)
-
-    def nullspace(self) -> List[List[object]]:
-        """Basis of the right nullspace; empty when full column rank."""
-        return nullspace_basis([list(r) for r in self.rows])
-
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"ExactMatrix[{body}]"
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 def _invert(x):
     if isinstance(x, ExactScalar):
         return x.inverse()
-    return Fraction(1) / x
+    return _ONE / x
+
+
+def reduce_row(form: Dict[int, Row], row: Row) -> Row:
+    """row modulo the span of form: a new row that is zero at every pivot.
+
+    Subtracting the row stored at pivot c changes only columns c and to its
+    right, so visiting pivots in ascending order clears each one for good.
+    """
+    row = dict(row)
+    pending = [col for col in row if col in form]
+    heapify(pending)
+    while pending:
+        col = heappop(pending)
+        factor = row.get(col)
+        if factor is None:  # a column queued twice, already cleared
+            continue
+        for j, y in form[col].items():
+            x = row.get(j)
+            if x is None:
+                row[j] = -(factor * y)
+                if j in form:
+                    heappush(pending, j)
+            else:
+                x = x - factor * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+    return row
+
+
+def insert_row(form: Dict[int, Row], row: Row) -> None:
+    """Add row to the span of form: what is left of it after reduce_row,
+    made monic, is stored under its leading column."""
+    row = reduce_row(form, row)
+    if row:
+        col = min(row)
+        inv = _invert(row[col])
+        form[col] = {j: x * inv for j, x in row.items()}
+
+
+def _sparse(row: Sequence[object]) -> Row:
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _reduced_form(rows: List[List[object]]) -> Dict[int, Row]:
+    """The reduced row echelon form of rows as {pivot column: row}: insert
+    every row, then clear the entries above each pivot, last pivot first, so
+    the rows at later pivots are already reduced (earlier ones are never met)."""
+    form: Dict[int, Row] = {}
+    for row in rows:
+        insert_row(form, _sparse(row))
+    for col in sorted(form, reverse=True):
+        row = form.pop(col)
+        form[col] = reduce_row(form, row)
+    return form
 
 
 def rref(rows: List[List[object]]):
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        # the rows are mostly zero: touch only the pivot row's nonzero columns
-        pivot = rows[r] = list(rows[r])
-        support = [j for j, x in enumerate(pivot) if x]
-        inv = _invert(pivot[col])
-        for j in support:
-            pivot[j] = pivot[j] * inv
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                row = rows[i] = list(rows[i])
-                for j in support:
-                    row[j] = row[j] - factor * pivot[j]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    """Reduced row echelon form of a dense matrix: (its nonzero rows, their
+    pivot columns in ascending order).  The input is not modified."""
+    ncols = len(rows[0]) if rows else 0
+    form = _reduced_form(rows)
+    pivots = sorted(form)
+    return [[form[col].get(j, _ZERO) for j in range(ncols)] for col in pivots], pivots
 
 
 def nullspace_basis(rows: List[List[object]]) -> List[List[object]]:
@@ -130,32 +158,24 @@ def nullspace_basis(rows: List[List[object]]) -> List[List[object]]:
     Each basis vector has entry 1 in its free column and the pivot entries
     solved from the reduced echelon form; vectors are ordered by free column.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    one = Fraction(1)
-    zero = Fraction(0)
+    ncols = len(rows[0]) if rows else 0
+    form = _reduced_form(rows)
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in form:
             continue
-        vec = [zero] * ncols
-        vec[free] = one
-        for row_index, col in enumerate(pivots):
-            vec[col] = -reduced[row_index][free]
+        vec = [_ZERO] * ncols
+        vec[free] = _ONE
+        for col, row in form.items():
+            if free in row:
+                vec[col] = -row[free]
         basis.append(vec)
     return basis
 
 
 def in_span(span_rows: List[List[object]], vector: List[object]) -> bool:
     """Whether vector lies in the row span of span_rows (all exact)."""
-    work = [list(r) for r in span_rows]
-    reduced, pivots = rref(work) if work else ([], [])
-    residue = list(vector)
-    for row, col in zip(reduced, pivots):
-        if residue[col]:
-            factor = residue[col]
-            residue = [x - factor * y if y else x for x, y in zip(residue, row)]
-    return not any(residue)
+    form: Dict[int, Row] = {}
+    for row in span_rows:
+        insert_row(form, _sparse(row))
+    return not reduce_row(form, _sparse(vector))

@@ -87,24 +87,12 @@ class BivariatePoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "BivariatePoly":
-        return BivariatePoly({})
-
-    @staticmethod
     def constant(c) -> "BivariatePoly":
         return BivariatePoly({(0, 0): _coerce_scalar(c)})
 
     @staticmethod
     def monomial(coeff, a: int, b: int) -> "BivariatePoly":
         return BivariatePoly({(a, b): _coerce_scalar(coeff)})
-
-    @staticmethod
-    def u() -> "BivariatePoly":
-        return BivariatePoly({(1, 0): ONE})
-
-    @staticmethod
-    def v() -> "BivariatePoly":
-        return BivariatePoly({(0, 1): ONE})
 
     @staticmethod
     def from_terms(terms: Iterable[Tuple[object, int, int]]) -> "BivariatePoly":
@@ -196,9 +184,6 @@ class BivariatePoly:
             return degrees.pop()
         return None
 
-    def is_homogeneous(self) -> bool:
-        return self.is_zero() or self.homogeneous_degree() is not None
-
     def leading_exponent(self) -> Exponent2:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -212,11 +197,7 @@ class BivariatePoly:
         (a, b), (c, d) = rows
         image_u = BivariatePoly({(1, 0): _coerce_scalar(a), (0, 1): _coerce_scalar(b)})
         image_v = BivariatePoly({(1, 0): _coerce_scalar(c), (0, 1): _coerce_scalar(d)})
-        powers = Powers((image_u, image_v))
-        acc = BivariatePoly.zero()
-        for exp, coeff in self.terms.items():
-            acc = acc + powers.monomial(exp).scale(coeff)
-        return acc
+        return Powers((image_u, image_v)).combination(self.terms)
 
     def __str__(self):
         from .textform import format_bivariate
@@ -252,6 +233,15 @@ class Powers:
                 factor = self.power(i, e)
                 product = factor if product is None else product * factor
         return BivariatePoly.constant(1) if product is None else product
+
+    def combination(self, terms: Dict[tuple, ExactScalar]) -> BivariatePoly:
+        """The sum of coeff * monomial(alpha) over terms {alpha: coeff},
+        added up in one dict."""
+        acc: Dict[Exponent2, ExactScalar] = {}
+        for alpha, coeff in terms.items():
+            for exp, c in self.monomial(alpha).terms.items():
+                acc[exp] = acc.get(exp, ZERO) + c * coeff
+        return BivariatePoly(acc)
 
 
 class MultiPoly:
@@ -331,9 +321,6 @@ class MultiPoly:
             return degrees.pop()
         return None
 
-    def is_weighted_homogeneous(self) -> bool:
-        return self.is_zero() or self.weighted_degree() is not None
-
     def leading_exponent(self) -> tuple:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -343,11 +330,7 @@ class MultiPoly:
         """Evaluate at x_i = generators[i]; exact."""
         if len(generators) != self.nvars:
             raise ValueError("generator count must match variable count")
-        powers = Powers(generators)
-        acc = BivariatePoly.zero()
-        for exp, coeff in self.terms.items():
-            acc = acc + powers.monomial(exp).scale(coeff)
-        return acc
+        return Powers(generators).combination(self.terms)
 
     def __str__(self):
         from .textform import format_multi

@@ -117,12 +117,6 @@ class InvariantBasis:
             degrees.append(degree)
         return InvariantBasis(tuple(polys), tuple(degrees), group)
 
-    def map_string(self) -> str:
-        from .exactmath import format_bivariate
-
-        inner = ", ".join(format_bivariate(p) for p in self.generators)
-        return f"F(u,v) = ({inner})"
-
 
 # -- Klein invariants -------------------------------------------------------------
 

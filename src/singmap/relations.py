@@ -28,6 +28,8 @@ from .exactmath import (
     ONE,
     ZERO,
     grlex_key,
+    insert_row,
+    reduce_row,
     rref,
     weighted_exponents,
 )
@@ -303,12 +305,12 @@ def _kernel_over_scalars(matrix, ncols) -> List[List[ExactScalar]]:
         return [[ONE if k == j else ZERO for j in range(ncols)] for k in range(ncols)]
     from .exactmath import nullspace_basis
 
-    return nullspace_basis([list(row) for row in matrix])
+    return nullspace_basis(matrix)
 
 
-def _lower_degree_multiples(relations, weights, degree, exponents) -> List[List[ExactScalar]]:
-    """Coefficient vectors, in the degree-d monomial basis, of m * r for all
-    earlier relations r and monomials m of complementary weighted degree."""
+def _lower_degree_multiples(relations, weights, degree, exponents) -> List[Dict[int, ExactScalar]]:
+    """Sparse coefficient rows, in the degree-d monomial basis, of m * r for
+    all earlier relations r and monomials m of complementary weighted degree."""
     index = {alpha: k for k, alpha in enumerate(exponents)}
     rows = []
     for relation in relations:
@@ -316,33 +318,25 @@ def _lower_degree_multiples(relations, weights, degree, exponents) -> List[List[
         if gap <= 0:
             continue
         for gamma in weighted_exponents(weights, gap):
-            row = [ZERO] * len(exponents)
-            for alpha, coeff in relation.terms.items():
-                shifted = tuple(a + g for a, g in zip(alpha, gamma))
-                row[index[shifted]] = coeff
-            rows.append(row)
+            rows.append({
+                index[tuple(a + g for a, g in zip(alpha, gamma))]: coeff
+                for alpha, coeff in relation.terms.items()
+            })
     return rows
 
 
 def _quotient_vectors(kernel, old_span):
-    """Kernel vectors reduced modulo the old span, then echelonized."""
-    work = [list(r) for r in old_span]
-    reduced_old, pivots_old = rref(work) if work else ([], [])
-
-    def reduce_vector(vector):
-        residue = list(vector)
-        for row, col in zip(reduced_old, pivots_old):
-            coeff = residue[col]
-            if coeff:
-                residue = [x - coeff * y if y else x for x, y in zip(residue, row)]
-        return residue
-
+    """Kernel vectors reduced modulo the old span (sparse rows), then
+    echelonized; both steps are unique whatever the order of the rows."""
+    form = {}
+    for row in old_span:
+        insert_row(form, row)
+    ncols = len(kernel[0])
     new_rows = []
     for vector in kernel:
-        residue = reduce_vector(vector)
-        if any(residue):
-            new_rows.append(residue)
+        residue = reduce_row(form, {j: x for j, x in enumerate(vector) if x})
+        if residue:
+            new_rows.append([residue.get(j, ZERO) for j in range(ncols)])
     if not new_rows:
         return []
-    echelon, pivots = rref(new_rows)
-    return [row for row in echelon[: len(pivots)]]
+    return rref(new_rows)[0]

@@ -9,7 +9,6 @@ import pytest
 
 from singmap.exactmath import (
     BivariatePoly,
-    ExactMatrix,
     ExactScalar,
     HALF,
     I,
@@ -22,9 +21,12 @@ from singmap.exactmath import (
     format_bivariate,
     format_multi,
     in_span,
+    insert_row,
     nullspace_basis,
     parse_bivariate,
     parse_multi,
+    reduce_row,
+    rref,
     weighted_exponents,
 )
 
@@ -272,7 +274,7 @@ class TestPolyProductAgainstReference:
 
 class TestBivariatePoly:
     def test_product_difference_of_squares(self):
-        u, v = BivariatePoly.u(), BivariatePoly.v()
+        u, v = BivariatePoly.monomial(1, 1, 0), BivariatePoly.monomial(1, 0, 1)
         assert (u + v) * (u - v) == u ** 2 - v ** 2
 
     def test_monomial_powers(self):
@@ -324,25 +326,24 @@ class TestBivariatePoly:
             assert left == right
 
     def test_homogeneity_detection(self):
-        assert parse_bivariate("u^2 + u*v").is_homogeneous()
-        assert not parse_bivariate("u^2 + u").is_homogeneous()
+        assert parse_bivariate("u^2 + u*v").homogeneous_degree() == 2
+        assert parse_bivariate("u^2 + u").homogeneous_degree() is None
 
 
 class TestMultiPoly:
     def test_weighted_degree(self):
         r = parse_multi("x1*x2^2 - x3^2", [4, 4, 6])
         assert r.weighted_degree() == 12
-        assert r.is_weighted_homogeneous()
 
     def test_substitute(self):
-        u, v = BivariatePoly.u(), BivariatePoly.v()
+        u, v = BivariatePoly.monomial(1, 1, 0), BivariatePoly.monomial(1, 0, 1)
         r = parse_multi("x2^2 - x1*x3", [2, 2, 2])
         gens = [u ** 2, u * v, v ** 2]
         assert r.substitute(gens).is_zero()
 
     def test_mixed_degrees_not_homogeneous(self):
         r = parse_multi("x1 + x2", [2, 3])
-        assert not r.is_weighted_homogeneous()
+        assert r.weighted_degree() is None
 
 
 class TestHelpers:
@@ -372,21 +373,20 @@ class TestNullspace:
         assert basis == [[Fraction(1), Fraction(1)]]
 
     def test_identity_has_trivial_kernel(self):
-        m = ExactMatrix.identity(2)
-        assert m.nullspace() == []
+        identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+        assert nullspace_basis(identity) == []
 
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(5)
         for _ in range(25):
             rows = rng.randint(2, 5)
             cols = rng.randint(2, 5)
-            matrix = ExactMatrix(
-                [[Fraction(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)]
-            )
-            basis = matrix.nullspace()
-            assert len(basis) == cols - matrix.rank()
+            matrix = [[Fraction(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)]
+            basis = nullspace_basis(matrix)
+            _, pivots = rref(matrix)
+            assert len(basis) == cols - len(pivots)
             for vec in basis:
-                assert all(x == 0 for x in matrix.mul_vector(vec))
+                assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in matrix)
 
     def test_monomial_expansion_system_contains_binomial(self):
         # columns: x-monomials of weighted degree 10 for the (5, 2) map
@@ -434,6 +434,131 @@ class TestNullspace:
         assert ONE * vec[0] + SQRT5 * vec[1] == ZERO
 
 
+def reference_rref(rows):
+    """Textbook dense Gauss-Jordan: (nonzero rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        lead = rows[r][col]
+        inv = lead.inverse() if isinstance(lead, ExactScalar) else 1 / lead
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def reference_nullspace(rows):
+    reduced, pivots = reference_rref(rows)
+    ncols = len(rows[0])
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            vec[col] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def reference_in_span(rows, vector):
+    return len(reference_rref(rows + [vector])[1]) == len(reference_rref(rows)[1])
+
+
+def fraction_entry(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < 0.6 else Fraction(0)
+
+
+def scalar_entry(rng):
+    if rng.random() < 0.4:
+        return ZERO
+    return sum(
+        (Fraction(rng.randint(-3, 3), rng.randint(1, 2)) * unit for unit in (ONE, I, SQRT5, I * SQRT5)),
+        ZERO,
+    )
+
+
+def combine(rng, rows, entry):
+    """A random combination of rows with coefficients drawn by entry."""
+    out = [entry(rng) * 0 for _ in rows[0]]
+    for row in rows:
+        c = entry(rng)
+        out = [x + c * y for x, y in zip(out, row)]
+    return out
+
+
+def rank_deficient(rng, entry):
+    """More rows than rank: random combinations of a few random rows."""
+    ncols = rng.randint(2, 9)
+    rank = rng.randint(1, ncols - 1)
+    base = [[entry(rng) for _ in range(ncols)] for _ in range(rank)]
+    return [combine(rng, base, entry) for _ in range(rng.randint(rank + 1, rank + 3))]
+
+
+ENTRIES = [pytest.param(fraction_entry, id="fraction"), pytest.param(scalar_entry, id="scalar")]
+
+
+class TestSparseElimination:
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_rref_matches_gauss_jordan(self, entry):
+        rng = random.Random(20)
+        for _ in range(30):
+            matrix = rank_deficient(rng, entry)
+            snapshot = [row[:] for row in matrix]
+            assert rref(matrix) == reference_rref(matrix)
+            assert matrix == snapshot
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_nullspace_matches_gauss_jordan(self, entry):
+        rng = random.Random(21)
+        for _ in range(30):
+            matrix = rank_deficient(rng, entry)
+            assert nullspace_basis(matrix) == reference_nullspace(matrix)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_in_span_matches_gauss_jordan(self, entry):
+        rng = random.Random(22)
+        for _ in range(30):
+            matrix = rank_deficient(rng, entry)
+            inside = combine(rng, matrix, entry)
+            outside = [entry(rng) for _ in matrix[0]]
+            for vector in (inside, outside):
+                assert in_span(matrix, vector) == reference_in_span(matrix, vector)
+            assert in_span(matrix, inside)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_normal_form_ignores_insertion_order(self, entry):
+        rng = random.Random(23)
+        for _ in range(30):
+            matrix = rank_deficient(rng, entry)
+            sparse = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+            shuffled = sparse[:]
+            rng.shuffle(shuffled)
+            forms = [{}, {}]
+            for form, rows in zip(forms, (sparse, shuffled[::-1])):
+                for row in rows:
+                    insert_row(form, row)
+            _, pivots = reference_rref(matrix)
+            assert sorted(forms[0]) == sorted(forms[1]) == pivots
+            for _ in range(3):
+                dense = [entry(rng) for _ in matrix[0]]
+                vector = {j: x for j, x in enumerate(dense) if x}
+                first, second = (reduce_row(form, vector) for form in forms)
+                assert first == second
+                assert not set(first) & set(pivots)
+                # the residue is congruent to the vector modulo the span
+                difference = [x - first.get(j, 0) for j, x in enumerate(dense)]
+                assert reference_in_span(matrix, difference)
+
+
 class TestTextFormat:
     CASES = [
         "u^3*v - 33*u^8*v^4",
@@ -453,7 +578,7 @@ class TestTextFormat:
         assert parse_multi(format_multi(r), [12, 20, 30]) == r
 
     def test_zero_prints_as_zero(self):
-        assert format_bivariate(BivariatePoly.zero()) == "0"
+        assert format_bivariate(BivariatePoly({})) == "0"
 
     def test_compound_coefficient_splits_into_terms(self):
         p = BivariatePoly.monomial(ONE + I, 2, 1)

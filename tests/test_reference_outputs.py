@@ -67,6 +67,10 @@ PINNED_OUTPUTS = {
     "map --seifert 2;(2,1)(3,2)(5,3)": (0, "4c45404e3d935e3e", "e3b0c44298fc1c14"),
     "map --seifert 2;(2,1)(3,2)(5,2)": (0, "a8a9aa3ee98a723e", "e3b0c44298fc1c14"),
     "map --seifert 3;(2,1)(3,1)(4,1)": (0, "1f6fe9ef4a3c7973", "e3b0c44298fc1c14"),
+    # Z/15 x D*_32 and Z/11 x D*_48, recorded with the dense elimination
+    # that the sparse one in exactmath.linalg replaced
+    "map --seifert 3;(2,1)(2,1)(8,1)": (0, "33fababd9cc99ada", "e3b0c44298fc1c14"),
+    "map --seifert 2;(2,1)(2,1)(12,1)": (0, "0cf3037a54a90590", "e3b0c44298fc1c14"),
     # --text reports
     "map --seifert 3;(2,1)(2,1)(2,1) --text": (0, "588d3168d1a05bff", "e3b0c44298fc1c14"),
     "map --seifert 2;(2,1)(3,1)(4,3) --text": (0, "a524d909b4e8c3ac", "e3b0c44298fc1c14"),
@@ -141,4 +145,17 @@ def test_z29_times_icosahedral_is_complete_and_fast():
     body = data["relations"]
     assert body["complete"] is True
     assert len(body["relations"]) == body["expected_relation_count"] == 15
+    assert elapsed < 10.0
+
+
+def test_z11_times_dihedral_48_is_complete_and_fast():
+    # Z/11 x D*_48: embedding dimension 13, so Wahl's count is 66
+    start = time.perf_counter()
+    code, data = run(["map", "--seifert", "2;(2,1)(2,1)(12,1)"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert data["group"]["label"] == "Z/11 x D*_48"
+    body = data["relations"]
+    assert body["complete"] is True
+    assert len(body["relations"]) == body["expected_relation_count"] == 66
     assert elapsed < 10.0
