@@ -212,8 +212,9 @@ class Powers:
     """Monomials prod bases[i]^alpha[i] in fixed bivariate polynomials.
 
     Each power bases[i]^n is computed once, by one multiplication from the
-    power below it, and kept for the life of the instance; every caller
-    builds its own instance, so independent checks share no products.
+    power below it, and kept for the life of the instance.  An instance may
+    be shared: a KleinBasis holds one over its triple (x, y, z), which
+    expands the printed map and verifies every relation found for it.
     """
 
     def __init__(self, bases: Sequence[BivariatePoly]):
@@ -235,13 +236,34 @@ class Powers:
         return BivariatePoly.constant(1) if product is None else product
 
     def combination(self, terms: Dict[tuple, ExactScalar]) -> BivariatePoly:
-        """The sum of coeff * monomial(alpha) over terms {alpha: coeff},
-        added up in one dict."""
-        acc: Dict[Exponent2, ExactScalar] = {}
+        """The sum of coeff * monomial(alpha) over terms {alpha: coeff}.
+
+        Integer coordinates are added up over one common denominator and
+        each output coefficient is reduced once, at the end.
+        """
+        expanded = []
         for alpha, coeff in terms.items():
-            for exp, c in self.monomial(alpha).terms.items():
-                acc[exp] = acc.get(exp, ZERO) + c * coeff
-        return BivariatePoly(acc)
+            den, parts = _components(self.monomial(alpha).terms)
+            expanded.append((coeff, den * coeff.den, parts))
+        common = lcm(*(den for _, den, _ in expanded))
+        acc: Dict[Exponent2, List[int]] = {}
+        for coeff, den, parts in expanded:
+            scale = common // den
+            for k1, a in enumerate(coeff.num):
+                if not a:
+                    continue
+                row = _MUL[k1]
+                for k2, monomial_terms in parts.items():
+                    k, factor = row[k2]
+                    x = a * scale * factor
+                    for exp, y in monomial_terms:
+                        vector = acc.get(exp)
+                        if vector is None:
+                            acc[exp] = vector = [0, 0, 0, 0, 0, 0, 0, 0]
+                        vector[k] += x * y
+        return BivariatePoly(
+            {exp: _reduced(tuple(vector), common) for exp, vector in acc.items() if any(vector)}
+        )
 
 
 class MultiPoly:
@@ -326,11 +348,13 @@ class MultiPoly:
             raise ValueError("zero polynomial has no leading term")
         return max(self.terms, key=grlex_key)
 
-    def substitute(self, generators: Sequence[BivariatePoly]) -> BivariatePoly:
-        """Evaluate at x_i = generators[i]; exact."""
-        if len(generators) != self.nvars:
+    def substitute(self, generators) -> BivariatePoly:
+        """Evaluate at x_i = generators[i]; exact.  generators is a sequence
+        of BivariatePoly or a Powers over them, whose powers are reused."""
+        powers = generators if isinstance(generators, Powers) else Powers(generators)
+        if len(powers.bases) != self.nvars:
             raise ValueError("generator count must match variable count")
-        return Powers(generators).combination(self.terms)
+        return powers.combination(self.terms)
 
     def __str__(self):
         from .textform import format_multi

@@ -209,13 +209,15 @@ class KleinBasis(InvariantBasis):
     are algebraically independent, so the normal form is injective: linear
     relations among Klein monomials are exactly the linear relations among
     their normal forms, which have a few terms where the (u, v) expansions
-    have hundreds.
+    have hundreds.  powers is the one Powers over the triple: it expands
+    Klein monomials in u, v, for the printed map and for the verification
+    of every relation found among them.
     """
 
     square: Optional[BivariatePoly] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "_powers", Powers(self.generators))
+        object.__setattr__(self, "powers", Powers(self.generators))
         object.__setattr__(self, "_square_powers", Powers((self.square,)))
         object.__setattr__(self, "_leads", [g.leading_exponent() for g in self.generators])
 
@@ -253,7 +255,7 @@ class KleinBasis(InvariantBasis):
 
     def expand(self, exponent: Sequence[int]) -> BivariatePoly:
         """The Klein monomial as a polynomial in u, v."""
-        return self._powers.monomial(exponent)
+        return self.powers.monomial(exponent)
 
 
 def _matrices_for_invariance(tag: GroupFamily, n: int) -> Optional[GeneratorSet]:
@@ -323,7 +325,7 @@ def klein_invariants(tag: GroupFamily, n: int = None) -> KleinBasis:
 
                 if poly.substitute_linear(_J) != poly:
                     raise InvariantError(f"{poly} not fixed by the antidiagonal action")
-        if not basis.relation().substitute(polys).is_zero():
+        if not basis.relation().substitute(basis.powers).is_zero():
             raise InvariantError(f"Klein relation {basis.relation()} = 0 does not hold")
         _KLEIN_VERIFIED[cache_key] = True
     return basis

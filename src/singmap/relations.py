@@ -10,7 +10,9 @@ outside the ideal generated so far.  Maps by monomials in a Klein triple
 relations: for each weighted degree, the exact nullspace of the matrix of
 Klein normal forms over Q(i, sqrt2, sqrt5), reduced modulo multiples of
 lower-degree relations.  verify_relation substitutes the generators and
-demands the identically zero polynomial.
+demands the identically zero polynomial; a relation among Klein monomials is
+first rewritten in the Klein triple itself, so its check expands powers of
+x, y, z that the map's KleinBasis already holds.
 """
 
 from __future__ import annotations
@@ -120,8 +122,9 @@ def _count_reached(relations: Sequence, expected_count: Optional[int]) -> bool:
     return expected_count is not None and len(relations) >= expected_count
 
 
-def verify_relation(relation: MultiPoly, generators: Sequence[BivariatePoly]) -> bool:
-    """True iff substituting x_i -> generators[i] gives exactly zero."""
+def verify_relation(relation: MultiPoly, generators) -> bool:
+    """True iff substituting x_i -> generators[i] gives exactly zero.
+    generators is a sequence of BivariatePoly or a Powers over them."""
     return relation.substitute(generators).is_zero()
 
 
@@ -258,9 +261,12 @@ def bounded_degree_relations(
     scalar field; since the normal form is injective this is the kernel of
     the (u, v) substitution.  Kernel vectors already explained by multiples
     of lower-degree relations are quotiented away.  Each emitted relation is
-    re-verified by substituting the generators' (u, v) expansions before it
-    is returned.  With expected_count (Wahl's count), the scan stops after
-    the degree at which that many relations have been found.
+    re-verified by exact substitution before it is returned: rewritten in
+    the triple by _in_klein_triple, it is evaluated at the (u, v) expansions
+    of x, y, z through base.powers.  That check uses neither the normal form
+    nor S, so a wrong Klein relation still fails it.  With expected_count
+    (Wahl's count), the scan stops after the degree at which that many
+    relations have been found.
     """
     gens = [tuple(g) for g in gens]
     weights = tuple(base.degree(g) for g in gens)
@@ -271,7 +277,6 @@ def bounded_degree_relations(
         degree_bound = 2 * sum(top_two)
     degree_bound = _apply_cap(degree_bound)
     nvars = len(gens)
-    expanded = [base.expand(g) for g in gens]
     relations: List[MultiPoly] = []
     step = gcd(*weights) if len(weights) > 1 else weights[0]
     for degree in range(step, degree_bound + 1, step):
@@ -293,11 +298,27 @@ def bounded_degree_relations(
         new_vectors = _quotient_vectors(kernel, old_span)
         for vector in new_vectors:
             relation = _normalize_relation(vector, exponents, nvars, weights)
-            if not verify_relation(relation, expanded):
+            if not verify_relation(_in_klein_triple(base, relation, gens), base.powers):
                 raise RuntimeError(f"unsound relation {relation}; kernel logic broken")
             relations.append(relation)
     relations.sort(key=lambda r: (r.weighted_degree(), grlex_key(r.leading_exponent())))
     return RelationSet(tuple(relations), weights, degree_bound, True, expected_count)
+
+
+def _in_klein_triple(base, relation: MultiPoly, gens) -> MultiPoly:
+    """The relation sum c_alpha x^alpha as sum c_alpha x^T(alpha) in the
+    triple's three variables, T(alpha) = base.power_product(alpha, gens),
+    with terms on one Klein monomial merged and the common monomial
+    x^min T divided out.  It vanishes at (x, y, z) exactly when the relation
+    vanishes at the generators: C[u, v] is a domain and x, y, z are not 0."""
+    terms: Dict[Tuple[int, int, int], ExactScalar] = {}
+    for alpha, coeff in relation.terms.items():
+        target = base.power_product(alpha, gens)
+        terms[target] = terms.get(target, ZERO) + coeff
+    low = [min(column) for column in zip(*terms)]
+    return MultiPoly(3, base.degrees, {
+        tuple(e - m for e, m in zip(target, low)): coeff for target, coeff in terms.items()
+    })
 
 
 def _kernel_over_scalars(matrix, ncols) -> List[List[ExactScalar]]:

@@ -272,6 +272,67 @@ class TestPolyProductAgainstReference:
             assert product == q * p
 
 
+def reference_combination(powers, terms):
+    """sum coeff * monomial(alpha), added up with one ExactScalar product
+    and one sum per term."""
+    acc = {}
+    for alpha, coeff in terms.items():
+        for exp, c in powers.monomial(alpha).terms.items():
+            acc[exp] = acc.get(exp, ZERO) + c * coeff
+    return BivariatePoly(acc)
+
+
+class TestPowersCombination:
+    def test_random_combinations_match_scalar_reference(self):
+        rng = random.Random(1018)
+        symbols = set()
+        for _ in range(60):
+            bases = [random_poly(rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+            powers = Powers(bases)
+            terms = {tuple(rng.randint(0, 3) for _ in bases): sparse_scalar(rng)
+                     for _ in range(rng.randint(0, 5))}
+            result = powers.combination(terms)
+            assert result == reference_combination(powers, terms)
+            for coeff in result.terms.values():
+                assert_lowest_terms(coeff)
+            symbols.update(k for coeff in terms.values() for k, n in enumerate(coeff.num) if n)
+        assert symbols == set(range(8))
+
+    def test_cancelling_sums_are_zero(self):
+        # with bases (p, q, p*q), x1*x2*x3^(c-1) and x3^c are the same product
+        rng = random.Random(59)
+        for _ in range(30):
+            p, q = random_poly(rng, rng.randint(1, 3)), random_poly(rng, rng.randint(1, 3))
+            powers = Powers([p, q, p * q])
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                a, b, c = rng.randint(0, 2), rng.randint(0, 2), rng.randint(1, 3)
+                s = sparse_scalar(rng)
+                terms[(a, b, c)] = terms.get((a, b, c), ZERO) + s
+                terms[(a + 1, b + 1, c - 1)] = terms.get((a + 1, b + 1, c - 1), ZERO) - s
+            assert powers.combination(terms).is_zero()
+            assert reference_combination(powers, terms).is_zero()
+
+    def test_substitute_linear_on_klein_triples(self):
+        from singmap.groups import GroupDescriptor, GroupFamily, generator_matrices
+        from singmap.invariants import klein_invariants
+
+        rng = random.Random(7)
+        cases = [(GroupFamily.BINARY_DIHEDRAL, 2, 8), (GroupFamily.BINARY_TETRAHEDRAL, None, 24),
+                 (GroupFamily.BINARY_OCTAHEDRAL, None, 48),
+                 (GroupFamily.BINARY_ICOSAHEDRAL, None, 120)]
+        for family, n, order in cases:
+            descriptor = GroupDescriptor(family, (n,) if n else (), 1, order)
+            matrices = list(generator_matrices(descriptor))
+            matrices.append([[sparse_scalar(rng) for _ in range(2)] for _ in range(2)])
+            for poly in klein_invariants(family, n).generators:
+                for matrix in matrices:
+                    rows = getattr(matrix, "rows", matrix)
+                    images = [BivariatePoly({(1, 0): a, (0, 1): b}) for a, b in rows]
+                    assert poly.substitute_linear(matrix) == reference_combination(
+                        Powers(images), poly.terms)
+
+
 class TestBivariatePoly:
     def test_product_difference_of_squares(self):
         u, v = BivariatePoly.monomial(1, 1, 0), BivariatePoly.monomial(1, 0, 1)

@@ -71,6 +71,10 @@ PINNED_OUTPUTS = {
     # that the sparse one in exactmath.linalg replaced
     "map --seifert 3;(2,1)(2,1)(8,1)": (0, "33fababd9cc99ada", "e3b0c44298fc1c14"),
     "map --seifert 2;(2,1)(2,1)(12,1)": (0, "0cf3037a54a90590", "e3b0c44298fc1c14"),
+    # Z/59 x I* and Z/47 x O*, recorded while relations were still verified
+    # by substituting the generators' (u, v) expansions
+    "map --seifert 3;(2,1)(3,1)(5,1)": (0, "0fc2ddc67537fb89", "e3b0c44298fc1c14"),
+    "map --seifert 5;(2,1)(3,1)(4,1)": (0, "99f55a29993758ed", "e3b0c44298fc1c14"),
     # --text reports
     "map --seifert 3;(2,1)(2,1)(2,1) --text": (0, "588d3168d1a05bff", "e3b0c44298fc1c14"),
     "map --seifert 2;(2,1)(3,1)(4,3) --text": (0, "a524d909b4e8c3ac", "e3b0c44298fc1c14"),

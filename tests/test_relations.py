@@ -18,12 +18,14 @@ from singmap.exactmath import (
 )
 from singmap.groups import GroupDescriptor, GroupFamily, generator_matrices
 from singmap.invariants import (
+    KleinBasis,
     cyclic_invariant_generators,
     klein_invariants,
     monomials_from_exponents,
 )
 from singmap.relations import (
     RelationSet,
+    _in_klein_triple,
     bounded_degree_relations,
     check_invariance,
     monomial_relations,
@@ -364,6 +366,82 @@ class TestOctahedralProduct:
         assert output.warnings == ()
         degrees = sorted(r.weighted_degree() for r in output.relations.relations)
         assert degrees == [84, 84, 98, 98, 112, 112]
+
+
+class TestKleinTripleCheck:
+    """bounded_degree_relations verifies each relation after rewriting it in
+    the Klein triple: the check must still reject what substituting the
+    generators rejects, and accept what it accepts."""
+
+    OCTAHEDRAL_PRODUCT = [(4, 1, 0), (2, 0, 1), (1, 2, 0), (0, 7, 0), (0, 3, 1)]
+
+    @pytest.mark.parametrize(
+        "family, n, gens, flipped",
+        [
+            # T*: y^3 - 108 x^4 with the sign of 108 flipped
+            (GroupFamily.BINARY_TETRAHEDRAL, None, KLEIN_TRIPLE, [(1, 0, 3), (108, 4, 0)]),
+            # D*_8: x y^2 - 4 x^3 with the sign of 4 flipped, products x^3, x^2 y, y^3, z
+            (GroupFamily.BINARY_DIHEDRAL, 2, [(3, 0, 0), (2, 1, 0), (0, 3, 0), (0, 0, 1)],
+             [(1, 1, 2), (4, 3, 0)]),
+        ],
+    )
+    def test_wrong_klein_relation_is_caught(self, family, n, gens, flipped):
+        true_base = klein_invariants(family, n)
+        wrong = KleinBasis(true_base.generators, true_base.degrees,
+                           square=BivariatePoly.from_terms(flipped))
+        with pytest.raises(RuntimeError, match="unsound relation"):
+            bounded_degree_relations(wrong, gens, 24)
+
+    def test_relation_on_one_klein_monomial_rewrites_to_zero(self):
+        # Z/7 x O*: x2*x4 and x3^2*x5 are both x^2 y^7 z
+        base = klein_invariants(GroupFamily.BINARY_OCTAHEDRAL)
+        gens = self.OCTAHEDRAL_PRODUCT
+        result = bounded_degree_relations(base, gens, 98)
+        relation = parse_multi("x3^2*x5 - x2*x4", result.weights)
+        assert relation in result.relations
+        assert relation.weighted_degree() == 98
+        rewritten = _in_klein_triple(base, relation, gens)
+        assert rewritten.is_zero()
+        assert verify_relation(rewritten, base.powers)
+
+    def test_common_monomial_is_divided_out(self):
+        base = klein_invariants(GroupFamily.BINARY_OCTAHEDRAL)
+        relation = parse_multi("11664*x1*x3 + 108*x2*x5 - x3*x4 + x5^2", [56, 42, 28, 56, 42])
+        rewritten = _in_klein_triple(base, relation, self.OCTAHEDRAL_PRODUCT)
+        # 11664 x^5 y^3 + 108 x^2 y^3 z^2 - x y^9 + y^6 z^2, divided by y^3
+        expected = parse_multi("11664*x1^5 + 108*x1^2*x3^2 - x1*x2^6 + x2^3*x3^2", base.degrees)
+        assert rewritten == expected
+        assert verify_relation(rewritten, base.powers)
+
+    @pytest.mark.parametrize("shorthand", [
+        "2;(2,1)(3,2)(3,2)", "2;(2,1)(3,2)(4,3)", "2;(2,1)(3,2)(5,4)", "2;(2,1)(2,1)(5,2)",
+        "2;(2,1)(3,1)(3,1)", "2;(2,1)(3,1)(4,3)", "2;(2,1)(3,2)(4,1)",
+    ])
+    def test_agrees_with_substituting_the_generators(self, monkeypatch, shorthand):
+        # the product-map benchmark links; each relation is checked as emitted
+        # and with the sign of one term flipped
+        from singmap import pipeline
+
+        calls = []
+
+        def recording(base, gens, *args):
+            calls.append((base, gens, bounded_degree_relations(base, gens, *args)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(pipeline, "bounded_degree_relations", recording)
+        pipeline.synthesize_map(pipeline.parse_seifert_shorthand(shorthand))
+        [(base, gens, result)] = calls
+        expanded = [base.expand(g) for g in gens]
+        checked = 0
+        for relation in result.relations:
+            first = next(iter(relation.terms))
+            flipped = relation - MultiPoly(relation.nvars, relation.weights,
+                                           {first: relation.terms[first] * 2})
+            for candidate in (relation, flipped):
+                by_triple = verify_relation(_in_klein_triple(base, candidate, gens), base.powers)
+                assert by_triple == verify_relation(candidate, expanded)
+                checked += by_triple
+        assert checked == len(result.relations) > 0
 
 
 class TestVerifyRelation:
