@@ -1,13 +1,14 @@
-"""Exact matrices and one sparse exact elimination.
+"""Exact dense matrices (the group generators) and one sparse exact
+elimination, which is all the library's linear algebra.
 
-Entries are Fractions or ExactScalars; both support exact +, -, * and /.
-A row is a dict {column: coefficient} with no zero entries, and a
-semi-echelon form is a dict {pivot column: row} whose rows are monic at
-their pivot and zero left of it.  reduce_row subtracts rows of a form,
-visiting pivots in ascending order, until the row is zero at every pivot;
-insert_row reduces a row and stores what is left, made monic, under its
-leading column.  rref, nullspace_basis and in_span keep their dense
-list-of-rows signatures and run on these two.
+A row is a dict {column: ExactScalar} with no zero entries.  Its columns may
+be any mutually comparable keys (integers, Klein-monomial tuples), and its
+pivot is its least column, min(row).  A semi-echelon form is a dict {pivot
+column: row} whose rows are monic at their pivot and zero left of it.
+reduce_row subtracts rows of a form, visiting pivots in ascending order,
+until the row is zero at every pivot; insert_row reduces a row and stores
+what is left, made monic, under its pivot.  rref, nullspace_basis and
+in_span take and return such rows and run on these two.
 
 No result depends on the order of the rows.  For a fixed column order the
 pivots of any semi-echelon basis of a span S are the leading columns of the
@@ -19,17 +20,16 @@ form and the nullspace basis read from it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
-from .ring import ExactScalar
+from .ring import ONE, ExactScalar
 
-Row = Dict[int, object]
+Row = Dict[object, ExactScalar]
 
 
 class ExactMatrix:
-    """Immutable dense matrix over Fraction or ExactScalar entries."""
+    """Immutable dense matrix over ExactScalar entries."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
@@ -77,17 +77,7 @@ class ExactMatrix:
         return f"ExactMatrix[{body}]"
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _invert(x):
-    if isinstance(x, ExactScalar):
-        return x.inverse()
-    return _ONE / x
-
-
-def reduce_row(form: Dict[int, Row], row: Row) -> Row:
+def reduce_row(form: Dict[object, Row], row: Row) -> Row:
     """row modulo the span of form: a new row that is zero at every pivot.
 
     Subtracting the row stored at pivot c changes only columns c and to its
@@ -116,66 +106,56 @@ def reduce_row(form: Dict[int, Row], row: Row) -> Row:
     return row
 
 
-def insert_row(form: Dict[int, Row], row: Row) -> None:
+def insert_row(form: Dict[object, Row], row: Row) -> None:
     """Add row to the span of form: what is left of it after reduce_row,
     made monic, is stored under its leading column."""
     row = reduce_row(form, row)
     if row:
         col = min(row)
-        inv = _invert(row[col])
+        inv = row[col].inverse()
         form[col] = {j: x * inv for j, x in row.items()}
 
 
-def _sparse(row: Sequence[object]) -> Row:
-    return {j: x for j, x in enumerate(row) if x}
-
-
-def _reduced_form(rows: List[List[object]]) -> Dict[int, Row]:
+def _reduced_form(rows: Iterable[Row]) -> Dict[object, Row]:
     """The reduced row echelon form of rows as {pivot column: row}: insert
     every row, then clear the entries above each pivot, last pivot first, so
     the rows at later pivots are already reduced (earlier ones are never met)."""
-    form: Dict[int, Row] = {}
+    form: Dict[object, Row] = {}
     for row in rows:
-        insert_row(form, _sparse(row))
+        insert_row(form, row)
     for col in sorted(form, reverse=True):
         row = form.pop(col)
         form[col] = reduce_row(form, row)
     return form
 
 
-def rref(rows: List[List[object]]):
-    """Reduced row echelon form of a dense matrix: (its nonzero rows, their
-    pivot columns in ascending order).  The input is not modified."""
-    ncols = len(rows[0]) if rows else 0
+def rref(rows: Iterable[Row]) -> List[Row]:
+    """The nonzero rows of the reduced row echelon form of rows, in
+    ascending pivot order.  The input is not modified."""
     form = _reduced_form(rows)
-    pivots = sorted(form)
-    return [[form[col].get(j, _ZERO) for j in range(ncols)] for col in pivots], pivots
+    return [form[col] for col in sorted(form)]
 
 
-def nullspace_basis(rows: List[List[object]]) -> List[List[object]]:
-    """Right nullspace basis of a matrix given as a list of rows.
+def nullspace_basis(rows: Iterable[Row], ncols: int) -> List[Row]:
+    """Right nullspace basis of rows over the columns 0..ncols-1.
 
     Each basis vector has entry 1 in its free column and the pivot entries
     solved from the reduced echelon form; vectors are ordered by free column.
     """
-    ncols = len(rows[0]) if rows else 0
     form = _reduced_form(rows)
     basis = []
     for free in range(ncols):
         if free in form:
             continue
-        vec = [_ZERO] * ncols
-        vec[free] = _ONE
-        for col, row in form.items():
-            if free in row:
-                vec[col] = -row[free]
+        vec = {col: -row[free] for col, row in form.items() if free in row}
+        vec[free] = ONE
         basis.append(vec)
     return basis
 
 
-def in_span(span_rows: List[List[object]], vector: List[object]) -> bool:
-    """Whether vector lies in the row span of span_rows (all exact)."""
-    form: Dict[int, Row] = {}
+def in_span(span_rows: Iterable[Row], vector: Row) -> bool:
+    """Whether vector lies in the span of span_rows."""
+    form: Dict[object, Row] = {}
     for row in span_rows:
-        insert_row(form, _sparse(row))
-    return not reduce_row(form, _sparse(vector))
+        insert_row(form, row)
+    return not reduce_row(form, vector)

@@ -28,7 +28,6 @@ from .exactmath import (
     ONE,
     Powers,
     SQRT5,
-    ZERO,
     grlex_key,
     in_span,
     weighted_exponents,
@@ -381,11 +380,7 @@ def expressible_in(
     products = sorted(_products_of_degree(base, others, base.degree(candidate)), reverse=True)
     if not products:
         return False
-    forms = [base.normal_form(t) for t in products]
-    target = base.normal_form(candidate)
-    support = sorted(set(target).union(*forms), reverse=True)
-    index = {monomial: k for k, monomial in enumerate(support)}
-    return in_span([_form_vector(f, index) for f in forms], _form_vector(target, index))
+    return in_span([base.normal_form(t) for t in products], base.normal_form(candidate))
 
 
 def _products_of_degree(base: KleinBasis, factors, degree: int):
@@ -402,13 +397,6 @@ def _products_of_degree(base: KleinBasis, factors, degree: int):
                     (a + x, b + y, c + z) for a, b, c in below
                 )
     return reach.get(degree, set())
-
-
-def _form_vector(form: Dict[Tuple[int, int, int], ExactScalar], index) -> List[ExactScalar]:
-    vector = [ZERO] * len(index)
-    for monomial, coeff in form.items():
-        vector[index[monomial]] = coeff
-    return vector
 
 
 def minimalize_generators(

@@ -56,14 +56,15 @@ class SeifertData:
 
     @staticmethod
     def normalized(b: int, fibers: Sequence[Tuple[int, int]]) -> "SeifertData":
-        """Drop non-singular fibers (p = 1) and sort the rest ascending."""
+        """Drop the non-singular fibers (1, 0) and sort the rest ascending;
+        every other fiber, (1, q) with q != 0 included, must be in normal
+        form, or LinkError is raised."""
         kept = []
         for p, q in fibers:
             if p < 1 or q < 0:
                 raise LinkError(f"bad fiber ({p}, {q})")
-            if p == 1:
-                continue
-            kept.append((int(p), int(q)))
+            if (p, q) != (1, 0):
+                kept.append((int(p), int(q)))
         return SeifertData(int(b), tuple(sorted(kept)))
 
 

@@ -7,12 +7,13 @@ Hirzebruch-Jung ordered generators are read, since the minimal relations
 sit there and nowhere else, and a binomial is kept only when it lies
 outside the ideal generated so far.  Maps by monomials in a Klein triple
 (binary polyhedral quotients and their cyclic products) get bounded-degree
-relations: for each weighted degree, the exact nullspace of the matrix of
-Klein normal forms over Q(i, sqrt2, sqrt5), reduced modulo multiples of
-lower-degree relations.  verify_relation substitutes the generators and
-demands the identically zero polynomial; a relation among Klein monomials is
-first rewritten in the Klein triple itself, so its check expands powers of
-x, y, z that the map's KleinBasis already holds.
+relations: for each weighted degree, the exact nullspace over
+Q(i, sqrt2, sqrt5) of the Klein normal forms, one sparse row per Klein
+monomial, reduced modulo multiples of lower-degree relations.
+verify_relation substitutes the generators and demands the identically zero
+polynomial; a relation among Klein monomials is first rewritten in the Klein
+triple itself, so its check expands powers of x, y, z that the map's
+KleinBasis already holds.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import exactmath
 from .exactmath import (
     BivariatePoly,
     ExactScalar,
     MultiPoly,
-    ONE,
     ZERO,
     grlex_key,
     insert_row,
@@ -231,11 +232,11 @@ def monomial_relations(
 # -- bounded-degree relations of polynomial maps ---------------------------------
 
 
-def _normalize_relation(vector, exponents, nvars, weights) -> MultiPoly:
-    """Scale so the graded-lex leading coefficient is a positive integer and
-    the rational content over the 8-basis coordinates is 1."""
-    terms = {exponents[k]: coeff for k, coeff in enumerate(vector) if coeff}
-    poly = MultiPoly(nvars, weights, terms)
+def _normalize_relation(row, exponents, nvars, weights) -> MultiPoly:
+    """The sparse row {k: c_k} as sum c_k x^exponents[k], scaled so the
+    graded-lex leading coefficient is a positive integer and the rational
+    content over the 8-basis coordinates is 1."""
+    poly = MultiPoly(nvars, weights, {exponents[k]: coeff for k, coeff in row.items()})
     lead = poly.terms[poly.leading_exponent()]
     poly = poly.scale(lead.inverse())
     # a scalar in lowest terms has the lcm of its coordinate denominators as den
@@ -256,9 +257,10 @@ def bounded_degree_relations(
 
     base is the KleinBasis of the generators' Klein triple and gens their
     exponent triples.  Per weighted degree: enumerate candidate monomials
-    x^alpha in the generators, write each as a Klein monomial in normal
-    form, and take the exact kernel of the coefficient matrix over the
-    scalar field; since the normal form is injective this is the kernel of
+    x^alpha in the generators, whose indices are the columns, write each as
+    a Klein monomial in normal form, and take the exact kernel over the
+    scalar field of the sparse rows {column: coefficient}, one per Klein
+    monomial met; since the normal form is injective this is the kernel of
     the (u, v) substitution.  Kernel vectors already explained by multiples
     of lower-degree relations are quotiented away.  Each emitted relation is
     re-verified by exact substitution before it is returned: rewritten in
@@ -278,26 +280,27 @@ def bounded_degree_relations(
     degree_bound = _apply_cap(degree_bound)
     nvars = len(gens)
     relations: List[MultiPoly] = []
-    step = gcd(*weights) if len(weights) > 1 else weights[0]
+    step = gcd(*weights)
     for degree in range(step, degree_bound + 1, step):
         if _count_reached(relations, expected_count):
             break
         exponents = weighted_exponents(weights, degree)
         if not exponents:
             continue
-        forms = [base.normal_form(base.power_product(alpha, gens)) for alpha in exponents]
-        row_index = {t: k for k, t in enumerate(sorted(set().union(*forms), reverse=True))}
-        matrix = [[ZERO] * len(exponents) for _ in row_index]
-        for col, form in enumerate(forms):
-            for monomial, coeff in form.items():
-                matrix[row_index[monomial]][col] = coeff
-        kernel = _kernel_over_scalars(matrix, len(exponents))
+        rows: Dict[Tuple[int, int, int], Dict[int, ExactScalar]] = {}
+        for col, alpha in enumerate(exponents):
+            for monomial, coeff in base.normal_form(base.power_product(alpha, gens)).items():
+                rows.setdefault(monomial, {})[col] = coeff
+        # rows in descending Klein-monomial order: the kernel does not depend
+        # on it, the elimination's work does; nullspace_basis is looked up on
+        # the package at call time, so a wrapper installed there sees it
+        matrix = [rows[monomial] for monomial in sorted(rows, reverse=True)]
+        kernel = exactmath.nullspace_basis(matrix, len(exponents))
         if not kernel:
             continue
         old_span = _lower_degree_multiples(relations, weights, degree, exponents)
-        new_vectors = _quotient_vectors(kernel, old_span)
-        for vector in new_vectors:
-            relation = _normalize_relation(vector, exponents, nvars, weights)
+        for row in _quotient_vectors(kernel, old_span):
+            relation = _normalize_relation(row, exponents, nvars, weights)
             if not verify_relation(_in_klein_triple(base, relation, gens), base.powers):
                 raise RuntimeError(f"unsound relation {relation}; kernel logic broken")
             relations.append(relation)
@@ -321,14 +324,6 @@ def _in_klein_triple(base, relation: MultiPoly, gens) -> MultiPoly:
     })
 
 
-def _kernel_over_scalars(matrix, ncols) -> List[List[ExactScalar]]:
-    if not matrix:
-        return [[ONE if k == j else ZERO for j in range(ncols)] for k in range(ncols)]
-    from .exactmath import nullspace_basis
-
-    return nullspace_basis(matrix)
-
-
 def _lower_degree_multiples(relations, weights, degree, exponents) -> List[Dict[int, ExactScalar]]:
     """Sparse coefficient rows, in the degree-d monomial basis, of m * r for
     all earlier relations r and monomials m of complementary weighted degree."""
@@ -347,17 +342,11 @@ def _lower_degree_multiples(relations, weights, degree, exponents) -> List[Dict[
 
 
 def _quotient_vectors(kernel, old_span):
-    """Kernel vectors reduced modulo the old span (sparse rows), then
-    echelonized; both steps are unique whatever the order of the rows."""
+    """The kernel rows reduced modulo the old span, then the reduced row
+    echelon form of the nonzero residues (all rows sparse).  Both steps are
+    unique whatever the order of the rows."""
     form = {}
     for row in old_span:
         insert_row(form, row)
-    ncols = len(kernel[0])
-    new_rows = []
-    for vector in kernel:
-        residue = reduce_row(form, {j: x for j, x in enumerate(vector) if x})
-        if residue:
-            new_rows.append([residue.get(j, ZERO) for j in range(ncols)])
-    if not new_rows:
-        return []
-    return rref(new_rows)[0]
+    residues = [residue for residue in (reduce_row(form, row) for row in kernel) if residue]
+    return rref(residues) if residues else []

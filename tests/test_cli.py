@@ -109,6 +109,22 @@ class TestClassify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("fiber", [(1, 3), (1, 1)])
+    def test_nontrivial_p1_fiber_rejected(self, capsys, tmp_path, fiber):
+        p, q = fiber
+        path = tmp_path / "p1.json"
+        path.write_text(
+            json.dumps({"seifert": {"b": 2, "fibers": [[2, 1], [2, 1], [3, 1], [p, q]]}})
+        )
+        for argv in (
+            ("--seifert", f"2;(2,1)(2,1)(3,1)({p},{q})"),
+            ("--graph", str(path)),
+        ):
+            code, out, err = run_cli(capsys, "classify", *argv)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: fiber ({p}, {q}) is not in normal form\n"
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "classify", "--seifert", "3;(2,1)(3,1)(5,1)")
         _, second, _ = run_cli(capsys, "classify", "--seifert", "3;(2,1)(3,1)(5,1)")

@@ -428,26 +428,36 @@ class TestHelpers:
         assert powers.power(1, 4) == q ** 4
 
 
+def sparse(row):
+    """A dense row as the sparse {column: entry} rows of exactmath.linalg."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
 class TestNullspace:
     def test_single_row(self):
-        basis = nullspace_basis([[Fraction(1), Fraction(-1)]])
-        assert basis == [[Fraction(1), Fraction(1)]]
+        basis = nullspace_basis([{0: ONE, 1: ExactScalar.rational(-1)}], 2)
+        assert basis == [{0: ONE, 1: ONE}]
 
     def test_identity_has_trivial_kernel(self):
-        identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-        assert nullspace_basis(identity) == []
+        identity = [{i: ONE} for i in range(3)]
+        assert nullspace_basis(identity, 3) == []
+
+    def test_zero_rows_give_the_standard_basis(self):
+        assert nullspace_basis([], 2) == [{0: ONE}, {1: ONE}]
 
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(5)
         for _ in range(25):
             rows = rng.randint(2, 5)
             cols = rng.randint(2, 5)
-            matrix = [[Fraction(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)]
-            basis = nullspace_basis(matrix)
-            _, pivots = rref(matrix)
+            matrix = [
+                [ExactScalar.rational(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)
+            ]
+            basis = nullspace_basis([sparse(row) for row in matrix], cols)
+            pivots = [min(row) for row in rref([sparse(row) for row in matrix])]
             assert len(basis) == cols - len(pivots)
             for vec in basis:
-                assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in matrix)
+                assert all(sum((row[k] * x for k, x in vec.items()), ZERO) == 0 for row in matrix)
 
     def test_monomial_expansion_system_contains_binomial(self):
         # columns: x-monomials of weighted degree 10 for the (5, 2) map
@@ -472,24 +482,22 @@ class TestNullspace:
             a = sum(e * g[0] for e, g in zip(alpha, gens))
             b = sum(e * g[1] for e, g in zip(alpha, gens))
             images.append((a, b))
-        support = sorted(set(images))
-        matrix = [[Fraction(0)] * len(monomials) for _ in support]
+        matrix = {}
         for col, image in enumerate(images):
-            matrix[support.index(image)][col] += 1
-        basis = nullspace_basis([row[:] for row in matrix])
+            matrix.setdefault(image, {})[col] = ONE
+        basis = nullspace_basis(list(matrix.values()), len(monomials))
         assert basis
         # the vector encoding z w^2 - x y
-        target = [Fraction(0)] * len(monomials)
-        target[monomials.index((0, 1, 2, 0))] = Fraction(1)
-        target[monomials.index((1, 0, 0, 1))] = Fraction(-1)
+        target = {monomials.index((0, 1, 2, 0)): ONE, monomials.index((1, 0, 0, 1)): -ONE}
         assert all(
-            sum(row[k] * target[k] for k in range(len(target))) == 0 for row in matrix
+            sum((row.get(k, ZERO) * x for k, x in target.items()), ZERO) == 0
+            for row in matrix.values()
         )
         assert in_span(basis, target)
 
     def test_exact_scalar_entries(self):
-        rows = [[ONE, SQRT5], [SQRT5, ExactScalar.rational(5)]]
-        basis = nullspace_basis(rows)
+        rows = [{0: ONE, 1: SQRT5}, {0: SQRT5, 1: ExactScalar.rational(5)}]
+        basis = nullspace_basis(rows, 2)
         assert len(basis) == 1
         vec = basis[0]
         assert ONE * vec[0] + SQRT5 * vec[1] == ZERO
@@ -506,8 +514,7 @@ def reference_rref(rows):
         if pick is None:
             continue
         rows[r], rows[pick] = rows[pick], rows[r]
-        lead = rows[r][col]
-        inv = lead.inverse() if isinstance(lead, ExactScalar) else 1 / lead
+        inv = rows[r][col].inverse()
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col]:
@@ -522,8 +529,8 @@ def reference_nullspace(rows):
     ncols = len(rows[0])
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+        vec = [ZERO] * ncols
+        vec[free] = ONE
         for row, col in zip(reduced, pivots):
             vec[col] = -row[free]
         basis.append(vec)
@@ -534,8 +541,10 @@ def reference_in_span(rows, vector):
     return len(reference_rref(rows + [vector])[1]) == len(reference_rref(rows)[1])
 
 
-def fraction_entry(rng):
-    return Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < 0.6 else Fraction(0)
+def rational_entry(rng):
+    if rng.random() < 0.6:
+        return ExactScalar.rational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+    return ZERO
 
 
 def scalar_entry(rng):
@@ -557,32 +566,44 @@ def combine(rng, rows, entry):
 
 
 def rank_deficient(rng, entry):
-    """More rows than rank: random combinations of a few random rows."""
+    """More rows than rank: random combinations of a few random rows (dense)."""
     ncols = rng.randint(2, 9)
     rank = rng.randint(1, ncols - 1)
     base = [[entry(rng) for _ in range(ncols)] for _ in range(rank)]
     return [combine(rng, base, entry) for _ in range(rng.randint(rank + 1, rank + 3))]
 
 
-ENTRIES = [pytest.param(fraction_entry, id="fraction"), pytest.param(scalar_entry, id="scalar")]
+ENTRIES = [pytest.param(rational_entry, id="rational"), pytest.param(scalar_entry, id="scalar")]
 
 
 class TestSparseElimination:
+    """The sparse elimination against the dense reference above; matrices are
+    drawn dense and converted to sparse rows only when they are passed in."""
+
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_rref_matches_gauss_jordan(self, entry):
         rng = random.Random(20)
         for _ in range(30):
             matrix = rank_deficient(rng, entry)
-            snapshot = [row[:] for row in matrix]
-            assert rref(matrix) == reference_rref(matrix)
-            assert matrix == snapshot
+            rows = [sparse(row) for row in matrix]
+            snapshot = [dict(row) for row in rows]
+            reduced, pivots = reference_rref(matrix)
+            result = rref(rows)
+            assert result == [sparse(row) for row in reduced]
+            assert [min(row) for row in result] == pivots
+            assert rows == snapshot
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_nullspace_matches_gauss_jordan(self, entry):
         rng = random.Random(21)
         for _ in range(30):
             matrix = rank_deficient(rng, entry)
-            assert nullspace_basis(matrix) == reference_nullspace(matrix)
+            basis = nullspace_basis([sparse(row) for row in matrix], len(matrix[0]))
+            assert basis == [sparse(vec) for vec in reference_nullspace(matrix)]
+            # one scalar type, and no stored zeros
+            assert all(
+                type(x) is ExactScalar and not x.is_zero() for vec in basis for x in vec.values()
+            )
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_in_span_matches_gauss_jordan(self, entry):
@@ -591,32 +612,52 @@ class TestSparseElimination:
             matrix = rank_deficient(rng, entry)
             inside = combine(rng, matrix, entry)
             outside = [entry(rng) for _ in matrix[0]]
+            rows = [sparse(row) for row in matrix]
             for vector in (inside, outside):
-                assert in_span(matrix, vector) == reference_in_span(matrix, vector)
-            assert in_span(matrix, inside)
+                assert in_span(rows, sparse(vector)) == reference_in_span(matrix, vector)
+            assert in_span(rows, sparse(inside))
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_in_span_with_tuple_columns(self, entry):
+        # Klein-monomial keys in an order unrelated to the integer columns
+        rng = random.Random(24)
+        for _ in range(30):
+            matrix = rank_deficient(rng, entry)
+            keys = rng.sample([(a, b, e) for a in range(4) for b in range(4) for e in (0, 1)],
+                              len(matrix[0]))
+
+            def relabel(row):
+                return {keys[j]: x for j, x in sparse(row).items()}
+
+            inside = combine(rng, matrix, entry)
+            outside = [entry(rng) for _ in matrix[0]]
+            rows = [relabel(row) for row in matrix]
+            for vector in (inside, outside):
+                assert in_span(rows, relabel(vector)) == reference_in_span(matrix, vector)
+            assert in_span(rows, relabel(inside))
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_normal_form_ignores_insertion_order(self, entry):
         rng = random.Random(23)
         for _ in range(30):
             matrix = rank_deficient(rng, entry)
-            sparse = [{j: x for j, x in enumerate(row) if x} for row in matrix]
-            shuffled = sparse[:]
+            rows = [sparse(row) for row in matrix]
+            shuffled = rows[:]
             rng.shuffle(shuffled)
             forms = [{}, {}]
-            for form, rows in zip(forms, (sparse, shuffled[::-1])):
-                for row in rows:
+            for form, ordered in zip(forms, (rows, shuffled[::-1])):
+                for row in ordered:
                     insert_row(form, row)
             _, pivots = reference_rref(matrix)
             assert sorted(forms[0]) == sorted(forms[1]) == pivots
             for _ in range(3):
                 dense = [entry(rng) for _ in matrix[0]]
-                vector = {j: x for j, x in enumerate(dense) if x}
+                vector = sparse(dense)
                 first, second = (reduce_row(form, vector) for form in forms)
                 assert first == second
                 assert not set(first) & set(pivots)
                 # the residue is congruent to the vector modulo the span
-                difference = [x - first.get(j, 0) for j, x in enumerate(dense)]
+                difference = [x - first.get(j, ZERO) for j, x in enumerate(dense)]
                 assert reference_in_span(matrix, difference)
 
 

@@ -85,6 +85,12 @@ class TestSeifertToPlumbing:
         link = SeifertData.normalized(3, [(1, 0), (2, 1), (1, 0)])
         assert link.fibers == ((2, 1),)
 
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_p1_fiber_with_nonzero_q_rejected(self, q):
+        # (1, q) shifts the Euler number by q, so dropping it would change the link
+        with pytest.raises(LinkError, match=rf"fiber \(1, {q}\) is not in normal form"):
+            SeifertData.normalized(2, [(2, 1), (2, 1), (3, 1), (1, q)])
+
     def test_normal_form_enforced(self):
         with pytest.raises(LinkError):
             SeifertData.normalized(2, [(4, 2)])

@@ -75,6 +75,9 @@ PINNED_OUTPUTS = {
     # by substituting the generators' (u, v) expansions
     "map --seifert 3;(2,1)(3,1)(5,1)": (0, "0fc2ddc67537fb89", "e3b0c44298fc1c14"),
     "map --seifert 5;(2,1)(3,1)(4,1)": (0, "99f55a29993758ed", "e3b0c44298fc1c14"),
+    # Z/89 x I*, the heaviest span-membership test of minimalization,
+    # recorded while expressible_in still indexed Klein monomials densely
+    "map --seifert 4;(2,1)(3,1)(5,1)": (0, "0a4f8497bd02d18d", "e3b0c44298fc1c14"),
     # --text reports
     "map --seifert 3;(2,1)(2,1)(2,1) --text": (0, "588d3168d1a05bff", "e3b0c44298fc1c14"),
     "map --seifert 2;(2,1)(3,1)(4,3) --text": (0, "a524d909b4e8c3ac", "e3b0c44298fc1c14"),
