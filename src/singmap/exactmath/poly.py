@@ -214,7 +214,8 @@ class Powers:
     Each power bases[i]^n is computed once, by one multiplication from the
     power below it, and kept for the life of the instance.  An instance may
     be shared: a KleinBasis holds one over its triple (x, y, z), which
-    expands the printed map and verifies every relation found for it.
+    expands the printed map and verifies every relation found for it, and
+    klein_invariants keeps one KleinBasis per family for the process.
     """
 
     def __init__(self, bases: Sequence[BivariatePoly]):

@@ -193,9 +193,6 @@ def _icosahedral_triple() -> List[BivariatePoly]:
     return [p1, p2, p3]
 
 
-_KLEIN_VERIFIED: Dict[object, bool] = {}
-
-
 @dataclass(frozen=True)
 class KleinBasis(InvariantBasis):
     """The Klein triple (x, y, z) of a binary polyhedral group G with its
@@ -210,7 +207,10 @@ class KleinBasis(InvariantBasis):
     their normal forms, which have a few terms where the (u, v) expansions
     have hundreds.  powers is the one Powers over the triple: it expands
     Klein monomials in u, v, for the printed map and for the verification
-    of every relation found among them.
+    of every relation found among them.  klein_invariants hands out one
+    verified basis per family per process, so these tables, and those of
+    the powers of S behind normal_form, serve every map of the family and
+    grow to the largest degree any of them asked for.
     """
 
     square: Optional[BivariatePoly] = None
@@ -274,6 +274,9 @@ def _check_diagonal_action(poly: BivariatePoly, order: int, ru: int, rv: int) ->
     return all((ru * a + rv * b) % order == 0 for a, b in poly.terms)
 
 
+_KLEIN_BASES: Dict[object, KleinBasis] = {}
+
+
 def klein_invariants(tag: GroupFamily, n: int = None) -> KleinBasis:
     """The classical generator triple for D*_{4n}, T*, O* or I*, with
     Klein's relation z^2 = S(x, y):
@@ -281,52 +284,65 @@ def klein_invariants(tag: GroupFamily, n: int = None) -> KleinBasis:
         D*_{4n}: S = x y^2 - 4 x^(n+1)     T*: S = y^3 - 108 x^4
         O*:      S = x y^3 - 108 x^3       I*: S = -(27 x^5 + 25 s5 y^3)/4
 
-    Each triple is verified to be fixed by both group generators, and the
-    relation to vanish under exact substitution, before it is handed out; a
-    failure aborts loudly since every downstream relation would be wrong.
-    For D* with 2n outside {2, 4, 8} the diagonal generator is checked
-    through the exponent congruence instead of an explicit root of unity.
+    One verified KleinBasis per family per process: the first call for a
+    family builds and verifies it, and every later call returns that same
+    object, so all maps of the family share its tables of powers.  The key
+    is the tag, or (tag, n) for D*; n is ignored for T*, O* and I*.  A
+    basis that fails verification is not kept.
     """
     if tag is GroupFamily.BINARY_DIHEDRAL:
         if n is None or n < 1:
             raise ValueError("D* needs the index n >= 1 of D*_{4n}")
+        key = (tag, n)
+    else:
+        key = tag
+    basis = _KLEIN_BASES.get(key)
+    if basis is None:
+        basis = _KLEIN_BASES[key] = _verified_klein_basis(tag, n)
+    return basis
+
+
+def _verified_klein_basis(tag: GroupFamily, n: Optional[int]) -> KleinBasis:
+    """Build the triple of klein_invariants and check it before use.
+
+    Each triple is verified to be fixed by both group generators, and the
+    relation to vanish under exact substitution; a failure aborts loudly
+    since every downstream relation would be wrong.  For D* with 2n outside
+    {2, 4, 8} the diagonal generator is checked through the exponent
+    congruence instead of an explicit root of unity.
+    """
+    if tag is GroupFamily.BINARY_DIHEDRAL:
         polys, square = _dihedral_triple(n), [(1, 1, 2), (-4, n + 1, 0)]
-        cache_key = (tag, n)
     elif tag is GroupFamily.BINARY_TETRAHEDRAL:
         polys, square = _tetrahedral_triple(), [(1, 0, 3), (-108, 4, 0)]
-        cache_key = tag
     elif tag is GroupFamily.BINARY_OCTAHEDRAL:
         polys, square = _octahedral_triple(), [(1, 1, 3), (-108, 3, 0)]
-        cache_key = tag
     elif tag is GroupFamily.BINARY_ICOSAHEDRAL:
         polys = _icosahedral_triple()
         square = [(Fraction(-27, 4), 5, 0), (ExactScalar.rational(Fraction(-25, 4)) * SQRT5, 0, 3)]
-        cache_key = tag
     else:
         raise UnsupportedFamilyError(f"no invariant triple for {tag}")
     plain = InvariantBasis.from_polys(polys)
     basis = KleinBasis(plain.generators, plain.degrees, square=BivariatePoly.from_terms(square))
-    if not _KLEIN_VERIFIED.get(cache_key):
-        gens = _matrices_for_invariance(tag, n)
-        for poly in polys:
-            if gens is not None:
-                for matrix in gens:
-                    if poly.substitute_linear(matrix) != poly:
-                        raise InvariantError(
-                            f"invariant {poly} is not fixed by its group generator"
-                        )
-            else:
-                # D* with an inexact root of unity: diagonal action by the
-                # congruence, antidiagonal generator by exact substitution
-                if not _check_diagonal_action(poly, 2 * n, 1, -1):
-                    raise InvariantError(f"{poly} not fixed by the diagonal action")
-                from .groups import _J
+    gens = _matrices_for_invariance(tag, n)
+    for poly in polys:
+        if gens is not None:
+            for matrix in gens:
+                if poly.substitute_linear(matrix) != poly:
+                    raise InvariantError(
+                        f"invariant {poly} is not fixed by its group generator"
+                    )
+        else:
+            # D* with an inexact root of unity: diagonal action by the
+            # congruence, antidiagonal generator by exact substitution
+            if not _check_diagonal_action(poly, 2 * n, 1, -1):
+                raise InvariantError(f"{poly} not fixed by the diagonal action")
+            from .groups import _J
 
-                if poly.substitute_linear(_J) != poly:
-                    raise InvariantError(f"{poly} not fixed by the antidiagonal action")
-        if not basis.relation().substitute(basis.powers).is_zero():
-            raise InvariantError(f"Klein relation {basis.relation()} = 0 does not hold")
-        _KLEIN_VERIFIED[cache_key] = True
+            if poly.substitute_linear(_J) != poly:
+                raise InvariantError(f"{poly} not fixed by the antidiagonal action")
+    if not basis.relation().substitute(basis.powers).is_zero():
+        raise InvariantError(f"Klein relation {basis.relation()} = 0 does not hold")
     return basis
 
 

@@ -106,13 +106,18 @@ def link_to_dict(link) -> dict:
 # -- input parsing ------------------------------------------------------------
 
 
-_SEIFERT_RE = re.compile(r"^\s*(\d+)\s*;\s*((?:\(\s*\d+\s*,\s*\d+\s*\))+)\s*$")
-_FIBER_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+# One grammar for both shorthands: nonnegative integers in ASCII digits,
+# with optional ASCII whitespace around them.  Plain \d, \s and int()
+# would also read other scripts' digits and spaces, signs and underscores.
+_NUMBER = r"\s*([0-9]+)\s*"
+_LENS_RE = re.compile(rf"{_NUMBER},{_NUMBER}", re.ASCII)
+_FIBER_RE = re.compile(rf"\({_NUMBER},{_NUMBER}\)", re.ASCII)
+_SEIFERT_RE = re.compile(rf"{_NUMBER};\s*((?:{_FIBER_RE.pattern})+)\s*", re.ASCII)
 
 
 def parse_seifert_shorthand(text: str) -> SeifertData:
     """Parse 'b;(p1,q1)(p2,q2)...' into normalized Seifert data."""
-    m = _SEIFERT_RE.match(text)
+    m = _SEIFERT_RE.fullmatch(text)
     if not m:
         raise LinkError(f"cannot parse Seifert shorthand {text!r}")
     b = int(m.group(1))
@@ -121,10 +126,10 @@ def parse_seifert_shorthand(text: str) -> SeifertData:
 
 
 def parse_lens_shorthand(text: str) -> LensData:
-    parts = text.split(",")
-    if len(parts) != 2:
+    m = _LENS_RE.fullmatch(text)
+    if not m:
         raise LinkError(f"cannot parse lens shorthand {text!r}; expected 'p,q'")
-    return LensData(int(parts[0].strip()), int(parts[1].strip()))
+    return LensData(int(m.group(1)), int(m.group(2)))
 
 
 def _integer(value, what: str) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -235,16 +234,20 @@ def monomial_relations(
 def _normalize_relation(row, exponents, nvars, weights) -> MultiPoly:
     """The sparse row {k: c_k} as sum c_k x^exponents[k], scaled so the
     graded-lex leading coefficient is a positive integer and the rational
-    content over the 8-basis coordinates is 1."""
-    poly = MultiPoly(nvars, weights, {exponents[k]: coeff for k, coeff in row.items()})
-    lead = poly.terms[poly.leading_exponent()]
-    poly = poly.scale(lead.inverse())
-    # a scalar in lowest terms has the lcm of its coordinate denominators as den
-    poly = poly.scale(lcm(*(coeff.den for coeff in poly.terms.values())))
-    content = gcd(*(n for coeff in poly.terms.values() for n in coeff.num))
-    if content > 1:
-        poly = poly.scale(Fraction(1, content))
-    return poly
+    content over the 8-basis coordinates is 1.
+
+    Dividing by the leading coefficient makes it 1, and scaling by the lcm
+    den of the denominators then makes it den, so a prime p of the content
+    divides den.  There is none: if p^k exactly divides den, it exactly
+    divides the denominator d of some coefficient, which in lowest terms
+    has a numerator coordinate prime to p, and den * coefficient multiplies
+    that coordinate by den / d, also prime to p.
+    """
+    terms = {exponents[k]: coeff for k, coeff in row.items()}
+    inverse = terms[max(terms, key=grlex_key)].inverse()
+    terms = {exp: coeff * inverse for exp, coeff in terms.items()}
+    den = lcm(*(coeff.den for coeff in terms.values()))
+    return MultiPoly(nvars, weights, {exp: coeff * den for exp, coeff in terms.items()})
 
 
 def bounded_degree_relations(

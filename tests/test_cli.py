@@ -59,6 +59,34 @@ class TestClassify:
         code, _, _ = run_cli(capsys, "classify", "--lens", "5;2")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["classify", "map"])
+    @pytest.mark.parametrize("flag, text", [
+        ("--lens", "1_1,2"),                        # int() reads 1_1 as 11
+        ("--lens", "5,+2"),
+        ("--lens", "\u0665,2"),                     # Arabic-Indic five
+        ("--lens", "5,2.0"),
+        ("--lens", "5,-2"),
+        ("--lens", "5,\u00a02"),                    # no-break space
+        ("--seifert", "\u0662;(2,1)(3,2)(5,4)"),    # Arabic-Indic two
+        ("--seifert", "2;(2,1)(3,\u0662)(5,4)"),
+        ("--seifert", "2;(2,1)(3,2)(5,+4)"),
+    ])
+    def test_malformed_number_in_shorthand(self, capsys, command, flag, text):
+        code, out, err = run_cli(capsys, command, flag, text)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "cannot parse" in err and "shorthand" in err
+
+    @pytest.mark.parametrize("flag, text, same_as", [
+        ("--lens", " 5 , 2 ", "5,2"),
+        ("--lens", "05,2", "5,2"),
+        ("--seifert", " 2 ; ( 2 , 1 )(3,2)(5,4) ", "2;(2,1)(3,2)(5,4)"),
+    ])
+    def test_spaces_and_leading_zeros_in_shorthand(self, capsys, flag, text, same_as):
+        code, out, _ = run_cli(capsys, "classify", flag, text)
+        assert code == 0
+        assert json.loads(out) == json.loads(run_cli(capsys, "classify", flag, same_as)[1])
+
     def test_missing_input(self, capsys):
         code, _, _ = run_cli(capsys, "classify")
         assert code == 2

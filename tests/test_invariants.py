@@ -2,8 +2,13 @@
 with Klein's relation and normal form, product-group congruence search and
 minimalization."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 
+from singmap import invariants
+from singmap.cli import main
 from singmap.exactmath import (
     BivariatePoly,
     format_bivariate,
@@ -13,6 +18,7 @@ from singmap.exactmath import (
 )
 from singmap.groups import GroupDescriptor, GroupFamily, generator_matrices
 from singmap.invariants import (
+    InvariantError,
     KleinBasis,
     cyclic_invariant_generators,
     expressible_in,
@@ -171,6 +177,80 @@ class TestKleinInvariants:
         # n = 3 has no exact zeta_6; the congruence route still verifies
         basis = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 3)
         assert basis.degrees == (4, 6, 8)
+
+
+@pytest.fixture
+def klein_memo(monkeypatch):
+    """An empty memo of verified Klein bases for the test; the process's
+    own dict is put back afterwards."""
+    memo = {}
+    monkeypatch.setattr(invariants, "_KLEIN_BASES", memo)
+    return memo
+
+
+class TestKleinMemo:
+    # the seven links of the product-map benchmark workload
+    PRODUCT_MAP = (
+        "2;(2,1)(3,2)(3,2)", "2;(2,1)(3,2)(4,3)", "2;(2,1)(3,2)(5,4)", "2;(2,1)(2,1)(5,2)",
+        "2;(2,1)(3,1)(3,1)", "2;(2,1)(3,1)(4,3)", "2;(2,1)(3,2)(4,1)",
+    )
+
+    def test_one_basis_per_family(self, klein_memo):
+        tetra = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
+        assert klein_invariants(GroupFamily.BINARY_TETRAHEDRAL, None) is tetra
+        assert klein_invariants(GroupFamily.BINARY_TETRAHEDRAL, 5) is tetra
+        d2 = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2)
+        d3 = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 3)
+        assert d2 is not d3 and d2.degrees != d3.degrees
+        assert klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2) is d2
+        assert len(klein_memo) == 3
+
+    def test_each_triple_is_verified_once(self, klein_memo, monkeypatch):
+        calls = []
+        real = invariants._matrices_for_invariance
+
+        def counting(tag, n):
+            calls.append((tag, n))
+            return real(tag, n)
+
+        monkeypatch.setattr(invariants, "_matrices_for_invariance", counting)
+        for family, n in [(GroupFamily.BINARY_ICOSAHEDRAL, None), (GroupFamily.BINARY_DIHEDRAL, 2),
+                          (GroupFamily.BINARY_DIHEDRAL, 3)] * 3:
+            klein_invariants(family, n)
+        klein_invariants(GroupFamily.BINARY_ICOSAHEDRAL, 7)
+        assert calls == [(GroupFamily.BINARY_ICOSAHEDRAL, None), (GroupFamily.BINARY_DIHEDRAL, 2),
+                         (GroupFamily.BINARY_DIHEDRAL, 3)]
+
+    @pytest.mark.parametrize("corrupt, message", [
+        # p1 replaced by u v, which the group does not fix
+        (lambda p1, p2, p3: [parse_bivariate("u*v"), p2, p3], "not fixed"),
+        # an invariant triple on which z^2 = S fails
+        (lambda p1, p2, p3: [p1, p2, p3.scale(2)], "Klein relation"),
+    ])
+    def test_failed_verification_stores_nothing(self, klein_memo, monkeypatch, corrupt, message):
+        real = invariants._tetrahedral_triple
+        monkeypatch.setattr(invariants, "_tetrahedral_triple", lambda: corrupt(*real()))
+        for _ in range(2):
+            with pytest.raises(InvariantError, match=message):
+                klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
+            assert klein_memo == {}
+        monkeypatch.setattr(invariants, "_tetrahedral_triple", real)
+        assert klein_invariants(GroupFamily.BINARY_TETRAHEDRAL).generators == tuple(real())
+
+    def test_output_does_not_depend_on_map_order(self, klein_memo):
+        def map_all(links):
+            klein_memo.clear()
+            outputs = {}
+            for link in links:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(["map", "--seifert", link])
+                outputs[link] = (code, out.getvalue(), err.getvalue())
+            return outputs
+
+        forward = map_all(self.PRODUCT_MAP)
+        assert map_all(reversed(self.PRODUCT_MAP)) == forward
+        assert {code for code, _, _ in forward.values()} == {0}
 
 
 def normal_form_in_uv(base, form):

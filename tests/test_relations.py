@@ -4,12 +4,14 @@ substitution verifier."""
 import json
 import random
 import time
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from singmap.exactmath import (
     BivariatePoly,
+    ExactScalar,
     MultiPoly,
     format_multi,
     grlex_key,
@@ -26,6 +28,7 @@ from singmap.invariants import (
 from singmap.relations import (
     RelationSet,
     _in_klein_triple,
+    _normalize_relation,
     bounded_degree_relations,
     check_invariance,
     monomial_relations,
@@ -442,6 +445,39 @@ class TestKleinTripleCheck:
                 assert by_triple == verify_relation(candidate, expanded)
                 checked += by_triple
         assert checked == len(result.relations) > 0
+
+
+def _three_step_normalization(row, exponents, nvars, weights):
+    """Reference: build the relation, then scale it three times."""
+    poly = MultiPoly(nvars, weights, {exponents[k]: coeff for k, coeff in row.items()})
+    poly = poly.scale(poly.terms[poly.leading_exponent()].inverse())
+    poly = poly.scale(lcm(*(coeff.den for coeff in poly.terms.values())))
+    content = gcd(*(n for coeff in poly.terms.values() for n in coeff.num))
+    if content > 1:
+        poly = poly.scale(Fraction(1, content))
+    return poly
+
+
+class TestNormalizeRelation:
+    def test_matches_three_step_normalization(self):
+        rng = random.Random(20261018)
+        nvars, weights = 4, [2, 3, 3, 5]
+        exponents = sorted({tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(40)})
+        for _ in range(300):
+            row = {}
+            for k in rng.sample(range(len(exponents)), rng.randint(1, 6)):
+                coords = [Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                          if rng.random() < 0.4 else 0 for _ in range(8)]
+                coords[rng.randrange(8)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 50),
+                                                    rng.randint(1, 9))
+                row[k] = ExactScalar(coords) * rng.choice([1, 6, 35, Fraction(1, 14)])
+            got = _normalize_relation(row, exponents, nvars, weights)
+            want = _three_step_normalization(row, exponents, nvars, weights)
+            assert list(got.terms.items()) == list(want.terms.items())
+            lead = got.terms[got.leading_exponent()]
+            assert lead.is_rational() and lead.as_fraction().denominator == 1 and lead.num[0] > 0
+            assert {coeff.den for coeff in got.terms.values()} == {1}
+            assert gcd(*(n for coeff in got.terms.values() for n in coeff.num)) == 1
 
 
 class TestVerifyRelation:
