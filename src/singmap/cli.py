@@ -25,7 +25,7 @@ from .pipeline import (
     parse_seifert_shorthand,
     synthesize_map,
 )
-from .relations import check_degree_bound, env_degree_cap
+from .relations import env_degree_cap, parse_degree_bound
 from .suites import SUITES, run_suite
 
 EXIT_PARSE = 2
@@ -162,12 +162,14 @@ def _run_classify(args) -> int:
 
 
 def _run_map(args) -> int:
-    # both bounds are checked up front, also where no relation scan runs
-    check_degree_bound(args.max_degree, "--max-degree")
+    # both bounds are read up front, also where no relation scan runs
+    max_degree = args.max_degree
+    if max_degree is not None:
+        max_degree = parse_degree_bound(max_degree, "--max-degree")
     env_degree_cap()
     link = _resolve_link(args)
     try:
-        return _emit(synthesize_map(link, args.max_degree), args)
+        return _emit(synthesize_map(link, max_degree), args)
     except InfinitePi1Error as error:
         return _emit_not_finite(link, error, args)
 
@@ -199,7 +201,6 @@ def main(argv: Optional[list] = None) -> int:
     _add_link_arguments(map_cmd)
     map_cmd.add_argument(
         "--max-degree",
-        type=int,
         default=None,
         help="weighted-degree bound for the relation search",
     )

@@ -65,6 +65,53 @@ def _components(terms: Dict[Exponent2, ExactScalar]):
     return den, parts
 
 
+def _products(coords) -> tuple:
+    """Multiplication by the scalar with nonzero integer coordinates coords
+    [(symbol, coordinate)]: entry k1 lists (k, y) such that e_k1 times the
+    scalar is the sum of y * e_k over the list."""
+    return tuple(
+        tuple((_MUL[k1][k2][0], _MUL[k1][k2][1] * x) for k2, x in coords) for k1 in range(8)
+    )
+
+
+def _linear_form(a, b):
+    """(D, form) for the linear form a*u + b*v over its common denominator
+    D.  form holds (1, _products of D * a) and (0, _products of D * b), each
+    with the power of u that its variable adds, for the nonzero ones."""
+    a, b = _coerce_scalar(a), _coerce_scalar(b)
+    den = lcm(a.den, b.den)
+    form = []
+    for shift, coeff in ((1, a), (0, b)):
+        scale = den // coeff.den
+        coords = [(k, x * scale) for k, x in enumerate(coeff.num) if x]
+        if coords:
+            form.append((shift, _products(coords)))
+    return den, form
+
+
+# A binary form of degree n is held as the n + 1 integer coordinate vectors
+# of its coefficients on u^a v^(n - a), a = 0..n.
+
+
+def _add_product(out: List[List[int]], vectors: List[List[int]], products, shift: int = 0):
+    """Add the binary form vectors times the scalar of products (see
+    _products) times u^shift into the binary form out, in place."""
+    for a, x in enumerate(vectors):
+        vector = out[a + shift]
+        for k1, xk in enumerate(x):
+            if xk:
+                for k, y in products[k1]:
+                    vector[k] += xk * y
+
+
+def _times_linear(vectors: List[List[int]], form) -> List[List[int]]:
+    """The binary form vectors times a _linear_form."""
+    out = [[0, 0, 0, 0, 0, 0, 0, 0] for _ in range(len(vectors) + 1)]
+    for shift, products in form:
+        _add_product(out, vectors, products, shift)
+    return out
+
+
 class BivariatePoly:
     """Polynomial in u, v over Q[i, sqrt2, sqrt5]."""
 
@@ -192,12 +239,54 @@ class BivariatePoly:
     # -- substitution --------------------------------------------------------
 
     def substitute_linear(self, matrix) -> "BivariatePoly":
-        """Evaluate p(a*u + b*v, c*u + d*v) for matrix rows ((a, b), (c, d))."""
-        rows = getattr(matrix, "rows", matrix)
-        (a, b), (c, d) = rows
-        image_u = BivariatePoly({(1, 0): _coerce_scalar(a), (0, 1): _coerce_scalar(b)})
-        image_v = BivariatePoly({(1, 0): _coerce_scalar(c), (0, 1): _coerce_scalar(d)})
-        return Powers((image_u, image_v)).combination(self.terms)
+        """Evaluate p(U, V) with U = a*u + b*v, V = c*u + d*v for matrix
+        rows ((a, b), (c, d)), by Horner's scheme in U.
+
+        The substitution keeps degrees, so each homogeneous part p_n of p
+        is done by itself: with N the largest power of u in p_n,
+
+            p_n(U, V) = (...(q_N(V) U + q_(N-1)(V)) U + ...) U + q_0(V),
+
+        where q_i(V) = c_i V^(n-i) for the coefficient c_i of u^i v^(n-i).
+        The powers of V are formed once, one multiplication by V each, and
+        every Horner step multiplies by the two-term form U.  The arithmetic
+        runs on integer coordinates: with D_U, D_V the common denominators
+        of the two rows and D that of the coefficients of p, it expands
+        D * D_U^I * D_V^J * p(U, V), I and J the largest powers of u and v
+        in p, and reduces each output coefficient once.
+        """
+        if not self.terms:
+            return BivariatePoly({})
+        (a, b), (c, d) = getattr(matrix, "rows", matrix)
+        den_u, form_u = _linear_form(a, b)
+        den_v, form_v = _linear_form(c, d)
+        top_u = max(i for i, _ in self.terms)
+        top_v = max(j for _, j in self.terms)
+        den = lcm(*(coeff.den for coeff in self.terms.values()))
+        # per degree n: {i: _products of c_i over den * den_u^top_u * den_v^top_v}
+        parts: Dict[int, Dict[int, tuple]] = {}
+        for (i, j), coeff in self.terms.items():
+            scale = den // coeff.den * den_u ** (top_u - i) * den_v ** (top_v - j)
+            coords = [(k, x * scale) for k, x in enumerate(coeff.num) if x]
+            parts.setdefault(i + j, {})[i] = _products(coords)
+        powers_v = [[[1, 0, 0, 0, 0, 0, 0, 0]]]
+        for _ in range(top_v):
+            powers_v.append(_times_linear(powers_v[-1], form_v))
+        common = den * den_u ** top_u * den_v ** top_v
+        terms: Dict[Exponent2, ExactScalar] = {}
+        for n, rows in parts.items():
+            top = max(rows)
+            acc = [[0, 0, 0, 0, 0, 0, 0, 0] for _ in range(n - top + 1)]
+            for i in range(top, -1, -1):
+                # afterwards acc = sum c_i' U^(i' - i) V^(n - i') over i' >= i
+                if i < top:
+                    acc = _times_linear(acc, form_u)
+                if i in rows:
+                    _add_product(acc, powers_v[n - i], rows[i])
+            for a_exp, vector in enumerate(acc):
+                if any(vector):
+                    terms[(a_exp, n - a_exp)] = _reduced(tuple(vector), common)
+        return BivariatePoly(terms)
 
     def __str__(self):
         from .textform import format_bivariate

@@ -21,6 +21,14 @@ class LinkError(ValueError):
     """Invalid or non-normal-form link description."""
 
 
+# One grammar for the numbers read from text, in the link shorthands and in
+# the degree bounds: nonnegative integers in ASCII digits, with optional
+# ASCII whitespace around them (compile with re.ASCII).  Plain \d, \s and
+# int() would also read other scripts' digits and spaces, signs and
+# underscores.
+_NUMBER = r"\s*([0-9]+)\s*"
+
+
 @dataclass(frozen=True)
 class LensData:
     """Lens space L(p, q): cyclic quotient link; (1, 0) is the 3-sphere."""

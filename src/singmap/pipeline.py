@@ -25,6 +25,7 @@ from .linkdata import (
     graph_to_link,
     negdef_check,
     seifert_to_plumbing,
+    _NUMBER,
 )
 from .resolution import SingularityReport, multiplicity_and_embdim
 from .groups import (
@@ -106,10 +107,6 @@ def link_to_dict(link) -> dict:
 # -- input parsing ------------------------------------------------------------
 
 
-# One grammar for both shorthands: nonnegative integers in ASCII digits,
-# with optional ASCII whitespace around them.  Plain \d, \s and int()
-# would also read other scripts' digits and spaces, signs and underscores.
-_NUMBER = r"\s*([0-9]+)\s*"
 _LENS_RE = re.compile(rf"{_NUMBER},{_NUMBER}", re.ASCII)
 _FIBER_RE = re.compile(rf"\({_NUMBER},{_NUMBER}\)", re.ASCII)
 _SEIFERT_RE = re.compile(rf"{_NUMBER};\s*((?:{_FIBER_RE.pattern})+)\s*", re.ASCII)

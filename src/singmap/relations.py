@@ -19,6 +19,7 @@ KleinBasis already holds.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,6 +38,7 @@ from .exactmath import (
 )
 from .groups import GeneratorSet
 from .invariants import cyclic_invariant_generators
+from .linkdata import _NUMBER
 
 DEGREE_CAP_ENV = "SINGMAP_DEGREE_CAP"
 
@@ -48,16 +50,26 @@ def check_degree_bound(bound: Optional[int], source: str = "degree bound") -> Op
     return bound
 
 
+# a bound is a shorthand number; a leading minus is read as well, so that a
+# negative bound is reported as below 1 rather than as unreadable
+_BOUND_RE = re.compile(rf"\s*(-?){_NUMBER}", re.ASCII)
+
+
+def parse_degree_bound(text: str, source: str) -> int:
+    """The bound written in text, or ValueError naming source when text is
+    not an integer in ASCII digits or the bound is below 1."""
+    m = _BOUND_RE.fullmatch(text)
+    if not m:
+        raise ValueError(f"{source} must be an integer in ASCII digits, got {text!r}")
+    return check_degree_bound(int(m.group(1) + m.group(2)), source)
+
+
 def env_degree_cap() -> Optional[int]:
     """The global cap from SINGMAP_DEGREE_CAP, or None when it is unset."""
     raw = os.environ.get(DEGREE_CAP_ENV)
     if not raw:
         return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{DEGREE_CAP_ENV} must be an integer, got {raw!r}")
-    return check_degree_bound(cap, DEGREE_CAP_ENV)
+    return parse_degree_bound(raw, DEGREE_CAP_ENV)
 
 
 def _apply_cap(bound: int) -> int:
@@ -197,7 +209,9 @@ def monomial_relations(
         for l in range(k, nvars - 1)
     }
     relations: List[MultiPoly] = []
-    moves: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+    # (alpha, beta, weighted degree of alpha, support of alpha): each found
+    # relation rewrites a monomial divisible by x^alpha into one by x^beta
+    moves: List[Tuple[Tuple[int, ...], Tuple[int, ...], int, Tuple[Tuple[int, int], ...]]] = []
     degree = None
     for a_part, b_part in sorted(
         (image for image in images if sum(image) <= degree_bound),
@@ -212,9 +226,15 @@ def monomial_relations(
         fiber = fibers[a_part][::-1]  # ascending graded-lex
         index = {alpha: k for k, alpha in enumerate(fiber)}
         uf = _UnionFind(len(fiber))
-        for alpha, beta in moves:
+        for alpha, beta, move_degree, support in moves:
+            if move_degree == degree:
+                # the only element of this degree divisible by x^alpha
+                k = index.get(alpha)
+                if k is not None:
+                    uf.union(k, index[beta])
+                continue
             for k, element in enumerate(fiber):
-                if all(e >= a for e, a in zip(element, alpha)):
+                if all(element[i] >= a for i, a in support):
                     partner = tuple(e - a + b for e, a, b in zip(element, alpha, beta))
                     uf.union(k, index[partner])
         least: Dict[int, int] = {}
@@ -224,7 +244,8 @@ def monomial_relations(
         for other in others:
             # other > anchor in graded-lex, so the leading sign is +1
             relations.append(MultiPoly.binomial(nvars, weights, other, anchor))
-            moves.append((other, anchor))
+            support = tuple((i, a) for i, a in enumerate(other) if a)
+            moves.append((other, anchor, degree, support))
     return RelationSet(tuple(relations), weights, degree_bound, True, expected_count)
 
 

@@ -277,6 +277,28 @@ class TestMap:
         assert out == ""
         assert "--max-degree" in err and err.count("\n") == 1
 
+    # int() reads the first three (underscores, signs, Arabic-Indic digits)
+    NOT_ASCII_NUMBERS = ["1_2", "+3", "\u0661\u0662", "1 2"]
+
+    @pytest.mark.parametrize("bound", NOT_ASCII_NUMBERS)
+    def test_max_degree_takes_ascii_digits_only(self, capsys, bound):
+        code, out, err = run_cli(capsys, "map", "--lens", "5,2", "--max-degree", bound)
+        assert (code, out) == (2, "")
+        assert err == f"error: --max-degree must be an integer in ASCII digits, got {bound!r}\n"
+
+    @pytest.mark.parametrize("cap", NOT_ASCII_NUMBERS)
+    def test_degree_cap_env_takes_ascii_digits_only(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("SINGMAP_DEGREE_CAP", cap)
+        code, out, err = run_cli(capsys, "map", "--lens", "5,2")
+        assert (code, out) == (2, "")
+        assert err == f"error: SINGMAP_DEGREE_CAP must be an integer in ASCII digits, got {cap!r}\n"
+
+    def test_bounds_allow_ascii_whitespace(self, capsys, monkeypatch):
+        monkeypatch.setenv("SINGMAP_DEGREE_CAP", " 11\t")
+        code, out, err = run_cli(capsys, "map", "--lens", "5,2", "--max-degree", " 12 ")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["relations"]["degree_bound"] == 11
+
 
 class TestVerify:
     @pytest.mark.parametrize(

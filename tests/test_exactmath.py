@@ -9,6 +9,7 @@ import pytest
 
 from singmap.exactmath import (
     BivariatePoly,
+    ExactMatrix,
     ExactScalar,
     HALF,
     I,
@@ -312,6 +313,44 @@ class TestPowersCombination:
                 terms[(a + 1, b + 1, c - 1)] = terms.get((a + 1, b + 1, c - 1), ZERO) - s
             assert powers.combination(terms).is_zero()
             assert reference_combination(powers, terms).is_zero()
+
+    @staticmethod
+    def random_matrix(rng, shape, entry):
+        a, b, c, d = (entry(rng) for _ in range(4))
+        if shape == "diagonal":
+            b = c = 0
+        elif shape == "antidiagonal":
+            a = d = 0
+        elif shape == "singular":
+            # second row a multiple of the first, or a zero row
+            t = entry(rng)
+            c, d = (a * t, b * t) if rng.random() < 0.7 else (0, 0)
+        return ((a, b), (c, d))
+
+    @pytest.mark.parametrize("shape", ["diagonal", "antidiagonal", "singular", "dense"])
+    @pytest.mark.parametrize("entry", [
+        lambda rng: rng.randint(-4, 4),
+        lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+        sparse_scalar,
+    ], ids=["int", "Fraction", "ExactScalar"])
+    def test_substitute_linear_matches_expanded_powers(self, shape, entry):
+        rng = random.Random(shape)
+        for trial in range(40):
+            # the zero polynomial, constants, then non-homogeneous polynomials
+            p = random_poly(rng, 0 if trial == 0 else 1 if trial < 4 else rng.randint(1, 7))
+            if 0 < trial < 4:
+                p = BivariatePoly.constant(sparse_scalar(rng))
+            rows = self.random_matrix(rng, shape, entry)
+            images = [BivariatePoly({(1, 0): a, (0, 1): b}) for a, b in rows]
+            expected = reference_combination(Powers(images), p.terms)
+            for matrix in (rows, [list(row) for row in rows], ExactMatrix(
+                    [[ExactScalar._coerce(x) for x in row] for row in rows])):
+                result = p.substitute_linear(matrix)
+                assert result == expected
+                for coeff in result.terms.values():
+                    assert_lowest_terms(coeff)
+            if p.is_zero():
+                assert result.terms == {} and result is not p
 
     def test_substitute_linear_on_klein_triples(self):
         from singmap.groups import GroupDescriptor, GroupFamily, generator_matrices

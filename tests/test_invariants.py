@@ -237,6 +237,30 @@ class TestKleinMemo:
         monkeypatch.setattr(invariants, "_tetrahedral_triple", real)
         assert klein_invariants(GroupFamily.BINARY_TETRAHEDRAL).generators == tuple(real())
 
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("family, n, builder", [
+        (GroupFamily.BINARY_ICOSAHEDRAL, None, "_icosahedral_triple"),
+        (GroupFamily.BINARY_OCTAHEDRAL, None, "_octahedral_triple"),
+        (GroupFamily.BINARY_DIHEDRAL, 2, "_dihedral_triple"),  # exact generator matrices
+        (GroupFamily.BINARY_DIHEDRAL, 3, "_dihedral_triple"),  # congruence and J
+    ])
+    def test_one_wrong_coefficient_stores_nothing(self, klein_memo, monkeypatch, family, n,
+                                                  builder, which):
+        real = getattr(invariants, builder)
+
+        def corrupted(*args):
+            polys = list(real(*args))
+            lead = polys[which].leading_exponent()
+            polys[which] = polys[which] + BivariatePoly.monomial(1, *lead)
+            return polys
+
+        monkeypatch.setattr(invariants, builder, corrupted)
+        # x = u^2 v^2 of D* stays invariant when scaled; only z^2 = S fails
+        dihedral_x = family is GroupFamily.BINARY_DIHEDRAL and which == 0
+        with pytest.raises(InvariantError, match="Klein relation" if dihedral_x else "not fixed"):
+            klein_invariants(family, n)
+        assert klein_memo == {}
+
     def test_output_does_not_depend_on_map_order(self, klein_memo):
         def map_all(links):
             klein_memo.clear()
