@@ -29,8 +29,9 @@ _SYMBOL_VALUES = {
     "s10": ExactScalar.basis_element(6),
 }
 
-_RATIONAL_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
-_VAR_RE = re.compile(r"^([A-Za-z]\w*?)(?:\^(\d+))?$")
+# ASCII digits only: int() would read any script's digits
+_RATIONAL_RE = re.compile(r"^(\d+)(?:/(\d+))?$", re.ASCII)
+_VAR_RE = re.compile(r"^([A-Za-z]\w*?)(?:\^(\d+))?$", re.ASCII)
 
 
 def _split_terms(text: str):
@@ -76,7 +77,10 @@ def parse_terms(text: str, variables: Sequence[str]) -> Dict[tuple, ExactScalar]
             m = _RATIONAL_RE.match(factor)
             if m:
                 num, den = m.groups()
-                coeff = coeff * Fraction(int(num), int(den) if den else 1)
+                den = int(den or 1)
+                if not den:
+                    raise ValueError(f"zero denominator in {term!r}")
+                coeff = coeff * Fraction(int(num), den)
                 continue
             if factor in _SYMBOL_VALUES:
                 coeff = coeff * _SYMBOL_VALUES[factor]

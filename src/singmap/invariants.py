@@ -30,7 +30,6 @@ from .exactmath import (
     SQRT5,
     grlex_key,
     in_span,
-    weighted_exponents,
 )
 from .groups import (
     GeneratorSet,

@@ -9,7 +9,8 @@ outside the ideal generated so far.  Maps by monomials in a Klein triple
 (binary polyhedral quotients and their cyclic products) get bounded-degree
 relations: for each weighted degree, the exact nullspace over
 Q(i, sqrt2, sqrt5) of the Klein normal forms, one sparse row per Klein
-monomial, reduced modulo multiples of lower-degree relations.
+monomial, whose echelon rows with independent parts of total degree <= 2
+are the new relations of a rational singularity (Wahl).
 verify_relation substitutes the generators and demands the identically zero
 polynomial; a relation among Klein monomials is first rewritten in the Klein
 triple itself, so its check expands powers of x, y, z that the map's
@@ -31,8 +32,6 @@ from .exactmath import (
     MultiPoly,
     ZERO,
     grlex_key,
-    insert_row,
-    reduce_row,
     rref,
     weighted_exponents,
 )
@@ -280,19 +279,20 @@ def bounded_degree_relations(
     """Relations of a map by Klein monomials up to a weighted degree.
 
     base is the KleinBasis of the generators' Klein triple and gens their
-    exponent triples.  Per weighted degree: enumerate candidate monomials
-    x^alpha in the generators, whose indices are the columns, write each as
-    a Klein monomial in normal form, and take the exact kernel over the
-    scalar field of the sparse rows {column: coefficient}, one per Klein
-    monomial met; since the normal form is injective this is the kernel of
-    the (u, v) substitution.  Kernel vectors already explained by multiples
-    of lower-degree relations are quotiented away.  Each emitted relation is
-    re-verified by exact substitution before it is returned: rewritten in
-    the triple by _in_klein_triple, it is evaluated at the (u, v) expansions
-    of x, y, z through base.powers.  That check uses neither the normal form
-    nor S, so a wrong Klein relation still fails it.  With expected_count
-    (Wahl's count), the scan stops after the degree at which that many
-    relations have been found.
+    exponent triples, which must minimally generate the ring of a rational
+    singularity, as every Z/m x G quotient map does.  Per weighted degree:
+    enumerate candidate monomials x^alpha in the generators in ascending
+    graded-lex order, whose indices are the columns, write each as a Klein
+    monomial in normal form, and take the exact kernel over the scalar
+    field of the sparse rows {column: coefficient}, one per Klein monomial
+    met; since the normal form is injective this is the kernel of the
+    (u, v) substitution.  _independent_low_parts picks the new relations
+    out of it.  Each emitted relation is re-verified by exact substitution
+    before it is returned: rewritten in the triple by _in_klein_triple, it
+    is evaluated at the (u, v) expansions of x, y, z through base.powers.
+    That check uses neither the normal form nor S, so a wrong Klein
+    relation still fails it.  With expected_count (Wahl's count), the scan
+    stops after the degree at which that many relations have been found.
     """
     gens = [tuple(g) for g in gens]
     weights = tuple(base.degree(g) for g in gens)
@@ -308,7 +308,7 @@ def bounded_degree_relations(
     for degree in range(step, degree_bound + 1, step):
         if _count_reached(relations, expected_count):
             break
-        exponents = weighted_exponents(weights, degree)
+        exponents = weighted_exponents(weights, degree)[::-1]
         if not exponents:
             continue
         rows: Dict[Tuple[int, int, int], Dict[int, ExactScalar]] = {}
@@ -322,8 +322,7 @@ def bounded_degree_relations(
         kernel = exactmath.nullspace_basis(matrix, len(exponents))
         if not kernel:
             continue
-        old_span = _lower_degree_multiples(relations, weights, degree, exponents)
-        for row in _quotient_vectors(kernel, old_span):
+        for row in _independent_low_parts(kernel, exponents):
             relation = _normalize_relation(row, exponents, nvars, weights)
             if not verify_relation(_in_klein_triple(base, relation, gens), base.powers):
                 raise RuntimeError(f"unsound relation {relation}; kernel logic broken")
@@ -348,29 +347,26 @@ def _in_klein_triple(base, relation: MultiPoly, gens) -> MultiPoly:
     })
 
 
-def _lower_degree_multiples(relations, weights, degree, exponents) -> List[Dict[int, ExactScalar]]:
-    """Sparse coefficient rows, in the degree-d monomial basis, of m * r for
-    all earlier relations r and monomials m of complementary weighted degree."""
-    index = {alpha: k for k, alpha in enumerate(exponents)}
-    rows = []
-    for relation in relations:
-        gap = degree - relation.weighted_degree()
-        if gap <= 0:
-            continue
-        for gamma in weighted_exponents(weights, gap):
-            rows.append({
-                index[tuple(a + g for a, g in zip(alpha, gamma))]: coeff
-                for alpha, coeff in relation.terms.items()
-            })
-    return rows
+def _independent_low_parts(kernel, exponents):
+    """The rows of the degree-d kernel K that are new relations, last first.
 
-
-def _quotient_vectors(kernel, old_span):
-    """The kernel rows reduced modulo the old span, then the reduced row
-    echelon form of the nonzero residues (all rows sparse).  Both steps are
-    unique whatever the order of the rows."""
-    form = {}
-    for row in old_span:
-        insert_row(form, row)
-    residues = [residue for residue in (reduce_row(form, row) for row in kernel) if residue]
-    return rref(residues) if residues else []
+    nullspace_basis gives each vector 1 at its free column and entries only
+    at pivot columns left of it, so over ascending exponents kernel is the
+    reduced echelon form of K, each row r_p led by its free column p, and
+    ordered by p.  New relations span K modulo O, the multiples of earlier
+    relations.  For a rational singularity, taking the part of total degree
+    <= 2 maps I/mI isomorphically onto the quadrics of the tangent cone
+    (Wahl: both have dimension (e - 1)(e - 2)/2, the projectivised cone
+    being a curve of minimal degree e - 1 in P^(e-1)); so I meets m^3 in
+    m I, and O is the set of vectors of K with no such part.  K's vectors
+    led by p are r_p plus a combination of earlier rows, up to scale, so p
+    leads one in O exactly when the low part of r_p is in the span of
+    earlier rows' low parts; the rows whose p does not are the pivot
+    columns of the rref below, one sparse row per low exponent keyed by
+    the kernel row's position.  Each is zero at O's leading monomials, all
+    of which lead rows of K, so it is its own residue, and together they
+    are the reduced echelon form of K modulo O.
+    """
+    low = [k for k, alpha in enumerate(exponents) if sum(alpha) <= 2]
+    parts = [{i: row[k] for i, row in enumerate(kernel) if k in row} for k in low]
+    return [kernel[min(part)] for part in reversed(rref(parts))]

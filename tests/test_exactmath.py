@@ -741,3 +741,19 @@ class TestTextFormat:
             parse_bivariate("u + + v")
         with pytest.raises(ValueError):
             parse_bivariate("u^2 * w")
+
+    # Arabic-Indic digits in a coefficient, an exponent and a denominator
+    @pytest.mark.parametrize("text", ["٣*u^2", "3*u^٢", "1/٣*u", "u^2*v^١"])
+    def test_reject_other_scripts_digits(self, text):
+        with pytest.raises(ValueError):
+            parse_bivariate(text)
+
+    @pytest.mark.parametrize("text", ["3/0*u", "u - 1/00"])
+    def test_zero_denominator_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_bivariate(text)
+
+    def test_invariance_negative_control_still_parses(self):
+        p = parse_bivariate("u^10*v^2 + u^2*v^10 - 2*u^7*v^5")
+        assert p.terms == {(10, 2): ONE, (2, 10): ONE, (7, 5): ONE * -2}
+        assert parse_bivariate("3/2*u^12 + 0/5*v") == parse_bivariate("3/2*u^12")

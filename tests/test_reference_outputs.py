@@ -78,6 +78,11 @@ PINNED_OUTPUTS = {
     # Z/89 x I*, the heaviest span-membership test of minimalization,
     # recorded while expressible_in still indexed Klein monomials densely
     "map --seifert 4;(2,1)(3,1)(5,1)": (0, "0a4f8497bd02d18d", "e3b0c44298fc1c14"),
+    # Z/17 x D*_36 and Z/23 x D*_32, recorded while each degree's new
+    # relations were found by quotienting the kernel by multiples of the
+    # earlier ones
+    "map --seifert 3;(2,1)(2,1)(9,1)": (0, "970c8357b0360621", "e3b0c44298fc1c14"),
+    "map --seifert 4;(2,1)(2,1)(8,1)": (0, "5e8c729e1f8fa981", "e3b0c44298fc1c14"),
     # --text reports
     "map --seifert 3;(2,1)(2,1)(2,1) --text": (0, "588d3168d1a05bff", "e3b0c44298fc1c14"),
     "map --seifert 2;(2,1)(3,1)(4,3) --text": (0, "a524d909b4e8c3ac", "e3b0c44298fc1c14"),
@@ -165,4 +170,17 @@ def test_z11_times_dihedral_48_is_complete_and_fast():
     body = data["relations"]
     assert body["complete"] is True
     assert len(body["relations"]) == body["expected_relation_count"] == 66
+    assert elapsed < 10.0
+
+
+def test_z17_times_dihedral_36_is_complete_and_fast():
+    # Z/17 x D*_36: embedding dimension 11, so Wahl's count is 45
+    start = time.perf_counter()
+    code, data = run(["map", "--seifert", "3;(2,1)(2,1)(9,1)"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert data["group"]["label"] == "Z/17 x D*_36"
+    body = data["relations"]
+    assert body["complete"] is True
+    assert len(body["relations"]) == body["expected_relation_count"] == 45
     assert elapsed < 10.0

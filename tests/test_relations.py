@@ -15,10 +15,20 @@ from singmap.exactmath import (
     MultiPoly,
     format_multi,
     grlex_key,
+    insert_row,
+    nullspace_basis,
     parse_bivariate,
     parse_multi,
+    reduce_row,
+    rref,
+    weighted_exponents,
 )
-from singmap.groups import GroupDescriptor, GroupFamily, generator_matrices
+from singmap.groups import (
+    GroupDescriptor,
+    GroupFamily,
+    UnsupportedFamilyError,
+    generator_matrices,
+)
 from singmap.invariants import (
     KleinBasis,
     cyclic_invariant_generators,
@@ -27,6 +37,7 @@ from singmap.invariants import (
 )
 from singmap.relations import (
     RelationSet,
+    _apply_cap,
     _in_klein_triple,
     _normalize_relation,
     bounded_degree_relations,
@@ -445,6 +456,115 @@ class TestKleinTripleCheck:
                 assert by_triple == verify_relation(candidate, expanded)
                 checked += by_triple
         assert checked == len(result.relations) > 0
+
+
+def reference_bounded_degree_relations(base, gens, degree_bound=None, expected_count=None):
+    """The multiples-and-quotient scan: per weighted degree, the kernel over
+    the descending exponents, reduced modulo every multiple of every earlier
+    relation, then the reduced echelon form of the nonzero residues."""
+    gens = [tuple(g) for g in gens]
+    weights = tuple(base.degree(g) for g in gens)
+    if degree_bound is None:
+        degree_bound = 2 * sum(sorted(weights)[-2:])
+    degree_bound = _apply_cap(degree_bound)
+    nvars = len(gens)
+    relations = []
+    step = gcd(*weights)
+    for degree in range(step, degree_bound + 1, step):
+        if expected_count is not None and len(relations) >= expected_count:
+            break
+        exponents = weighted_exponents(weights, degree)
+        index = {alpha: k for k, alpha in enumerate(exponents)}
+        rows = {}
+        for col, alpha in enumerate(exponents):
+            for monomial, coeff in base.normal_form(base.power_product(alpha, gens)).items():
+                rows.setdefault(monomial, {})[col] = coeff
+        kernel = nullspace_basis([rows[m] for m in sorted(rows, reverse=True)], len(exponents))
+        form = {}
+        for relation in relations:
+            for gamma in weighted_exponents(weights, degree - relation.weighted_degree()):
+                insert_row(form, {
+                    index[tuple(a + g for a, g in zip(alpha, gamma))]: coeff
+                    for alpha, coeff in relation.terms.items()
+                })
+        residues = [residue for residue in (reduce_row(form, row) for row in kernel) if residue]
+        for row in rref(residues):
+            relation = _normalize_relation(row, exponents, nvars, weights)
+            assert verify_relation(_in_klein_triple(base, relation, gens), base.powers)
+            relations.append(relation)
+    relations.sort(key=lambda r: (r.weighted_degree(), grlex_key(r.leading_exponent())))
+    return RelationSet(tuple(relations), weights, degree_bound, True, expected_count)
+
+
+# Z/m x D* links b;(2,1)(2,1)(n,q) and Z/m x T*, O*, I* links b;(2,1)(3,q)(p,q')
+QUADRATIC_CRITERION_LINKS = [
+    f"{b};(2,1)(2,1)({n},{q})"
+    for b in (2, 3) for n in range(2, 8) for q in range(1, n) if gcd(n, q) == 1
+] + [
+    f"{b};(2,1)(3,{q})({p},{r})"
+    for b in (2, 3) for q in (1, 2) for p in (3, 4, 5) for r in range(1, p) if gcd(p, r) == 1
+]
+
+
+@pytest.fixture(scope="module")
+def pipeline_relation_calls():
+    """(base, gens, args, result) of every bounded_degree_relations call the
+    pipeline makes on QUADRATIC_CRITERION_LINKS; D' and T' links make none."""
+    from singmap import pipeline
+
+    calls = []
+
+    def recording(base, gens, *args):
+        calls.append((base, gens, args, bounded_degree_relations(base, gens, *args)))
+        return calls[-1][3]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "bounded_degree_relations", recording)
+        for shorthand in QUADRATIC_CRITERION_LINKS:
+            try:
+                pipeline.synthesize_map(pipeline.parse_seifert_shorthand(shorthand))
+            except UnsupportedFamilyError:
+                pass
+    return calls
+
+
+class TestQuadraticPartCriterion:
+    """bounded_degree_relations reads each degree's new relations off their
+    parts of total degree <= 2; the multiples-and-quotient scan above is the
+    reference it must match exactly."""
+
+    DIRECT_CALLS = [
+        *((GroupFamily.BINARY_DIHEDRAL, n, KLEIN_TRIPLE, 4 * n + 4) for n in (2, 3, 4, 5)),
+        (GroupFamily.BINARY_DIHEDRAL, 2, KLEIN_TRIPLE, 12),
+        (GroupFamily.BINARY_DIHEDRAL, 2, [(3, 0, 0), (2, 1, 0), (0, 3, 0), (0, 0, 1)], 24),
+        (GroupFamily.BINARY_TETRAHEDRAL, None, KLEIN_TRIPLE, 20),
+        (GroupFamily.BINARY_TETRAHEDRAL, None, KLEIN_TRIPLE, 24),
+        (GroupFamily.BINARY_TETRAHEDRAL, None, KLEIN_TRIPLE, 48),
+        (GroupFamily.BINARY_TETRAHEDRAL, None, KLEIN_TRIPLE, None),
+        (GroupFamily.BINARY_OCTAHEDRAL, None, TestKleinTripleCheck.OCTAHEDRAL_PRODUCT, 98),
+    ]
+
+    @pytest.mark.parametrize("family, n, gens, bound", DIRECT_CALLS)
+    @pytest.mark.parametrize("with_wahl", [False, True])
+    def test_direct_calls_match_the_reference(self, family, n, gens, bound, with_wahl):
+        base = klein_invariants(family, n)
+        count = wahl_relation_count(len(gens)) if with_wahl else None
+        found = bounded_degree_relations(base, gens, bound, count).to_dict()
+        assert found == reference_bounded_degree_relations(base, gens, bound, count).to_dict()
+
+    def test_pipeline_links_match_the_reference(self, pipeline_relation_calls):
+        assert len(pipeline_relation_calls) > len(QUADRATIC_CRITERION_LINKS) // 2
+        for base, gens, args, result in pipeline_relation_calls:
+            expected = reference_bounded_degree_relations(base, gens, *args)
+            assert result.to_dict() == expected.to_dict(), gens
+            assert result.complete
+
+    def test_every_relation_has_a_quadratic_term(self, pipeline_relation_calls):
+        # the criterion rests on this: a minimal relation of a rational
+        # singularity is never in m^3
+        for _, gens, _, result in pipeline_relation_calls:
+            for relation in result.relations:
+                assert any(sum(alpha) == 2 for alpha in relation.terms), (gens, relation)
 
 
 def _three_step_normalization(row, exponents, nvars, weights):
