@@ -3,7 +3,7 @@ polynomials, exact linear algebra, and the polynomial text format."""
 
 from .ring import ExactScalar, HALF, I, ONE, SQRT2, SQRT5, SQRT10, ZERO
 from .poly import BivariatePoly, MultiPoly, Powers, grlex_key, weighted_exponents
-from .linalg import ExactMatrix, in_span, insert_row, nullspace_basis, reduce_row, rref
+from .linalg import ExactMatrix, in_span, nullspace_basis, rref
 from .textform import (
     format_bivariate,
     format_multi,
@@ -31,8 +31,6 @@ __all__ = [
     "nullspace_basis",
     "rref",
     "in_span",
-    "insert_row",
-    "reduce_row",
     "parse_bivariate",
     "parse_multi",
     "parse_terms",

@@ -40,26 +40,23 @@ def _split_terms(text: str):
     if not text:
         raise ValueError("empty polynomial text")
     terms = []
-    sign = 1
+    sign = None  # the operator before the current term, None before any
     token = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
+    for ch in text:
         if ch in "+-":
             chunk = "".join(token).strip()
             if chunk:
-                terms.append((sign, chunk))
-            elif terms:
+                terms.append((sign or 1, chunk))
+            elif sign is not None:  # two operators with no term between
                 raise ValueError(f"dangling operator in {text!r}")
             sign = 1 if ch == "+" else -1
             token = []
         else:
             token.append(ch)
-        i += 1
     chunk = "".join(token).strip()
     if not chunk:
         raise ValueError(f"dangling operator in {text!r}")
-    terms.append((sign, chunk))
+    terms.append((sign or 1, chunk))
     return terms
 
 

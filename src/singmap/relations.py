@@ -1,16 +1,18 @@
 """Defining relations of the image of an invariant-polynomial map.
 
-Two discovery routes and one verifier.  Monomial maps (cyclic quotients)
-get binomial relations: two factorizations of the same (u, v)-monomial give
-x^alpha - x^beta.  Only Riemenschneider's images g_(k-1) + g_(l+1) of the
-Hirzebruch-Jung ordered generators are read, since the minimal relations
-sit there and nowhere else, and a binomial is kept only when it lies
-outside the ideal generated so far.  Maps by monomials in a Klein triple
-(binary polyhedral quotients and their cyclic products) get bounded-degree
-relations: for each weighted degree, the exact nullspace over
-Q(i, sqrt2, sqrt5) of the Klein normal forms, one sparse row per Klein
+Two discovery routes, both resting on Wahl's theorem that a rational
+singularity's minimal equations have independent quadratic parts, and one
+verifier.  Monomial maps (cyclic quotients) get binomial relations: two
+factorizations of the same (u, v)-monomial give x^alpha - x^beta.  Only
+Riemenschneider's images g_(k-1) + g_(l+1) of the Hirzebruch-Jung ordered
+generators are read, since the minimal relations sit there and nowhere
+else, and each image's binomials join its quadratic factorizations and the
+least of the others to the least quadratic one.  Maps by monomials in a
+Klein triple (binary polyhedral quotients and their cyclic products) get
+bounded-degree relations: for each weighted degree, the exact nullspace
+over Q(i, sqrt2, sqrt5) of the Klein normal forms, one sparse row per Klein
 monomial, whose echelon rows with independent parts of total degree <= 2
-are the new relations of a rational singularity (Wahl).
+are the new relations.
 verify_relation substitutes the generators and demands the identically zero
 polynomial; a relation among Klein monomials is first rewritten in the Klein
 triple itself, so its check expands powers of x, y, z that the map's
@@ -151,22 +153,6 @@ def check_invariance(poly: BivariatePoly, generators) -> bool:
 # -- binomial relations of monomial maps ----------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 def monomial_relations(
     gens: Sequence[Tuple[int, int]],
     degree_bound: int = None,
@@ -180,12 +166,26 @@ def monomial_relations(
     1 <= k <= l <= e - 2 (Riemenschneider's quasi-determinantal equations,
     Math. Ann. 209, 1974), and only those images are visited, in increasing
     weighted degree A + B, then increasing A; images above degree_bound are
-    skipped.  Two factorizations of the same image give a relation; a
-    binomial is new exactly when the earlier relations, used as rewriting
-    moves, do not already connect the two factorizations (that
-    connectivity equals membership in the same-degree span of multiples of
-    earlier relations).  The default bound 2 * p * max-degree covers every
-    image.  expected_count (Wahl's count) only certifies completeness.
+    skipped.  The default bound 2 * p * max-degree covers every image.
+    expected_count (Wahl's count) only certifies completeness.
+
+    Each image's relations are read off its own fiber F, its factorizations
+    in ascending graded-lex order.  F splits into Q, those of total degree
+    2 (the image itself is one), and H, the rest; none has total degree 1,
+    since the generators are irreducible, so Q comes first.  With anchor
+    the least of Q, the relations are x^q - x^anchor for the other q in Q,
+    then x^min(H) - x^anchor when H is not empty.  The ideal I meets F in
+    the span of the binomials among F, and L(p, q) is rational, so by Wahl
+    (Ann. Sci. ENS 10, 1977) I meets m^3 in m I (see _independent_low_parts):
+    the new relations on F number the dimension of that span's projection
+    onto the quadrics x^Q, which is |Q| when H is not empty and |Q| - 1
+    when it is, and any that many with independent quadratic parts will
+    do.  Those above have the quadratic parts x^q - x^anchor and -x^anchor.
+    They are also the binomials that rewriting by the earlier relations
+    leaves (the standard monomials of F other than its least): a lower
+    image's rewrite turns a proper multiple of one of its factorizations
+    into a proper multiple of its anchor, both of total degree >= 3, so it
+    never meets Q, and by the count it joins all of H to min(H).
     """
     gens = [tuple(g) for g in gens]
     try:
@@ -208,9 +208,6 @@ def monomial_relations(
         for l in range(k, nvars - 1)
     }
     relations: List[MultiPoly] = []
-    # (alpha, beta, weighted degree of alpha, support of alpha): each found
-    # relation rewrites a monomial divisible by x^alpha into one by x^beta
-    moves: List[Tuple[Tuple[int, ...], Tuple[int, ...], int, Tuple[Tuple[int, int], ...]]] = []
     degree = None
     for a_part, b_part in sorted(
         (image for image in images if sum(image) <= degree_bound),
@@ -222,29 +219,12 @@ def monomial_relations(
             for alpha in weighted_exponents(weights, degree):
                 u_part = sum(e * g[0] for e, g in zip(alpha, gens))
                 fibers.setdefault(u_part, []).append(alpha)
-        fiber = fibers[a_part][::-1]  # ascending graded-lex
-        index = {alpha: k for k, alpha in enumerate(fiber)}
-        uf = _UnionFind(len(fiber))
-        for alpha, beta, move_degree, support in moves:
-            if move_degree == degree:
-                # the only element of this degree divisible by x^alpha
-                k = index.get(alpha)
-                if k is not None:
-                    uf.union(k, index[beta])
-                continue
-            for k, element in enumerate(fiber):
-                if all(element[i] >= a for i, a in support):
-                    partner = tuple(e - a + b for e, a, b in zip(element, alpha, beta))
-                    uf.union(k, index[partner])
-        least: Dict[int, int] = {}
-        for k in range(len(fiber)):
-            least.setdefault(uf.find(k), k)  # the fiber ascends, so k is least
-        anchor, *others = (fiber[k] for k in sorted(least.values()))
+        fiber = fibers[a_part][::-1]  # ascending graded-lex: Q, then H
+        quadrics = sum(1 for alpha in fiber if sum(alpha) == 2)
+        anchor, *others = fiber[:quadrics + 1]
         for other in others:
             # other > anchor in graded-lex, so the leading sign is +1
             relations.append(MultiPoly.binomial(nvars, weights, other, anchor))
-            support = tuple((i, a) for i, a in enumerate(other) if a)
-            moves.append((other, anchor, degree, support))
     return RelationSet(tuple(relations), weights, degree_bound, True, expected_count)
 
 

@@ -22,14 +22,13 @@ from singmap.exactmath import (
     format_bivariate,
     format_multi,
     in_span,
-    insert_row,
     nullspace_basis,
     parse_bivariate,
     parse_multi,
-    reduce_row,
     rref,
     weighted_exponents,
 )
+from singmap.exactmath.linalg import insert_row, reduce_row
 
 
 def random_scalar(rng, spread=6):
@@ -741,6 +740,19 @@ class TestTextFormat:
             parse_bivariate("u + + v")
         with pytest.raises(ValueError):
             parse_bivariate("u^2 * w")
+
+    # an operator followed by no term, at the start as in the middle or end
+    @pytest.mark.parametrize(
+        "text", ["--u", "-+u", "+-u", "--u + v", "u - -v", "u + +v", "-", "u -"]
+    )
+    def test_dangling_operator_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="dangling operator"):
+            parse_bivariate(text)
+
+    def test_one_leading_sign_is_read(self):
+        assert parse_bivariate("-u") == parse_bivariate("0 - u")
+        assert parse_bivariate("+u") == parse_bivariate("u")
+        assert parse_bivariate("- u + v") == parse_bivariate("v - u")
 
     # Arabic-Indic digits in a coefficient, an exponent and a denominator
     @pytest.mark.parametrize("text", ["٣*u^2", "3*u^٢", "1/٣*u", "u^2*v^١"])

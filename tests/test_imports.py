@@ -1,11 +1,13 @@
-"""Every name a singmap module imports is used by that module.
+"""Every name a singmap module imports is used by that module, and every
+private module-level name is referenced somewhere in the package.
 
-The two package __init__ modules only re-export, so they are exempt.  A
-name counts as used when the module reads it anywhere, as a bare name or
-as the root of an attribute.
+The two package __init__ modules only re-export, so they are exempt from
+the import check.  A name counts as used when the module reads it
+anywhere, as a bare name or as the root of an attribute.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,3 +41,42 @@ def test_no_unused_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(set(imported_names(tree)) - set(used_names(tree)))
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def private_definitions(tree):
+    """(name, node) for each module-level function, class or assignment
+    whose name starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def references(tree):
+    """Every name the tree reads: bare names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_no_unreferenced_private_definition():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.rglob("*.py")}
+    counts = Counter(name for tree in trees.values() for name in references(tree))
+    unreferenced = sorted(
+        f"{path.relative_to(PACKAGE)}:{name}"
+        for path, tree in trees.items()
+        for name, node in private_definitions(tree)
+        if counts[name] == Counter(references(node))[name]
+    )
+    assert not unreferenced, f"defined but referenced nowhere else in singmap: {unreferenced}"

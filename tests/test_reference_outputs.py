@@ -1,5 +1,6 @@
 """The product-map outputs pinned in perfbench/reference.json, further
-product links pinned here, and the reach of `map` on large product groups.
+product and cyclic links pinned here, and the reach of `map` on large
+product groups.
 
 reference.json stores, per CLI input, the exit code and a sha256 digest of
 the output's pinned keys (named in its header).  The digest is recomputed
@@ -83,6 +84,11 @@ PINNED_OUTPUTS = {
     # earlier ones
     "map --seifert 3;(2,1)(2,1)(9,1)": (0, "970c8357b0360621", "e3b0c44298fc1c14"),
     "map --seifert 4;(2,1)(2,1)(8,1)": (0, "5e8c729e1f8fa981", "e3b0c44298fc1c14"),
+    # the cyclic quotients L(101, 3) (36 generators, 595 relations) and
+    # L(120, 1) (121 generators), recorded while each image's binomials were
+    # found by a union-find over the earlier relations as rewriting moves
+    "map --lens 101,3": (0, "02222b45f455f1b9", "e3b0c44298fc1c14"),
+    "map --lens 120,1": (0, "760ea2dc55a8efd9", "e3b0c44298fc1c14"),
     # --text reports
     "map --seifert 3;(2,1)(2,1)(2,1) --text": (0, "588d3168d1a05bff", "e3b0c44298fc1c14"),
     "map --seifert 2;(2,1)(3,1)(4,3) --text": (0, "a524d909b4e8c3ac", "e3b0c44298fc1c14"),

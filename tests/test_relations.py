@@ -15,14 +15,13 @@ from singmap.exactmath import (
     MultiPoly,
     format_multi,
     grlex_key,
-    insert_row,
     nullspace_basis,
     parse_bivariate,
     parse_multi,
-    reduce_row,
     rref,
     weighted_exponents,
 )
+from singmap.exactmath.linalg import insert_row, reduce_row
 from singmap.groups import (
     GroupDescriptor,
     GroupFamily,
@@ -212,6 +211,20 @@ class TestRiemenschneiderImagesAgainstScan:
         assert [format_multi(r) for r in result.relations] == ["x2^400 - x1*x3"]
         assert result.complete
         assert elapsed < 1.0, f"L(400, 399) relations took {elapsed:.2f} s"
+
+    def test_wahl_count_is_met_up_to_p_40(self):
+        # every coprime (p, q) with p <= 40: 489 lens spaces
+        pairs = [(p, q) for p in range(2, 41) for q in range(1, p) if gcd(p, q) == 1]
+        assert len(pairs) == 489
+        for p, q in pairs:
+            gens = cyclic_invariant_generators(p, q)
+            polys = monomials_from_exponents(gens)
+            result = monomial_relations(gens, expected_count=wahl_relation_count(len(gens)))
+            assert result.complete, (p, q)
+            assert len(set(result.relations)) == len(result.relations), (p, q)
+            for r in result.relations:
+                assert r.weighted_degree() is not None, (p, q, format_multi(r))
+                assert verify_relation(r, polys), (p, q, format_multi(r))
 
     @pytest.mark.parametrize(
         "gens",
