@@ -25,7 +25,7 @@ from .pipeline import (
     parse_seifert_shorthand,
     synthesize_map,
 )
-from .relations import env_degree_cap, parse_degree_bound
+from .relations import parse_degree_bound
 from .suites import SUITES, run_suite
 
 EXIT_PARSE = 2
@@ -78,17 +78,17 @@ def _resolve_link(args) -> object:
 
 
 def _graph_as_tree(graph: PlumbingGraph) -> str:
+    """The tree drawn depth first from vertex 0, neighbours in ascending
+    order, each vertex indented two spaces below its parent; an explicit
+    stack, so that long chains draw too."""
     lines = []
     seen = set()
-
-    def draw(vertex: int, depth: int):
+    stack = [(0, 0)]
+    while stack:
+        vertex, depth = stack.pop()
         seen.add(vertex)
         lines.append("  " * depth + f"o weight {graph.weights[vertex]}")
-        for neighbor in graph.neighbors(vertex):
-            if neighbor not in seen:
-                draw(neighbor, depth + 1)
-
-    draw(0, 0)
+        stack.extend((n, depth + 1) for n in reversed(graph.neighbors(vertex)) if n not in seen)
     return "\n".join(lines)
 
 
@@ -162,11 +162,10 @@ def _run_classify(args) -> int:
 
 
 def _run_map(args) -> int:
-    # both bounds are read up front, also where no relation scan runs
+    # the bound is read up front, also where no relation scan runs
     max_degree = args.max_degree
     if max_degree is not None:
         max_degree = parse_degree_bound(max_degree, "--max-degree")
-    env_degree_cap()
     link = _resolve_link(args)
     try:
         return _emit(synthesize_map(link, max_degree), args)

@@ -245,26 +245,9 @@ class ExactScalar:
     # -- printing ------------------------------------------------------------
 
     def __str__(self):
-        parts = []
-        for coord, symbol in zip(self.coords, BASIS_SYMBOLS):
-            if coord == 0:
-                continue
-            sign = "-" if coord < 0 else "+"
-            mag = abs(coord)
-            if symbol and mag == 1:
-                body = symbol
-            elif symbol:
-                body = f"{mag}*{symbol}"
-            else:
-                body = str(mag)
-            parts.append((sign, body))
-        if not parts:
-            return "0"
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        from .textform import format_terms
+
+        return format_terms({(): self}, ())
 
     def __repr__(self):
         return f"ExactScalar({self})"

@@ -82,12 +82,6 @@ class GroupDescriptor:
         }
         if self.family is GroupFamily.CYCLIC:
             out["p"], out["q"] = self.params
-        elif self.family is GroupFamily.BINARY_DIHEDRAL:
-            out["binary_order"] = 4 * self.params[0]
-        elif self.family is GroupFamily.D_PRIME:
-            out["binary_order"] = (2 ** (self.params[0] + 2)) * self.params[1]
-        elif self.family is GroupFamily.T_PRIME:
-            out["binary_order"] = 8 * 3 ** self.params[0]
         else:
             out["binary_order"] = self.binary_order()
         for key, value in self.extras:

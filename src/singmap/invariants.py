@@ -103,17 +103,16 @@ class InvariantBasis:
 
     generators: Tuple[BivariatePoly, ...]
     degrees: Tuple[int, ...]
-    group: Optional[GroupDescriptor] = None
 
     @staticmethod
-    def from_polys(polys: Sequence[BivariatePoly], group=None) -> "InvariantBasis":
+    def from_polys(polys: Sequence[BivariatePoly]) -> "InvariantBasis":
         degrees = []
         for poly in polys:
             degree = poly.homogeneous_degree()
             if degree is None:
                 raise InvariantError(f"generator {poly} is not homogeneous")
             degrees.append(degree)
-        return InvariantBasis(tuple(polys), tuple(degrees), group)
+        return InvariantBasis(tuple(polys), tuple(degrees))
 
 
 # -- Klein invariants -------------------------------------------------------------
@@ -418,7 +417,6 @@ def minimalize_generators(
     base: KleinBasis,
     candidates: Sequence[Sequence[int]],
     target_count: int = None,
-    degree_bound: int = None,
 ) -> List[Tuple[int, int, int]]:
     """Greedily drop Klein monomials expressible in the remaining ones.
 
@@ -428,10 +426,7 @@ def minimalize_generators(
     Each expressible one is dropped, until target_count generators remain
     (when given).  One pass is enough: dropping a candidate only shrinks the
     others' pools, so a candidate found inexpressible stays so.  The
-    returned list keeps the input order of the survivors.  degree_bound
-    caps the degree of expressions considered; since expressions of
-    homogeneous polynomials are forced to the candidate's own degree the
-    default (max candidate degree) is always enough.
+    returned list keeps the input order of the survivors.
     """
     candidates = [tuple(c) for c in candidates]
     leads = [base.leading_exponent(c) for c in candidates]
@@ -446,8 +441,6 @@ def minimalize_generators(
     for k in sorted(kept, key=scan_key, reverse=True):
         if target_count is not None and len(kept) <= target_count:
             break
-        if degree_bound is not None and base.degree(candidates[k]) > degree_bound:
-            continue  # kept as-is: expressions above the bound are not searched
         rest = [candidates[j] for j in kept if j != k]
         if expressible_in(base, candidates[k], rest):
             kept.remove(k)

@@ -230,7 +230,7 @@ def _cyclic_map(p: int, q: int, report: SingularityReport, max_degree):
     basis = InvariantBasis.from_polys(monomials_from_exponents(exponents))
     expected = _expected_relation_count(report, len(exponents))
     if p == 1:
-        relations = RelationSet((), (1, 1), 0, True, expected)
+        relations = RelationSet((), (1, 1), 0, expected)
     else:
         relations = monomial_relations(exponents, max_degree, expected)
     return basis, relations, _generator_warnings(len(exponents), report)
@@ -243,13 +243,9 @@ def _product_map(
         group.family,
         group.params[0] if group.family is GroupFamily.BINARY_DIHEDRAL else None,
     )
-    m = group.cyclic_factor
-    if m == 1:
-        exponents = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    else:
-        candidates = product_invariant_monomials(base.degrees, m)
-        exponents = minimalize_generators(base, candidates, target_count=report.embedding_dimension)
-    basis = InvariantBasis.from_polys([base.expand(e) for e in exponents], group)
+    candidates = product_invariant_monomials(base.degrees, group.cyclic_factor)
+    exponents = minimalize_generators(base, candidates, target_count=report.embedding_dimension)
+    basis = InvariantBasis.from_polys([base.expand(e) for e in exponents])
     relations = bounded_degree_relations(
         base, exponents, max_degree, _expected_relation_count(report, len(exponents))
     )

@@ -21,7 +21,6 @@ KleinBasis already holds.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from math import gcd, lcm
@@ -41,12 +40,10 @@ from .groups import GeneratorSet
 from .invariants import cyclic_invariant_generators
 from .linkdata import _NUMBER
 
-DEGREE_CAP_ENV = "SINGMAP_DEGREE_CAP"
 
-
-def check_degree_bound(bound: Optional[int], source: str = "degree bound") -> Optional[int]:
-    """The bound itself, or ValueError when it is below 1 (None passes)."""
-    if bound is not None and bound < 1:
+def check_degree_bound(bound: int, source: str = "degree bound") -> int:
+    """The bound itself, or ValueError when it is below 1."""
+    if bound < 1:
         raise ValueError(f"{source} must be at least 1, got {bound}")
     return bound
 
@@ -65,20 +62,6 @@ def parse_degree_bound(text: str, source: str) -> int:
     return check_degree_bound(int(m.group(1) + m.group(2)), source)
 
 
-def env_degree_cap() -> Optional[int]:
-    """The global cap from SINGMAP_DEGREE_CAP, or None when it is unset."""
-    raw = os.environ.get(DEGREE_CAP_ENV)
-    if not raw:
-        return None
-    return parse_degree_bound(raw, DEGREE_CAP_ENV)
-
-
-def _apply_cap(bound: int) -> int:
-    check_degree_bound(bound)
-    cap = env_degree_cap()
-    return min(bound, cap) if cap is not None else bound
-
-
 def wahl_relation_count(embedding_dimension: int) -> int:
     """Number of minimal equations of a rational surface singularity:
     (e - 1)(e - 2) / 2 (Wahl, Ann. Sci. ENS 10, 1977); 0 for the smooth
@@ -91,16 +74,16 @@ def wahl_relation_count(embedding_dimension: int) -> int:
 class RelationSet:
     """Weighted-homogeneous relations among the map components.
 
-    complete_up_to_bound: every minimal relation of degree at most
-    degree_bound is listed.  expected_count is Wahl's count when the caller
-    knows the map is a minimal embedding of a rational singularity; the set
-    is certified complete exactly when it holds that many relations.
+    Every minimal relation of degree at most degree_bound is listed, so
+    to_dict writes complete_up_to_bound as the constant true.  expected_count is Wahl's
+    count when the caller knows the map is a minimal embedding of a
+    rational singularity; the set is certified complete exactly when it
+    holds that many relations.
     """
 
     relations: Tuple[MultiPoly, ...]
     weights: Tuple[int, ...]
     degree_bound: int
-    complete_up_to_bound: bool
     expected_count: Optional[int] = None
 
     def __post_init__(self):
@@ -124,7 +107,7 @@ class RelationSet:
         return {
             "relations": [format_multi(r) for r in self.relations],
             "degree_bound": self.degree_bound,
-            "complete_up_to_bound": self.complete_up_to_bound,
+            "complete_up_to_bound": True,
             "complete": self.complete,
             "expected_relation_count": self.expected_count,
             "stop_reason": self.stop_reason,
@@ -200,7 +183,7 @@ def monomial_relations(
     weights = tuple(a + b for a, b in gens)
     if degree_bound is None:
         degree_bound = 2 * p * max(weights)
-    degree_bound = _apply_cap(degree_bound)
+    check_degree_bound(degree_bound)
     nvars = len(gens)
     images = {
         (gens[k - 1][0] + gens[l + 1][0], gens[k - 1][1] + gens[l + 1][1])
@@ -225,7 +208,7 @@ def monomial_relations(
         for other in others:
             # other > anchor in graded-lex, so the leading sign is +1
             relations.append(MultiPoly.binomial(nvars, weights, other, anchor))
-    return RelationSet(tuple(relations), weights, degree_bound, True, expected_count)
+    return RelationSet(tuple(relations), weights, degree_bound, expected_count)
 
 
 # -- bounded-degree relations of polynomial maps ---------------------------------
@@ -281,7 +264,7 @@ def bounded_degree_relations(
     if degree_bound is None:
         top_two = sorted(weights)[-2:]
         degree_bound = 2 * sum(top_two)
-    degree_bound = _apply_cap(degree_bound)
+    check_degree_bound(degree_bound)
     nvars = len(gens)
     relations: List[MultiPoly] = []
     step = gcd(*weights)
@@ -308,7 +291,7 @@ def bounded_degree_relations(
                 raise RuntimeError(f"unsound relation {relation}; kernel logic broken")
             relations.append(relation)
     relations.sort(key=lambda r: (r.weighted_degree(), grlex_key(r.leading_exponent())))
-    return RelationSet(tuple(relations), weights, degree_bound, True, expected_count)
+    return RelationSet(tuple(relations), weights, degree_bound, expected_count)
 
 
 def _in_klein_triple(base, relation: MultiPoly, gens) -> MultiPoly:

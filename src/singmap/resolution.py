@@ -43,35 +43,34 @@ class Cycle:
         )
 
 
-def fundamental_cycle(graph: PlumbingGraph, tie_break: str = "lowest") -> Cycle:
+def fundamental_cycle(graph: PlumbingGraph) -> Cycle:
     """Laufer's computation sequence for Z_min.
 
     Start from the reduced cycle (all multiplicities 1); while some vertex
-    has Z . E_i > 0, add that E_i.  The result does not depend on which
-    offending vertex is chosen; tie_break picks lowest or highest index for
-    reproducibility.
+    has Z . E_i > 0, add that E_i.  Every such sequence ends at Z_min,
+    whichever offending vertex is chosen, and negative definiteness bounds
+    its length.  The offenders wait on a worklist: adding E_i lowers no
+    product but Z . E_i, so a vertex is on it exactly while its product is
+    positive, pushed again while it stays so and when a neighbour's step
+    turns it positive.
     """
-    if tie_break not in ("lowest", "highest"):
-        raise ValueError(f"unknown tie break {tie_break!r}")
     if not negdef_check(graph):
         raise LinkError("graph is not negative definite")
-    n = graph.size
-    z = [1] * n
+    z = [1] * graph.size
     # products[i] = Z . E_i, updated incrementally
-    products = [
-        graph.weights[i] + len(graph.neighbors(i)) for i in range(n)
-    ]
-    # negative definiteness bounds the loop; the guard catches logic errors
-    for _ in range(100000):
-        indices = range(n) if tie_break == "lowest" else range(n - 1, -1, -1)
-        offender = next((i for i in indices if products[i] > 0), None)
-        if offender is None:
-            return Cycle(tuple(z))
-        z[offender] += 1
-        products[offender] += graph.weights[offender]
-        for j in graph.neighbors(offender):
+    products = [w + len(graph.neighbors(i)) for i, w in enumerate(graph.weights)]
+    pending = [i for i, product in enumerate(products) if product > 0]
+    while pending:
+        i = pending.pop()
+        z[i] += 1
+        products[i] += graph.weights[i]
+        if products[i] > 0:
+            pending.append(i)
+        for j in graph.neighbors(i):
             products[j] += 1
-    raise RuntimeError("Laufer iteration did not terminate")
+            if products[j] == 1:
+                pending.append(j)
+    return Cycle(tuple(z))
 
 
 def rationality_and_genus(graph: PlumbingGraph, cycle: Cycle) -> Tuple[int, bool]:

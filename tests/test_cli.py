@@ -172,6 +172,34 @@ class TestClassify:
         assert report["fundamental_cycle"] == [1] * 399
         assert elapsed < 0.5, f"classify --lens 400,399 took {elapsed:.2f} s"
 
+    def test_long_dihedral_leg_is_fast(self, capsys):
+        # D_20003: Laufer's sequence adds about 20,000 vertices, each found
+        # on the worklist rather than by a scan from vertex 0
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "classify", "--seifert", "2;(2,1)(2,1)(20001,20000)")
+        elapsed = time.perf_counter() - start
+        assert code == 0 and err == ""
+        report = json.loads(out)["report"]
+        assert report["multiplicity"] == 2
+        assert report["embedding_dimension"] == 3
+        assert sum(report["fundamental_cycle"]) == 40003
+        assert elapsed < 2.0, f"classify of D_20003 took {elapsed:.2f} s"
+
+    def test_longer_dihedral_leg_needs_no_step_cap(self, capsys):
+        # D_100005 takes more than 100,000 Laufer steps
+        code, out, err = run_cli(capsys, "classify", "--seifert", "2;(2,1)(2,1)(100003,100002)")
+        assert code == 0 and err == ""
+        assert json.loads(out)["report"]["multiplicity"] == 2
+
+    @pytest.mark.parametrize("command", ["classify", "map"])
+    def test_text_draws_a_long_chain(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--lens", "1500,1499", "--text")
+        assert code == 0 and err == ""
+        drawn = [line for line in out.splitlines() if line.lstrip() == "o weight -2"]
+        assert len(drawn) == 1499
+        assert drawn[-1] == "  " * 1498 + "o weight -2"
+
+
 class TestMap:
     def test_lens_3_2(self, capsys):
         code, out, _ = run_cli(capsys, "map", "--lens", "3,2")
@@ -216,9 +244,8 @@ class TestMap:
         assert "o weight -2" in out
         assert "complete: True, stop reason: wahl-count" in out
 
-    def test_degree_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SINGMAP_DEGREE_CAP", "10")
-        code, out, _ = run_cli(capsys, "map", "--lens", "5,2")
+    def test_max_degree_at_the_last_relation_is_complete(self, capsys):
+        code, out, _ = run_cli(capsys, "map", "--lens", "5,2", "--max-degree", "10")
         assert code == 0
         data = json.loads(out)
         assert data["relations"]["degree_bound"] == 10
@@ -226,10 +253,8 @@ class TestMap:
         assert data["relations"]["complete"] is True
         assert "warnings" not in data
 
-
-    def test_degree_cap_short_of_wahl_count_warns(self, capsys, monkeypatch):
-        monkeypatch.setenv("SINGMAP_DEGREE_CAP", "9")
-        code, out, _ = run_cli(capsys, "map", "--lens", "5,2")
+    def test_max_degree_short_of_wahl_count_warns(self, capsys):
+        code, out, _ = run_cli(capsys, "map", "--lens", "5,2", "--max-degree", "9")
         assert code == 0
         data = json.loads(out)
         body = data["relations"]
@@ -261,20 +286,19 @@ class TestMap:
         assert data["relations"]["complete"] is True
         assert elapsed < 1.0, f"map --lens 400,399 took {elapsed:.2f} s"
 
-    @pytest.mark.parametrize("cap", ["0", "-5"])
-    @pytest.mark.parametrize("lens", ["5,2", "1,0"])
-    def test_degree_cap_env_below_one(self, capsys, monkeypatch, cap, lens):
-        monkeypatch.setenv("SINGMAP_DEGREE_CAP", cap)
-        code, out, err = run_cli(capsys, "map", "--lens", lens)
-        assert code == 2
-        assert out == ""
-        assert "SINGMAP_DEGREE_CAP" in err and err.count("\n") == 1
-
     @pytest.mark.parametrize("bound", ["0", "-5"])
     def test_max_degree_below_one(self, capsys, bound):
         code, out, err = run_cli(capsys, "map", "--lens", "5,2", "--max-degree", bound)
         assert code == 2
         assert out == ""
+        assert "--max-degree" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    def test_max_degree_below_one_without_a_relation_scan(self, capsys, bound):
+        # the smooth point L(1,0) has no relation to scan for; the bound is
+        # still read before any work
+        code, out, err = run_cli(capsys, "map", "--lens", "1,0", "--max-degree", bound)
+        assert (code, out) == (2, "")
         assert "--max-degree" in err and err.count("\n") == 1
 
     # int() reads the first three (underscores, signs, Arabic-Indic digits)
@@ -286,18 +310,11 @@ class TestMap:
         assert (code, out) == (2, "")
         assert err == f"error: --max-degree must be an integer in ASCII digits, got {bound!r}\n"
 
-    @pytest.mark.parametrize("cap", NOT_ASCII_NUMBERS)
-    def test_degree_cap_env_takes_ascii_digits_only(self, capsys, monkeypatch, cap):
-        monkeypatch.setenv("SINGMAP_DEGREE_CAP", cap)
-        code, out, err = run_cli(capsys, "map", "--lens", "5,2")
-        assert (code, out) == (2, "")
-        assert err == f"error: SINGMAP_DEGREE_CAP must be an integer in ASCII digits, got {cap!r}\n"
-
-    def test_bounds_allow_ascii_whitespace(self, capsys, monkeypatch):
-        monkeypatch.setenv("SINGMAP_DEGREE_CAP", " 11\t")
-        code, out, err = run_cli(capsys, "map", "--lens", "5,2", "--max-degree", " 12 ")
+    @pytest.mark.parametrize("bound", [" 12 ", " 12\t", "\n12"])
+    def test_max_degree_allows_ascii_whitespace(self, capsys, bound):
+        code, out, err = run_cli(capsys, "map", "--lens", "5,2", "--max-degree", bound)
         assert (code, err) == (0, "")
-        assert json.loads(out)["relations"]["degree_bound"] == 11
+        assert json.loads(out)["relations"]["degree_bound"] == 12
 
 
 class TestVerify:

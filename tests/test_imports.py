@@ -1,5 +1,6 @@
-"""Every name a singmap module imports is used by that module, and every
-private module-level name is referenced somewhere in the package.
+"""Every name a singmap module imports is used by that module, every
+private module-level name is referenced somewhere in the package, and no
+module reads the environment.
 
 The two package __init__ modules only re-export, so they are exempt from
 the import check.  A name counts as used when the module reads it
@@ -80,3 +81,26 @@ def test_no_unreferenced_private_definition():
         if counts[name] == Counter(references(node))[name]
     )
     assert not unreferenced, f"defined but referenced nowhere else in singmap: {unreferenced}"
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv"}
+
+
+def environment_reads(tree):
+    """Each os.environ, os.environb or os.getenv the tree reads, as an
+    attribute or imported from os by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            for alias in node.names:
+                if alias.name in ENVIRONMENT_READERS:
+                    yield alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_environment_reads(path):
+    # the library reads nothing but its arguments: every setting is a
+    # parameter or a command-line flag
+    reads = list(environment_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not reads, f"{path.name} reads the environment: {reads}"

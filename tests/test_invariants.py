@@ -414,11 +414,6 @@ class TestMinimalize:
         kept = minimalize_generators(base, [(1, 0, 0), (2, 0, 0)], target_count=1)
         assert kept == [(1, 0, 0)]
 
-    def test_degree_bound_skips_large_candidates(self):
-        base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2)
-        kept = minimalize_generators(base, [(1, 0, 0), (2, 0, 0)], target_count=1, degree_bound=7)
-        assert kept == [(1, 0, 0), (2, 0, 0)]  # x^2 is above the bound, so untouched
-
     @pytest.mark.parametrize("n,m,kept", [
         # Z/13 x D*_28 (3;(2,1)(2,1)(7,1)) and Z/15 x D*_32 (3;(2,1)(2,1)(8,1))
         (7, 13, [(13, 0, 0), (9, 0, 1), (3, 1, 0), (1, 9, 0), (1, 0, 3),

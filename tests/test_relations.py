@@ -36,10 +36,10 @@ from singmap.invariants import (
 )
 from singmap.relations import (
     RelationSet,
-    _apply_cap,
     _in_klein_triple,
     _normalize_relation,
     bounded_degree_relations,
+    check_degree_bound,
     check_invariance,
     monomial_relations,
     verify_relation,
@@ -54,7 +54,7 @@ class TestMonomialRelations:
         # z w^2 - x y in the variables x1..x4 = (u^5, u^3 v, u v^2, v^5)
         target = parse_multi("x2*x3^2 - x1*x4", [5, 4, 3, 5])
         assert target in result.relations
-        assert result.complete_up_to_bound
+        assert result.to_dict()["complete_up_to_bound"] is True
 
     def test_5_2_generators_are_determinantal(self):
         gens = cyclic_invariant_generators(5, 2)
@@ -184,7 +184,7 @@ def reference_monomial_relations(gens, degree_bound=None, expected_count=None):
             for other in representatives[1:]:
                 relations.append(MultiPoly.binomial(nvars, weights, other, representatives[0]))
                 moves.append((other, representatives[0]))
-    return RelationSet(tuple(relations), weights, degree_bound, True, expected_count)
+    return RelationSet(tuple(relations), weights, degree_bound, expected_count)
 
 
 class TestRiemenschneiderImagesAgainstScan:
@@ -278,7 +278,7 @@ class TestBoundedDegreeRelations:
         base = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
         result = bounded_degree_relations(base, KLEIN_TRIPLE, 20)
         assert result.relations == ()
-        assert result.complete_up_to_bound
+        assert result.to_dict()["complete_up_to_bound"] is True
 
     def test_without_expected_count_scans_to_the_bound(self):
         base = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
@@ -301,7 +301,7 @@ class TestBoundedDegreeRelations:
         base = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
         result = bounded_degree_relations(base, KLEIN_TRIPLE, 20, expected_count=1)
         assert result.relations == ()
-        assert result.complete_up_to_bound
+        assert result.to_dict()["complete_up_to_bound"] is True
         assert not result.complete
         assert result.stop_reason == "degree-bound"
 
@@ -479,7 +479,7 @@ def reference_bounded_degree_relations(base, gens, degree_bound=None, expected_c
     weights = tuple(base.degree(g) for g in gens)
     if degree_bound is None:
         degree_bound = 2 * sum(sorted(weights)[-2:])
-    degree_bound = _apply_cap(degree_bound)
+    check_degree_bound(degree_bound)
     nvars = len(gens)
     relations = []
     step = gcd(*weights)
@@ -506,7 +506,7 @@ def reference_bounded_degree_relations(base, gens, degree_bound=None, expected_c
             assert verify_relation(_in_klein_triple(base, relation, gens), base.powers)
             relations.append(relation)
     relations.sort(key=lambda r: (r.weighted_degree(), grlex_key(r.leading_exponent())))
-    return RelationSet(tuple(relations), weights, degree_bound, True, expected_count)
+    return RelationSet(tuple(relations), weights, degree_bound, expected_count)
 
 
 # Z/m x D* links b;(2,1)(2,1)(n,q) and Z/m x T*, O*, I* links b;(2,1)(3,q)(p,q')

@@ -1,6 +1,8 @@
 """Tests for Laufer's algorithm, rationality, multiplicity and the
 closed-form tables."""
 
+import random
+
 import pytest
 
 from singmap.linkdata import (
@@ -23,6 +25,15 @@ from singmap.suites import family_sweep
 
 def star(b, fibers):
     return seifert_to_plumbing(SeifertData.normalized(b, fibers))
+
+
+def relabel(graph, order):
+    """The graph with vertex order[k] renamed k."""
+    new = {old: k for k, old in enumerate(order)}
+    return PlumbingGraph.build(
+        [graph.weights[old] for old in order],
+        [(new[i], new[j]) for i, j in graph.edges],
+    )
 
 
 class TestFundamentalCycle:
@@ -53,12 +64,20 @@ class TestFundamentalCycle:
             cycle = fundamental_cycle(graph)
             assert all(z >= 1 for z in cycle.multiplicities)
 
-    def test_tie_break_independence(self):
+    def test_relabelling_permutes_the_cycle(self):
+        # relabelling the vertices reorders Laufer's worklist; Z_min is the
+        # same cycle, carried along by the relabelling
+        rng = random.Random(1972)
         for link, _, _ in family_sweep(5, 7):
             graph = seifert_to_plumbing(link)
-            low = fundamental_cycle(graph, tie_break="lowest")
-            high = fundamental_cycle(graph, tie_break="highest")
-            assert low == high, link
+            cycle = fundamental_cycle(graph).multiplicities
+            orders = [list(reversed(range(graph.size)))]
+            orders += [rng.sample(range(graph.size), graph.size) for _ in range(3)]
+            for order in orders:
+                relabelled = relabel(graph, order)
+                assert fundamental_cycle(relabelled).multiplicities == tuple(
+                    cycle[old] for old in order
+                ), (link, order)
 
 
 class TestRationality:
