@@ -12,7 +12,6 @@ algebra over Q[i, sqrt2, sqrt5] finds and verifies the image relations.
 
 from .exactmath import (
     BivariatePoly,
-    ExactMatrix,
     ExactScalar,
     MultiPoly,
     parse_bivariate,

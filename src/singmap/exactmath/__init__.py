@@ -1,9 +1,9 @@
 """Exact arithmetic foundation: the ring Q[i, sqrt2, sqrt5], sparse exact
-polynomials, exact linear algebra, and the polynomial text format."""
+polynomials, sparse exact elimination, and the polynomial text format."""
 
 from .ring import ExactScalar, HALF, I, ONE, SQRT2, SQRT5, SQRT10, ZERO
 from .poly import BivariatePoly, MultiPoly, Powers, grlex_key, weighted_exponents
-from .linalg import ExactMatrix, in_span, nullspace_basis, rref
+from .linalg import in_span, nullspace_basis, rref
 from .textform import (
     format_bivariate,
     format_multi,
@@ -18,7 +18,6 @@ __all__ = [
     "BivariatePoly",
     "MultiPoly",
     "Powers",
-    "ExactMatrix",
     "ZERO",
     "ONE",
     "I",

@@ -1,5 +1,4 @@
-"""Exact dense matrices (the group generators) and one sparse exact
-elimination, which is all the library's linear algebra.
+"""One sparse exact elimination, which is all the library's linear algebra.
 
 A row is a dict {column: ExactScalar} with no zero entries.  Its columns may
 be any mutually comparable keys (integers, Klein-monomial tuples), and its
@@ -21,60 +20,11 @@ form and the nullspace basis read from it.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 from .ring import ONE, ExactScalar
 
 Row = Dict[object, ExactScalar]
-
-
-class ExactMatrix:
-    """Immutable dense matrix over ExactScalar entries."""
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows: Sequence[Sequence[object]]):
-        rows = tuple(tuple(r) for r in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", width)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        return ExactMatrix(
-            [
-                [
-                    sum(
-                        (self.rows[i][k] * other.rows[k][j] for k in range(1, self.ncols)),
-                        self.rows[i][0] * other.rows[0][j],
-                    )
-                    for j in range(other.ncols)
-                ]
-                for i in range(self.nrows)
-            ]
-        )
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
-        return f"ExactMatrix[{body}]"
 
 
 def reduce_row(form: Dict[object, Row], row: Row) -> Row:

@@ -89,6 +89,31 @@ def _linear_form(a, b):
     return den, form
 
 
+def _add_parts_product(acc: Dict[Exponent2, List[int]], left, right) -> None:
+    """Add the product of two _components parts into acc, which maps each
+    exponent to its integer coordinate vector, in place."""
+    for k1, terms1 in left.items():
+        row = _MUL[k1]
+        for k2, terms2 in right.items():
+            k, factor = row[k2]
+            for (a1, b1), x in terms1:
+                x *= factor
+                for (a2, b2), y in terms2:
+                    exp = (a1 + a2, b1 + b2)
+                    vector = acc.get(exp)
+                    if vector is None:
+                        acc[exp] = vector = [0, 0, 0, 0, 0, 0, 0, 0]
+                    vector[k] += x * y
+
+
+def _from_vectors(acc: Dict[Exponent2, List[int]], den: int) -> "BivariatePoly":
+    """The polynomial whose coefficient at each exponent of acc is its
+    integer coordinate vector over den, each reduced once."""
+    return BivariatePoly(
+        {exp: _reduced(tuple(vector), den) for exp, vector in acc.items() if any(vector)}
+    )
+
+
 # A binary form of degree n is held as the n + 1 integer coordinate vectors
 # of its coefficients on u^a v^(n - a), a = 0..n.
 
@@ -171,24 +196,9 @@ class BivariatePoly:
             return self.scale(other)
         d1, left = _components(self.terms)
         d2, right = _components(other.terms)
-        # integer coordinates over d1 * d2 per output exponent
         acc: Dict[Exponent2, List[int]] = {}
-        for k1, terms1 in left.items():
-            row = _MUL[k1]
-            for k2, terms2 in right.items():
-                k, factor = row[k2]
-                for (a1, b1), x in terms1:
-                    x *= factor
-                    for (a2, b2), y in terms2:
-                        exp = (a1 + a2, b1 + b2)
-                        vector = acc.get(exp)
-                        if vector is None:
-                            acc[exp] = vector = [0, 0, 0, 0, 0, 0, 0, 0]
-                        vector[k] += x * y
-        den = d1 * d2
-        return BivariatePoly(
-            {exp: _reduced(tuple(vector), den) for exp, vector in acc.items() if any(vector)}
-        )
+        _add_parts_product(acc, left, right)
+        return _from_vectors(acc, d1 * d2)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
@@ -257,7 +267,7 @@ class BivariatePoly:
         """
         if not self.terms:
             return BivariatePoly({})
-        (a, b), (c, d) = getattr(matrix, "rows", matrix)
+        (a, b), (c, d) = matrix
         den_u, form_u = _linear_form(a, b)
         den_v, form_v = _linear_form(c, d)
         top_u = max(i for i, _ in self.terms)
@@ -339,21 +349,10 @@ class Powers:
         acc: Dict[Exponent2, List[int]] = {}
         for coeff, den, parts in expanded:
             scale = common // den
-            for k1, a in enumerate(coeff.num):
-                if not a:
-                    continue
-                row = _MUL[k1]
-                for k2, monomial_terms in parts.items():
-                    k, factor = row[k2]
-                    x = a * scale * factor
-                    for exp, y in monomial_terms:
-                        vector = acc.get(exp)
-                        if vector is None:
-                            acc[exp] = vector = [0, 0, 0, 0, 0, 0, 0, 0]
-                        vector[k] += x * y
-        return BivariatePoly(
-            {exp: _reduced(tuple(vector), common) for exp, vector in acc.items() if any(vector)}
-        )
+            # the coefficient as a one-term polynomial at exponent (0, 0)
+            constant = {k: [((0, 0), a * scale)] for k, a in enumerate(coeff.num) if a}
+            _add_parts_product(acc, constant, parts)
+        return _from_vectors(acc, common)
 
 
 class MultiPoly:

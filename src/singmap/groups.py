@@ -6,7 +6,8 @@ factor times a binary polyhedral group (or one of the U(2) groups D', T'
 when the relevant prime power divides m).  Exact 2x2 generator matrices
 over Q[i, sqrt2, sqrt5] are available for the binary polyhedral groups and
 for the cyclic actions whose root of unity lies in the ring; everything
-else carries order annotations only.
+else carries order annotations only.  A matrix is the nested tuple of its
+rows ((a, b), (c, d)) of ExactScalars; this module alone multiplies them.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from .exactmath import ExactMatrix, ExactScalar, HALF, I, ONE, SQRT2, SQRT5
+from .exactmath import ExactScalar, HALF, I, ONE, SQRT2, SQRT5, ZERO
 from .linkdata import Family, FamilyTag
+
+# a 2x2 matrix as its rows ((a, b), (c, d))
+Matrix = Tuple[Tuple[ExactScalar, ExactScalar], Tuple[ExactScalar, ExactScalar]]
 
 
 class GroupError(ValueError):
@@ -185,9 +189,8 @@ def group_from_seifert(family: Family, b: int = None) -> GroupDescriptor:
 class GeneratorSet:
     """2x2 generators; matrices is None when only order annotations exist."""
 
-    matrices: Optional[Tuple[ExactMatrix, ...]]
+    matrices: Optional[Tuple[Matrix, ...]]
     descriptions: Tuple[str, ...]
-    exact: bool
 
     def __iter__(self):
         if self.matrices is None:
@@ -212,43 +215,34 @@ def root_of_unity(n: int) -> Optional[ExactScalar]:
     return None
 
 
-def _diag(a: ExactScalar, d: ExactScalar) -> ExactMatrix:
-    zero = ExactScalar.rational(0)
-    return ExactMatrix(((a, zero), (zero, d)))
+def _diag(a: ExactScalar, d: ExactScalar) -> Matrix:
+    return ((a, ZERO), (ZERO, d))
 
 
-_J = ExactMatrix(((ExactScalar.rational(0), ONE), (-ONE, ExactScalar.rational(0))))
+_J = ((ZERO, ONE), (-ONE, ZERO))
 
 # omega = (1 + i + j + k)/2 as a unit quaternion; shared by T*, O*, I*
-_OMEGA = ExactMatrix(
-    (
-        (HALF * (ONE + I), HALF * (ONE + I)),
-        (HALF * (-ONE + I), HALF * (ONE - I)),
-    )
+_OMEGA = (
+    (HALF * (ONE + I), HALF * (ONE + I)),
+    (HALF * (-ONE + I), HALF * (ONE - I)),
 )
 
-_T_SECOND = ExactMatrix(
-    (
-        (HALF * (ONE + I), HALF * (ONE - I)),
-        (HALF * (-ONE - I), HALF * (ONE - I)),
-    )
+_T_SECOND = (
+    (HALF * (ONE + I), HALF * (ONE - I)),
+    (HALF * (-ONE - I), HALF * (ONE - I)),
 )
 
 # (j + k)/sqrt2
-_O_SECOND = ExactMatrix(
-    (
-        (ExactScalar.rational(0), HALF * SQRT2 * (ONE + I)),
-        (HALF * SQRT2 * (-ONE + I), ExactScalar.rational(0)),
-    )
+_O_SECOND = (
+    (ZERO, HALF * SQRT2 * (ONE + I)),
+    (HALF * SQRT2 * (-ONE + I), ZERO),
 )
 
 # (phi + i/phi + j)/2 with phi the golden ratio: a unit icosian
 _PHI_DIAG = (ONE + SQRT5) / 4 + I * ((SQRT5 - ONE) / 4)
-_I_SECOND = ExactMatrix(
-    (
-        (_PHI_DIAG, HALF),
-        (-HALF, _PHI_DIAG.conjugate()),
-    )
+_I_SECOND = (
+    (_PHI_DIAG, HALF),
+    (-HALF, _PHI_DIAG.conjugate()),
 )
 
 
@@ -259,7 +253,7 @@ def generator_matrices(descriptor: GroupDescriptor) -> GeneratorSet:
     D*_{4n} uses diag(zeta_2n, zeta_2n^-1) and the antidiagonal j; T*, O*,
     I* use the fixed unit-quaternion pairs.  A cyclic product factor adds
     diag(zeta_m, zeta_m).  Whenever a needed root of unity is outside the
-    ring the set degrades to order annotations (exact = False).
+    ring the set degrades to order annotations (matrices None).
     """
     family = descriptor.family
     if family in (GroupFamily.D_PRIME, GroupFamily.T_PRIME):
@@ -306,9 +300,7 @@ def generator_matrices(descriptor: GroupDescriptor) -> GeneratorSet:
             exact = False
         else:
             matrices.append(_diag(zeta, zeta))
-    if not exact:
-        return GeneratorSet(None, tuple(descriptions), False)
-    return GeneratorSet(tuple(matrices), tuple(descriptions), True)
+    return GeneratorSet(tuple(matrices) if exact else None, tuple(descriptions))
 
 
 def _power(scalar: ExactScalar, n: int) -> ExactScalar:
@@ -318,12 +310,18 @@ def _power(scalar: ExactScalar, n: int) -> ExactScalar:
     return out
 
 
-def matrix_determinant(m: ExactMatrix) -> ExactScalar:
-    (a, b), (c, d) = m.rows
+def _product(m: Matrix, n: Matrix) -> Matrix:
+    (a, b), (c, d) = m
+    (e, f), (g, h) = n
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def matrix_determinant(m: Matrix) -> ExactScalar:
+    (a, b), (c, d) = m
     return a * d - b * c
 
 
-def has_unit_determinant(m: ExactMatrix) -> bool:
+def has_unit_determinant(m: Matrix) -> bool:
     det = matrix_determinant(m)
     return det * det.conjugate() == ONE
 
@@ -333,21 +331,17 @@ def group_closure_order(generators, cap: int = 500) -> int:
 
     Work-queue closure under products with everything seen so far; raises
     if the closure exceeds cap, which signals wrong generators rather than
-    a big group.
+    a big group.  A GeneratorSet without exact matrices raises GroupError.
     """
-    if isinstance(generators, GeneratorSet):
-        if not generators.exact:
-            raise GroupError("closure needs exact matrices")
-        generators = generators.matrices
     gens = list(generators)
     if not gens:
         return 0
-    seen = {g for g in gens}
+    seen = set(gens)
     queue = list(seen)
     while queue:
         current = queue.pop()
         for other in gens:
-            for product in (current * other, other * current):
+            for product in (_product(current, other), _product(other, current)):
                 if product not in seen:
                     seen.add(product)
                     queue.append(product)

@@ -32,7 +32,6 @@ from .exactmath import (
     in_span,
 )
 from .groups import (
-    GeneratorSet,
     GroupDescriptor,
     GroupFamily,
     UnsupportedFamilyError,
@@ -255,15 +254,14 @@ class KleinBasis(InvariantBasis):
         return self.powers.monomial(exponent)
 
 
-def _matrices_for_invariance(tag: GroupFamily, n: int) -> Optional[GeneratorSet]:
+def _matrices_for_invariance(tag: GroupFamily, n: int) -> Optional[tuple]:
     descriptor = {
         GroupFamily.BINARY_DIHEDRAL: lambda: GroupDescriptor(tag, (n,), 1, 4 * n),
         GroupFamily.BINARY_TETRAHEDRAL: lambda: GroupDescriptor(tag, (), 1, 24),
         GroupFamily.BINARY_OCTAHEDRAL: lambda: GroupDescriptor(tag, (), 1, 48),
         GroupFamily.BINARY_ICOSAHEDRAL: lambda: GroupDescriptor(tag, (), 1, 120),
     }[tag]()
-    gens = generator_matrices(descriptor)
-    return gens if gens.exact else None
+    return generator_matrices(descriptor).matrices
 
 
 def _check_diagonal_action(poly: BivariatePoly, order: int, ru: int, rv: int) -> bool:

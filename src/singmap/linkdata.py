@@ -106,6 +106,10 @@ class PlumbingGraph:
             adjacent[b].append(a)
         return tuple(tuple(sorted(row)) for row in adjacent)
 
+    @cached_property
+    def _negative_definite(self) -> bool:
+        return _leaves_first_elimination(self)
+
     def neighbors(self, i: int) -> Tuple[int, ...]:
         return self._adjacency[i]
 
@@ -196,8 +200,15 @@ def negdef_check(graph: PlumbingGraph) -> bool:
     Gaussian elimination on -M that takes leaves first, which on a tree
     creates no fill-in (Neumann's plumbing calculus): each vertex's pivot is
     -w_v minus 1/pivot of each of its children, and -M is positive definite
-    iff every pivot is positive.  Linear in the number of vertices.
+    iff every pivot is positive.  Linear in the number of vertices, and run
+    once per graph: the answer is kept on the graph, so classify_link and
+    fundamental_cycle share one elimination.  LinkError when the graph is
+    not a tree.
     """
+    return graph._negative_definite
+
+
+def _leaves_first_elimination(graph: PlumbingGraph) -> bool:
     if not graph.is_connected():
         raise LinkError("graph must be connected")
     if len(graph.edges) != graph.size - 1:

@@ -36,7 +36,6 @@ from .exactmath import (
     rref,
     weighted_exponents,
 )
-from .groups import GeneratorSet
 from .invariants import cyclic_invariant_generators
 from .linkdata import _NUMBER
 
@@ -125,11 +124,8 @@ def verify_relation(relation: MultiPoly, generators) -> bool:
 
 
 def check_invariance(poly: BivariatePoly, generators) -> bool:
-    """True iff poly is fixed by every generator matrix."""
-    if isinstance(generators, GeneratorSet):
-        generators = generators.matrices
-        if generators is None:
-            raise ValueError("invariance check needs exact matrices")
+    """True iff poly is fixed by every generator matrix.  A GeneratorSet
+    without exact matrices raises GroupError."""
     return all(poly.substitute_linear(m) == poly for m in generators)
 
 

@@ -319,7 +319,8 @@ class TestMap:
 
 class TestVerify:
     @pytest.mark.parametrize(
-        "suite", ["cyclic-table", "ade-equations", "group-orders"]
+        "suite",
+        ["cyclic-table", "ade-equations", "multiplicity-crosscheck", "group-orders", "invariance"],
     )
     def test_suites_pass(self, capsys, suite):
         code, out, _ = run_cli(capsys, "verify", "--suite", suite)

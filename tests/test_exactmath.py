@@ -9,7 +9,6 @@ import pytest
 
 from singmap.exactmath import (
     BivariatePoly,
-    ExactMatrix,
     ExactScalar,
     HALF,
     I,
@@ -342,8 +341,8 @@ class TestPowersCombination:
             rows = self.random_matrix(rng, shape, entry)
             images = [BivariatePoly({(1, 0): a, (0, 1): b}) for a, b in rows]
             expected = reference_combination(Powers(images), p.terms)
-            for matrix in (rows, [list(row) for row in rows], ExactMatrix(
-                    [[ExactScalar._coerce(x) for x in row] for row in rows])):
+            for matrix in (rows, [list(row) for row in rows],
+                           tuple(tuple(ExactScalar._coerce(x) for x in row) for row in rows)):
                 result = p.substitute_linear(matrix)
                 assert result == expected
                 for coeff in result.terms.values():
@@ -365,8 +364,7 @@ class TestPowersCombination:
             matrices.append([[sparse_scalar(rng) for _ in range(2)] for _ in range(2)])
             for poly in klein_invariants(family, n).generators:
                 for matrix in matrices:
-                    rows = getattr(matrix, "rows", matrix)
-                    images = [BivariatePoly({(1, 0): a, (0, 1): b}) for a, b in rows]
+                    images = [BivariatePoly({(1, 0): a, (0, 1): b}) for a, b in matrix]
                     assert poly.substitute_linear(matrix) == reference_combination(
                         Powers(images), poly.terms)
 

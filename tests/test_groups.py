@@ -2,13 +2,14 @@
 
 import pytest
 
-from singmap.exactmath import ExactMatrix, ExactScalar, HALF, I, ONE, SQRT5
+from singmap.exactmath import BivariatePoly, ExactScalar, HALF, I, ONE, SQRT5, ZERO
 from singmap.linkdata import Family, FamilyTag, SeifertData, finite_pi1_family
 from singmap.groups import (
     GroupDescriptor,
     GroupError,
     GroupFamily,
     UnsupportedFamilyError,
+    _product,
     generator_matrices,
     group_closure_order,
     group_from_seifert,
@@ -16,6 +17,7 @@ from singmap.groups import (
     matrix_determinant,
     root_of_unity,
 )
+from singmap.relations import check_invariance
 
 
 def descriptor_for(b, fibers):
@@ -98,20 +100,18 @@ class TestGeneratorMatrices:
     def test_cyclic_2_1(self):
         d = GroupDescriptor(GroupFamily.CYCLIC, (2, 1), 1, 2)
         gens = generator_matrices(d)
-        assert gens.exact
         (matrix,) = gens.matrices
-        assert matrix.rows == ((-ONE, ExactScalar.rational(0)), (ExactScalar.rational(0), -ONE))
+        assert matrix == ((-ONE, ExactScalar.rational(0)), (ExactScalar.rational(0), -ONE))
 
     def test_cyclic_8_exact(self):
         d = GroupDescriptor(GroupFamily.CYCLIC, (8, 3), 1, 8)
         gens = generator_matrices(d)
-        assert gens.exact
+        assert gens.matrices is not None
         assert group_closure_order(gens) == 8
 
     def test_cyclic_5_annotation_only(self):
         d = GroupDescriptor(GroupFamily.CYCLIC, (5, 2), 1, 5)
         gens = generator_matrices(d)
-        assert not gens.exact
         assert gens.matrices is None
         assert "zeta_5" in gens.descriptions[0]
 
@@ -119,19 +119,19 @@ class TestGeneratorMatrices:
         d = GroupDescriptor(GroupFamily.BINARY_TETRAHEDRAL, (), 1, 24)
         first, second = generator_matrices(d).matrices
         half = HALF
-        assert first.rows[0] == (half * (ONE + I), half * (ONE + I))
-        assert first.rows[1][0] == half * (-ONE + I)
-        assert second.rows[0] == (half * (ONE + I), half * (ONE - I))
+        assert first[0] == (half * (ONE + I), half * (ONE + I))
+        assert first[1][0] == half * (-ONE + I)
+        assert second[0] == (half * (ONE + I), half * (ONE - I))
 
     def test_icosahedral_second_generator_entries(self):
         d = GroupDescriptor(GroupFamily.BINARY_ICOSAHEDRAL, (), 1, 120)
         _, second = generator_matrices(d).matrices
         # diagonal entries: ((1+s5) + i(s5-1))/4 and its conjugate
         top_left = (ONE + SQRT5) / 4 + I * ((SQRT5 - ONE) / 4)
-        assert second.rows[0][0] == top_left
-        assert second.rows[1][1] == top_left.conjugate()
-        assert second.rows[0][1] == HALF
-        assert second.rows[1][0] == -HALF
+        assert second[0][0] == top_left
+        assert second[1][1] == top_left.conjugate()
+        assert second[0][1] == HALF
+        assert second[1][0] == -HALF
         assert has_unit_determinant(second)
         assert matrix_determinant(second) == ONE
 
@@ -143,8 +143,19 @@ class TestGeneratorMatrices:
     def test_product_factor_annotation(self):
         d = GroupDescriptor(GroupFamily.BINARY_ICOSAHEDRAL, (), 29, 29 * 120)
         gens = generator_matrices(d)
-        assert not gens.exact  # zeta_29 is outside the ring
+        assert gens.matrices is None  # zeta_29 is outside the ring
         assert any("zeta_29" in s for s in gens.descriptions)
+
+    @pytest.mark.parametrize("descriptor", [
+        GroupDescriptor(GroupFamily.CYCLIC, (5, 2), 1, 5),
+        GroupDescriptor(GroupFamily.BINARY_OCTAHEDRAL, (), 29, 29 * 48),
+    ], ids=["Z/5", "Z/29 x O*"])
+    def test_annotation_only_sets_refuse_matrix_use(self, descriptor):
+        gens = generator_matrices(descriptor)
+        with pytest.raises(GroupError, match="order annotations only"):
+            check_invariance(BivariatePoly.constant(1), gens)
+        with pytest.raises(GroupError, match="order annotations only"):
+            group_closure_order(gens)
 
 
 class TestClosureOrders:
@@ -171,7 +182,7 @@ class TestClosureOrders:
         while queue:
             current = queue.pop()
             for g in gens:
-                product = current * g
+                product = _product(current, g)
                 if product not in seen:
                     seen.add(product)
                     queue.append(product)
@@ -179,27 +190,23 @@ class TestClosureOrders:
         assert all(matrix_determinant(m) == ONE for m in seen)
 
     def test_diag_minus_one_alone(self):
-        minus = ExactMatrix(((-ONE, ExactScalar.rational(0)), (ExactScalar.rational(0), -ONE)))
+        minus = ((-ONE, ZERO), (ZERO, -ONE))
         assert group_closure_order([minus]) == 2
 
     def test_cap_exceeded_raises(self):
         # a non-unit scaling generates an infinite monoid
-        two = ExactMatrix(
-            ((ExactScalar.rational(2), ExactScalar.rational(0)),
-             (ExactScalar.rational(0), ExactScalar.rational(2)))
-        )
+        two = ((ExactScalar.rational(2), ZERO), (ZERO, ExactScalar.rational(2)))
         with pytest.raises(GroupError):
             group_closure_order([two], cap=50)
 
     def test_binary_dihedral_relations(self):
         d = GroupDescriptor(GroupFamily.BINARY_DIHEDRAL, (2,), 1, 8)
         x, y = generator_matrices(d).matrices
-        minus_identity = ExactMatrix(
-            ((-ONE, ExactScalar.rational(0)), (ExactScalar.rational(0), -ONE))
-        )
-        assert x * x == minus_identity
-        assert y * y == minus_identity
-        assert (x * y) * (x * y) == minus_identity
+        minus_identity = ((-ONE, ZERO), (ZERO, -ONE))
+        assert _product(x, x) == minus_identity
+        assert _product(y, y) == minus_identity
+        xy = _product(x, y)
+        assert _product(xy, xy) == minus_identity
 
 
 class TestRootsOfUnity:
@@ -221,9 +228,7 @@ class TestRootsOfUnity:
         # diag(zeta, zeta) is central; check exactly for available zeta_m
         for m in (2, 4, 8):
             zeta = root_of_unity(m)
-            central = ExactMatrix(
-                ((zeta, ExactScalar.rational(0)), (ExactScalar.rational(0), zeta))
-            )
+            central = ((zeta, ZERO), (ZERO, zeta))
             for family, params, order in [
                 (GroupFamily.BINARY_TETRAHEDRAL, (), 24),
                 (GroupFamily.BINARY_OCTAHEDRAL, (), 48),
@@ -232,4 +237,4 @@ class TestRootsOfUnity:
             ]:
                 gens = generator_matrices(GroupDescriptor(family, params, 1, order))
                 for g in gens:
-                    assert central * g == g * central
+                    assert _product(central, g) == _product(g, central)

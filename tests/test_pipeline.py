@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from singmap import linkdata
 from singmap.exactmath import format_bivariate
 from singmap.groups import GroupFamily, UnsupportedFamilyError
 from singmap.linkdata import LensData, LinkError, SeifertData
@@ -61,6 +62,19 @@ class TestClassify:
     def test_not_negative_definite(self):
         with pytest.raises(NotSingularityLinkError):
             classify_link(SeifertData.normalized(1, [(2, 1), (2, 1), (2, 1)]))
+
+    def test_negative_definiteness_decided_once(self, monkeypatch):
+        # classify_link and fundamental_cycle both ask; one elimination answers
+        calls = []
+        real = linkdata._leaves_first_elimination
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(linkdata, "_leaves_first_elimination", counting)
+        output = classify_link(SeifertData.normalized(2, [(2, 1), (3, 2), (5, 4)]))
+        assert len(calls) == 1 and calls[0] is output.graph
 
     def test_infinite_pi1(self):
         with pytest.raises(InfinitePi1Error):
