@@ -20,6 +20,7 @@ from .pipeline import (
     InfinitePi1Error,
     NotSingularityLinkError,
     classify_link,
+    link_to_dict,
     parse_lens_shorthand,
     parse_link_descriptor,
     parse_seifert_shorthand,
@@ -133,19 +134,15 @@ def _emit(output: ClassificationOutput, args) -> int:
     return 0
 
 
-def _emit_not_finite(link, error, args) -> int:
-    from .linkdata import euler_invariants
-    from .pipeline import link_to_dict
-
-    chi, e = euler_invariants(link)
+def _emit_not_finite(link, error: InfinitePi1Error, args) -> int:
     verdict = {
         "input": link_to_dict(link),
-        "euler": {"chi": str(chi), "e": str(e)},
+        "euler": {"chi": str(error.chi), "e": str(error.e)},
         "family": "not-finite",
         "is_image_of_finite_map": False,
     }
     if args.text and not args.json:
-        print(f"fundamental group is infinite (chi = {chi}, e = {e})")
+        print(error)
         print("is image of a finite map: False")
     else:
         print(json.dumps(verdict, sort_keys=True, indent=2))
@@ -153,21 +150,16 @@ def _emit_not_finite(link, error, args) -> int:
     return EXIT_INFINITE
 
 
-def _run_classify(args) -> int:
-    link = _resolve_link(args)
-    try:
-        return _emit(classify_link(link), args)
-    except InfinitePi1Error as error:
-        return _emit_not_finite(link, error, args)
-
-
-def _run_map(args) -> int:
-    # the bound is read up front, also where no relation scan runs
+def _run_link(args) -> int:
+    """classify or map: the degree bound is read before the link, also
+    where no relation scan runs."""
     max_degree = args.max_degree
     if max_degree is not None:
         max_degree = parse_degree_bound(max_degree, "--max-degree")
     link = _resolve_link(args)
     try:
+        if args.command == "classify":
+            return _emit(classify_link(link), args)
         return _emit(synthesize_map(link, max_degree), args)
     except InfinitePi1Error as error:
         return _emit_not_finite(link, error, args)
@@ -194,7 +186,7 @@ def main(argv: Optional[list] = None) -> int:
 
     classify = sub.add_parser("classify", help="recognize family, group and topology")
     _add_link_arguments(classify)
-    classify.set_defaults(handler=_run_classify)
+    classify.set_defaults(handler=_run_link, max_degree=None)
 
     map_cmd = sub.add_parser("map", help="synthesize a map and verified relations")
     _add_link_arguments(map_cmd)
@@ -203,7 +195,7 @@ def main(argv: Optional[list] = None) -> int:
         default=None,
         help="weighted-degree bound for the relation search",
     )
-    map_cmd.set_defaults(handler=_run_map)
+    map_cmd.set_defaults(handler=_run_link)
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("--suite", required=True, choices=sorted(SUITES))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 from .ring import BASIS_SYMBOLS, ExactScalar
 from .poly import BivariatePoly, MultiPoly, grlex_key
@@ -97,10 +97,12 @@ def parse_bivariate(text: str) -> BivariatePoly:
     return BivariatePoly(parse_terms(text, ("u", "v")))
 
 
-def parse_multi(text: str, weights: Sequence[int], variables: Sequence[str] = None) -> MultiPoly:
-    if variables is None:
-        variables = tuple(f"x{k + 1}" for k in range(len(weights)))
-    return MultiPoly(len(weights), weights, parse_terms(text, variables))
+def _multi_variables(count: int) -> Tuple[str, ...]:
+    return tuple(f"x{k + 1}" for k in range(count))
+
+
+def parse_multi(text: str, weights: Sequence[int]) -> MultiPoly:
+    return MultiPoly(len(weights), weights, parse_terms(text, _multi_variables(len(weights))))
 
 
 def _monomial_text(exponent: Sequence[int], variables: Sequence[str]) -> str:
@@ -148,7 +150,5 @@ def format_bivariate(p: BivariatePoly) -> str:
     return format_terms(p.terms, ("u", "v"))
 
 
-def format_multi(p: MultiPoly, variables: Sequence[str] = None) -> str:
-    if variables is None:
-        variables = tuple(f"x{k + 1}" for k in range(p.nvars))
-    return format_terms(p.terms, variables)
+def format_multi(p: MultiPoly) -> str:
+    return format_terms(p.terms, _multi_variables(p.nvars))

@@ -1,7 +1,7 @@
 """Fundamental groups of the finite-pi1 links and their matrix generators.
 
-Each three-fiber family determines the group through a single integer m
-computed from b and the fiber parameters; m then splits into a cyclic
+Each three-fiber family determines the group through a single integer
+m = -e/chi of the link's Euler invariants; m then splits into a cyclic
 factor times a binary polyhedral group (or one of the U(2) groups D', T'
 when the relevant prime power divides m).  Exact 2x2 generator matrices
 over Q[i, sqrt2, sqrt5] are available for the binary polyhedral groups and
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .exactmath import ExactScalar, HALF, I, ONE, SQRT2, SQRT5, ZERO
-from .linkdata import Family, FamilyTag
+from .linkdata import Family, FamilyTag, euler_invariants
 
 # a 2x2 matrix as its rows ((a, b), (c, d))
 Matrix = Tuple[Tuple[ExactScalar, ExactScalar], Tuple[ExactScalar, ExactScalar]]
@@ -93,49 +93,53 @@ class GroupDescriptor:
         return out
 
 
-def _two_adic(n: int) -> Tuple[int, int]:
-    """(v, odd) with n = 2^v * odd."""
+def _split_power(n: int, prime: int) -> Tuple[int, int]:
+    """(v, rest) with n = prime^v * rest and rest prime to prime."""
     v = 0
-    while n % 2 == 0:
-        n //= 2
+    while n % prime == 0:
+        n //= prime
         v += 1
     return v, n
 
 
-def _three_adic(n: int) -> Tuple[int, int]:
-    v = 0
-    while n % 3 == 0:
-        n //= 3
-        v += 1
-    return v, n
+def binary_group(family: GroupFamily, n: int = None) -> GroupDescriptor:
+    """The plain binary polyhedral group D*_{4n}, T*, O* or I* (m = 1)."""
+    if family is GroupFamily.BINARY_DIHEDRAL:
+        return GroupDescriptor(family, (n,), 1, 4 * n)
+    order = {
+        GroupFamily.BINARY_TETRAHEDRAL: 24,
+        GroupFamily.BINARY_OCTAHEDRAL: 48,
+        GroupFamily.BINARY_ICOSAHEDRAL: 120,
+    }.get(family)
+    if order is None:
+        raise GroupError(f"{family.value} is not a binary polyhedral group")
+    return GroupDescriptor(family, (), 1, order)
 
 
-def group_from_seifert(family: Family, b: int = None) -> GroupDescriptor:
-    """Group of the link from its recognized family and central weight b.
+def group_from_seifert(family: Family, link=None) -> GroupDescriptor:
+    """Group of the link from its recognized family and its Seifert data.
 
-    Dihedral m = (b-1)p - q, tetrahedral m = 6b - 3 - 2 q1 - 2 q2,
-    octahedral m = 12b - 6 - 4 q1 - 3 q2, icosahedral
-    m = 30b - 15 - 10 q1 - 6 q2.  Odd m (dihedral) and m coprime to 3
-    (tetrahedral) give the plain product with the binary group; otherwise
-    the 2- resp. 3-power moves into D' resp. T'.
+    Every three-fiber family has the cyclic modulus m = -e/chi, read off
+    the link's Euler invariants (for the binary polyhedral G the whole
+    group Z/m x G has order -4e/chi^2).  Odd m (dihedral) and m coprime
+    to 3 (tetrahedral) give the plain product with the binary group;
+    otherwise the 2- resp. 3-power moves into D' resp. T'.
     """
     if not family.is_finite:
         raise GroupError("fundamental group is not finite")
     if family.tag is FamilyTag.LENS:
         p, q = family.params
         return GroupDescriptor(GroupFamily.CYCLIC, (p, q), 1, p)
-    if b is None:
-        raise GroupError("b is required for the three-fiber families")
-    if family.tag is FamilyTag.DIHEDRAL:
-        p, q = family.params
-        m = (b - 1) * p - q
-        if m <= 0:
-            raise GroupError(f"m = {m} is not positive; data is not a singularity link")
-        if m % 2 == 1:
-            return GroupDescriptor(
-                GroupFamily.BINARY_DIHEDRAL, (p,), m, m * 4 * p, (("m_raw", m),)
-            )
-        v, m_odd = _two_adic(m)
+    if link is None:
+        raise GroupError("link is required for the three-fiber families")
+    chi, e = euler_invariants(link)
+    m = -e / chi
+    if m <= 0:
+        raise GroupError(f"m = {m} is not positive; data is not a singularity link")
+    m = int(m)  # an integer on every three-fiber family
+    if family.tag is FamilyTag.DIHEDRAL and m % 2 == 0:
+        p, _ = family.params
+        v, m_odd = _split_power(m, 2)
         k = v - 1  # m = 2 m', m' = 2^k m'' with m'' odd
         extras = [("m_raw", m), ("two_power_k", k), ("m_odd", m_odd)]
         if k == 0:
@@ -150,16 +154,8 @@ def group_from_seifert(family: Family, b: int = None) -> GroupDescriptor:
             m_odd * (2 ** (k + 2)) * p,
             tuple(extras),
         )
-    if family.tag is FamilyTag.TETRAHEDRAL:
-        q1, q2 = family.params
-        m = 6 * b - 3 - 2 * q1 - 2 * q2
-        if m <= 0:
-            raise GroupError(f"m = {m} is not positive; data is not a singularity link")
-        k, m_rest = _three_adic(m)
-        if k == 0:
-            return GroupDescriptor(
-                GroupFamily.BINARY_TETRAHEDRAL, (), m, m * 24, (("m_raw", m),)
-            )
+    if family.tag is FamilyTag.TETRAHEDRAL and m % 3 == 0:
+        k, m_rest = _split_power(m, 3)
         return GroupDescriptor(
             GroupFamily.T_PRIME,
             (k,),
@@ -167,19 +163,11 @@ def group_from_seifert(family: Family, b: int = None) -> GroupDescriptor:
             m_rest * 8 * 3 ** k,
             (("m_raw", m), ("three_power_k", k)),
         )
-    if family.tag is FamilyTag.OCTAHEDRAL:
-        q1, q2 = family.params
-        m = 12 * b - 6 - 4 * q1 - 3 * q2
-        if m <= 0:
-            raise GroupError(f"m = {m} is not positive; data is not a singularity link")
-        return GroupDescriptor(GroupFamily.BINARY_OCTAHEDRAL, (), m, m * 48)
-    if family.tag is FamilyTag.ICOSAHEDRAL:
-        q1, q2 = family.params
-        m = 30 * b - 15 - 10 * q1 - 6 * q2
-        if m <= 0:
-            raise GroupError(f"m = {m} is not positive; data is not a singularity link")
-        return GroupDescriptor(GroupFamily.BINARY_ICOSAHEDRAL, (), m, m * 120)
-    raise GroupError(f"unhandled family {family.tag}")
+    n = family.params[0] if family.tag is FamilyTag.DIHEDRAL else None
+    plain = binary_group(GroupFamily["BINARY_" + family.tag.name], n)
+    # O* and I* never split, so they report no m_raw
+    extras = (("m_raw", m),) if family.tag in (FamilyTag.DIHEDRAL, FamilyTag.TETRAHEDRAL) else ()
+    return GroupDescriptor(plain.family, plain.params, m, m * plain.order, extras)
 
 
 # -- exact generator matrices ---------------------------------------------------

@@ -31,12 +31,7 @@ from .exactmath import (
     grlex_key,
     in_span,
 )
-from .groups import (
-    GroupDescriptor,
-    GroupFamily,
-    UnsupportedFamilyError,
-    generator_matrices,
-)
+from .groups import GroupFamily, UnsupportedFamilyError, binary_group, generator_matrices
 from .linkdata import hj_expand
 
 
@@ -254,16 +249,6 @@ class KleinBasis(InvariantBasis):
         return self.powers.monomial(exponent)
 
 
-def _matrices_for_invariance(tag: GroupFamily, n: int) -> Optional[tuple]:
-    descriptor = {
-        GroupFamily.BINARY_DIHEDRAL: lambda: GroupDescriptor(tag, (n,), 1, 4 * n),
-        GroupFamily.BINARY_TETRAHEDRAL: lambda: GroupDescriptor(tag, (), 1, 24),
-        GroupFamily.BINARY_OCTAHEDRAL: lambda: GroupDescriptor(tag, (), 1, 48),
-        GroupFamily.BINARY_ICOSAHEDRAL: lambda: GroupDescriptor(tag, (), 1, 120),
-    }[tag]()
-    return generator_matrices(descriptor).matrices
-
-
 def _check_diagonal_action(poly: BivariatePoly, order: int, ru: int, rv: int) -> bool:
     """Invariance under u -> zeta^ru u, v -> zeta^rv v for zeta of the given
     order, checked per exponent: needs ru*a + rv*b = 0 mod order."""
@@ -320,7 +305,7 @@ def _verified_klein_basis(tag: GroupFamily, n: Optional[int]) -> KleinBasis:
         raise UnsupportedFamilyError(f"no invariant triple for {tag}")
     plain = InvariantBasis.from_polys(polys)
     basis = KleinBasis(plain.generators, plain.degrees, square=BivariatePoly.from_terms(square))
-    gens = _matrices_for_invariance(tag, n)
+    gens = generator_matrices(binary_group(tag, n)).matrices
     for poly in polys:
         if gens is not None:
             for matrix in gens:

@@ -55,7 +55,14 @@ class NotSingularityLinkError(ValueError):
 
 
 class InfinitePi1Error(ValueError):
-    """The link has infinite fundamental group; not an image of a finite map."""
+    """The link has infinite fundamental group; not an image of a finite map.
+
+    Carries the Euler invariants chi and e that show it.
+    """
+
+    def __init__(self, chi, e):
+        super().__init__(f"fundamental group is infinite (chi = {chi}, e = {e})")
+        self.chi, self.e = chi, e
 
 
 @dataclass(frozen=True)
@@ -198,12 +205,8 @@ def classify_link(link) -> ClassificationOutput:
         )
     family = finite_pi1_family(link)
     if not family.is_finite:
-        chi, e = euler_invariants(link)
-        raise InfinitePi1Error(
-            f"fundamental group is infinite (chi = {chi}, e = {e})"
-        )
-    b = link.b if isinstance(link, SeifertData) else None
-    group = group_from_seifert(family, b)
+        raise InfinitePi1Error(*euler_invariants(link))
+    group = group_from_seifert(family, link)
     report = multiplicity_and_embdim(graph)
     return ClassificationOutput(link, family, group, graph, report)
 
@@ -239,10 +242,7 @@ def _cyclic_map(p: int, q: int, report: SingularityReport, max_degree):
 def _product_map(
     group: GroupDescriptor, report: SingularityReport, max_degree
 ) -> Tuple[InvariantBasis, RelationSet, List[str]]:
-    base = klein_invariants(
-        group.family,
-        group.params[0] if group.family is GroupFamily.BINARY_DIHEDRAL else None,
-    )
+    base = klein_invariants(group.family, *group.params)
     candidates = product_invariant_monomials(base.degrees, group.cyclic_factor)
     exponents = minimalize_generators(base, candidates, target_count=report.embedding_dimension)
     basis = InvariantBasis.from_polys([base.expand(e) for e in exponents])

@@ -25,8 +25,8 @@ from .resolution import (
     rationality_and_genus,
 )
 from .groups import (
-    GroupDescriptor,
     GroupFamily,
+    binary_group,
     generator_matrices,
     group_closure_order,
     has_unit_determinant,
@@ -35,6 +35,12 @@ from .invariants import cyclic_invariant_generators, klein_invariants
 from .relations import check_invariance, verify_relation
 
 Check = Tuple[str, bool, str]
+
+_POLYHEDRAL = (
+    GroupFamily.BINARY_TETRAHEDRAL,
+    GroupFamily.BINARY_OCTAHEDRAL,
+    GroupFamily.BINARY_ICOSAHEDRAL,
+)
 
 
 # Rows of the small cyclic map table: (p, q) -> expected exponent pairs.
@@ -94,18 +100,12 @@ def suite_ade_equations() -> List[Check]:
 
 
 def _invariance_generator_sets():
-    sets = []
-    for n in (1, 2, 4):
-        descriptor = GroupDescriptor(GroupFamily.BINARY_DIHEDRAL, (n,), 1, 4 * n)
-        sets.append((f"D*_{4 * n}", klein_invariants(GroupFamily.BINARY_DIHEDRAL, n), generator_matrices(descriptor)))
-    for family, order in (
-        (GroupFamily.BINARY_TETRAHEDRAL, 24),
-        (GroupFamily.BINARY_OCTAHEDRAL, 48),
-        (GroupFamily.BINARY_ICOSAHEDRAL, 120),
-    ):
-        descriptor = GroupDescriptor(family, (), 1, order)
-        sets.append((family.value, klein_invariants(family), generator_matrices(descriptor)))
-    return sets
+    groups = [binary_group(GroupFamily.BINARY_DIHEDRAL, n) for n in (1, 2, 4)]
+    groups += [binary_group(family) for family in _POLYHEDRAL]
+    return [
+        (group.label(), klein_invariants(group.family, *group.params), generator_matrices(group))
+        for group in groups
+    ]
 
 
 def suite_invariance() -> List[Check]:
@@ -118,32 +118,23 @@ def suite_invariance() -> List[Check]:
             checks.append((f"{label} p{k}", ok, f"degree {basis.degrees[k - 1]}"))
     # negative control: nudge one exponent of the octahedral degree-12 form
     corrupted = parse_bivariate("u^10*v^2 + u^2*v^10 - 2*u^7*v^5")
-    descriptor = GroupDescriptor(GroupFamily.BINARY_OCTAHEDRAL, (), 1, 48)
-    failed = not check_invariance(corrupted, generator_matrices(descriptor))
+    octahedral = binary_group(GroupFamily.BINARY_OCTAHEDRAL)
+    failed = not check_invariance(corrupted, generator_matrices(octahedral))
     checks.append(("corrupted exponent rejected", failed, "negative control"))
     return checks
 
 
 def suite_group_orders() -> List[Check]:
     """Closure orders of the exact generator sets, plus unit determinants."""
-    expected = [
-        (GroupFamily.BINARY_TETRAHEDRAL, (), 24),
-        (GroupFamily.BINARY_OCTAHEDRAL, (), 48),
-        (GroupFamily.BINARY_ICOSAHEDRAL, (), 120),
-        (GroupFamily.BINARY_DIHEDRAL, (2,), 8),
-    ]
+    groups = [binary_group(family) for family in _POLYHEDRAL]
+    groups.append(binary_group(GroupFamily.BINARY_DIHEDRAL, 2))
     checks = []
-    for family, params, order in expected:
-        descriptor = GroupDescriptor(family, params, 1, order)
-        gens = generator_matrices(descriptor)
+    for group in groups:
+        gens = generator_matrices(group)
         got = group_closure_order(gens)
         dets = all(has_unit_determinant(m) for m in gens)
         checks.append(
-            (
-                descriptor.label(),
-                got == order and dets,
-                f"closure {got}, unit determinants {dets}",
-            )
+            (group.label(), got == group.order and dets, f"closure {got}, unit determinants {dets}")
         )
     return checks
 

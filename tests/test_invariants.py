@@ -207,13 +207,13 @@ class TestKleinMemo:
 
     def test_each_triple_is_verified_once(self, klein_memo, monkeypatch):
         calls = []
-        real = invariants._matrices_for_invariance
+        real = invariants.generator_matrices
 
-        def counting(tag, n):
-            calls.append((tag, n))
-            return real(tag, n)
+        def counting(descriptor):
+            calls.append((descriptor.family, descriptor.params[0] if descriptor.params else None))
+            return real(descriptor)
 
-        monkeypatch.setattr(invariants, "_matrices_for_invariance", counting)
+        monkeypatch.setattr(invariants, "generator_matrices", counting)
         for family, n in [(GroupFamily.BINARY_ICOSAHEDRAL, None), (GroupFamily.BINARY_DIHEDRAL, 2),
                           (GroupFamily.BINARY_DIHEDRAL, 3)] * 3:
             klein_invariants(family, n)
