@@ -4,10 +4,11 @@ Each three-fiber family determines the group through a single integer
 m = -e/chi of the link's Euler invariants; m then splits into a cyclic
 factor times a binary polyhedral group (or one of the U(2) groups D', T'
 when the relevant prime power divides m).  Exact 2x2 generator matrices
-over Q[i, sqrt2, sqrt5] are available for the binary polyhedral groups and
-for the cyclic actions whose root of unity lies in the ring; everything
-else carries order annotations only.  A matrix is the nested tuple of its
-rows ((a, b), (c, d)) of ExactScalars; this module alone multiplies them.
+over Q[i, sqrt2, sqrt5] are available for the binary polyhedral groups,
+built from unit quaternions, and for the cyclic actions whose root of
+unity lies in the ring; everything else carries order annotations only.
+A matrix is the nested tuple of its rows ((a, b), (c, d)) of
+ExactScalars; this module alone multiplies them.
 """
 
 from __future__ import annotations
@@ -207,31 +208,19 @@ def _diag(a: ExactScalar, d: ExactScalar) -> Matrix:
     return ((a, ZERO), (ZERO, d))
 
 
-_J = ((ZERO, ONE), (-ONE, ZERO))
+def _quaternion(a, b, c, d) -> Matrix:
+    """The SU(2) matrix of the unit quaternion a + b i + c j + d k."""
+    return ((a + b * I, c + d * I), (-c + d * I, a - b * I))
 
-# omega = (1 + i + j + k)/2 as a unit quaternion; shared by T*, O*, I*
-_OMEGA = (
-    (HALF * (ONE + I), HALF * (ONE + I)),
-    (HALF * (-ONE + I), HALF * (ONE - I)),
-)
 
-_T_SECOND = (
-    (HALF * (ONE + I), HALF * (ONE - I)),
-    (HALF * (-ONE - I), HALF * (ONE - I)),
-)
-
+_J = _quaternion(0, 0, 1, 0)
+# omega = (1 + i + j + k)/2, shared by T*, O*, I*
+_OMEGA = _quaternion(HALF, HALF, HALF, HALF)
+_T_SECOND = _quaternion(HALF, HALF, HALF, -HALF)
 # (j + k)/sqrt2
-_O_SECOND = (
-    (ZERO, HALF * SQRT2 * (ONE + I)),
-    (HALF * SQRT2 * (-ONE + I), ZERO),
-)
-
+_O_SECOND = _quaternion(0, 0, HALF * SQRT2, HALF * SQRT2)
 # (phi + i/phi + j)/2 with phi the golden ratio: a unit icosian
-_PHI_DIAG = (ONE + SQRT5) / 4 + I * ((SQRT5 - ONE) / 4)
-_I_SECOND = (
-    (_PHI_DIAG, HALF),
-    (-HALF, _PHI_DIAG.conjugate()),
-)
+_I_SECOND = _quaternion((ONE + SQRT5) / 4, (SQRT5 - ONE) / 4, HALF, 0)
 
 
 def generator_matrices(descriptor: GroupDescriptor) -> GeneratorSet:

@@ -3,9 +3,11 @@
 Three routes.  Cyclic (p, q) actions: the Hilbert basis of the exponent
 semigroup {(a, b) : a + q b = 0 mod p}, read off the Hirzebruch-Jung
 expansion of p/(p - q), gives a minimal list of invariant monomials.
-Binary polyhedral groups: the classical degree-(4, 2n, 2n+2) /
-(6, 8, 12) / (12, 8, 18) / (12, 20, 30) generator triples (x, y, z) with
-Klein's relation z^2 = S(x, y), both checked at first use, the triple
+Binary polyhedral groups: Klein's degree-(4, 2n, 2n+2) / (6, 8, 12) /
+(12, 8, 18) / (12, 20, 30) generator triples (x, y, z) with his relation
+z^2 = S(x, y) (Vorlesungen ueber das Ikosaeder, 1884): x a ground form, y
+a second form (for T*, O* and I* a multiple of a Hessian) and z a multiple
+of the Jacobian of x and y.  Both are checked at first use, the triple
 against the exact generator matrices and the relation by substitution.
 Products with a cyclic factor: monomials x^a y^b z^c whose weighted degree
 is 0 mod m, pruned to a minimal generating set in the normal form
@@ -31,7 +33,7 @@ from .exactmath import (
     grlex_key,
     in_span,
 )
-from .groups import GroupFamily, UnsupportedFamilyError, binary_group, generator_matrices
+from .groups import _J, GroupFamily, UnsupportedFamilyError, binary_group, generator_matrices
 from .linkdata import hj_expand
 
 
@@ -112,77 +114,59 @@ class InvariantBasis:
 # -- Klein invariants -------------------------------------------------------------
 
 
+def _partials(f: BivariatePoly) -> Tuple[BivariatePoly, BivariatePoly]:
+    """(f_u, f_v)."""
+    terms = f.terms.items()
+    return (BivariatePoly({(a - 1, b): c * a for (a, b), c in terms if a}),
+            BivariatePoly({(a, b - 1): c * b for (a, b), c in terms if b}))
+
+
+def _hessian(f: BivariatePoly) -> BivariatePoly:
+    """H(f) = f_uu f_vv - f_uv^2."""
+    f_u, f_v = _partials(f)
+    f_uu, f_uv = _partials(f_u)
+    return f_uu * _partials(f_v)[1] - f_uv * f_uv
+
+
+def _jacobian(f: BivariatePoly, g: BivariatePoly) -> BivariatePoly:
+    """J(f, g) = f_u g_v - f_v g_u."""
+    (f_u, f_v), (g_u, g_v) = _partials(f), _partials(g)
+    return f_u * g_v - f_v * g_u
+
+
+def _klein_triple(x: BivariatePoly, y: BivariatePoly, c) -> List[BivariatePoly]:
+    return [x, y, _jacobian(x, y).scale(c)]
+
+
+# Klein's octahedron form u v (v^4 - u^4), zero at the vertices 0, oo, +-1,
+# +-i, and the cube form u^8 + 14 u^4 v^4 + v^8, zero at the face centres
+_OCTAHEDRON = BivariatePoly.from_terms([(1, 1, 5), (-1, 5, 1)])
+_CUBE = _hessian(_OCTAHEDRON).scale(Fraction(-1, 25))
+
+
 def _dihedral_triple(n: int) -> List[BivariatePoly]:
-    uv = BivariatePoly.monomial(1, 1, 1)
-    p1 = uv * uv
-    p2 = BivariatePoly.from_terms([(1, 2 * n, 0), (1, 0, 2 * n)])
-    p3 = uv * BivariatePoly.from_terms([(1, 2 * n, 0), (-1, 0, 2 * n)])
-    return [p1, p2, p3]
+    x = BivariatePoly.monomial(1, 2, 2)
+    y = BivariatePoly.from_terms([(1, 2 * n, 0), (1, 0, 2 * n)])
+    return _klein_triple(x, y, Fraction(-1, 4 * n))
 
 
 def _tetrahedral_triple() -> List[BivariatePoly]:
-    p1 = BivariatePoly.from_terms([(1, 1, 5), (-1, 5, 1)])
-    p2 = BivariatePoly.from_terms([(1, 8, 0), (1, 0, 8), (14, 4, 4)])
-    p3 = BivariatePoly.from_terms([(1, 12, 0), (1, 0, 12), (-33, 8, 4), (-33, 4, 8)])
-    return [p1, p2, p3]
+    return _klein_triple(_OCTAHEDRON, _CUBE, Fraction(1, 8))
 
 
 def _octahedral_triple() -> List[BivariatePoly]:
-    p1 = BivariatePoly.from_terms([(1, 10, 2), (1, 2, 10), (-2, 6, 6)])
-    p2 = BivariatePoly.from_terms([(1, 8, 0), (1, 0, 8), (14, 4, 4)])
-    p3 = BivariatePoly.from_terms(
-        [(34, 5, 13), (-34, 13, 5), (1, 17, 1), (-1, 1, 17)]
-    )
-    return [p1, p2, p3]
+    return _klein_triple(_OCTAHEDRON ** 2, _CUBE, Fraction(-1, 16))
 
 
 def _icosahedral_triple() -> List[BivariatePoly]:
+    # the icosahedron form in the coordinates of the generators in groups;
+    # Klein's own, for another choice, is u v (u^10 + 11 u^5 v^5 - v^10)
     s5 = SQRT5
-    p1 = BivariatePoly.from_terms(
-        [
-            (s5, 12, 0),
-            (s5, 0, 12),
-            (-22, 10, 2),
-            (-22, 2, 10),
-            (ExactScalar.rational(-33) * s5, 8, 4),
-            (ExactScalar.rational(-33) * s5, 4, 8),
-            (44, 6, 6),
-        ]
-    )
-    p2 = BivariatePoly.from_terms(
-        [
-            (-3, 20, 0),
-            (-3, 0, 20),
-            (ExactScalar.rational(-38) * s5, 18, 2),
-            (ExactScalar.rational(-38) * s5, 2, 18),
-            (57, 16, 4),
-            (57, 4, 16),
-            (ExactScalar.rational(-456) * s5, 14, 6),
-            (ExactScalar.rational(-456) * s5, 6, 14),
-            (1482, 12, 8),
-            (1482, 8, 12),
-            (ExactScalar.rational(988) * s5, 10, 10),
-        ]
-    )
-    p3 = BivariatePoly.from_terms(
-        [
-            (225, 29, 1),
-            (-225, 1, 29),
-            (ExactScalar.rational(580) * s5, 27, 3),
-            (ExactScalar.rational(-580) * s5, 3, 27),
-            (15921, 25, 5),
-            (-15921, 5, 25),
-            (ExactScalar.rational(-20880) * s5, 23, 7),
-            (ExactScalar.rational(20880) * s5, 7, 23),
-            (90045, 21, 9),
-            (-90045, 9, 21),
-            (ExactScalar.rational(40020) * s5, 19, 11),
-            (ExactScalar.rational(-40020) * s5, 11, 19),
-            (570285, 17, 13),
-            (-570285, 13, 17),
-        ]
-    )
-    return [p1, p2, p3]
+    x = BivariatePoly.from_terms([
+        (s5, 12, 0), (s5, 0, 12), (-22, 10, 2), (-22, 2, 10),
+        (-33 * s5, 8, 4), (-33 * s5, 4, 8), (44, 6, 6),
+    ])
+    return _klein_triple(x, _hessian(x).scale(s5 / 9680), Fraction(-1, 32))
 
 
 @dataclass(frozen=True)
@@ -286,6 +270,8 @@ def klein_invariants(tag: GroupFamily, n: int = None) -> KleinBasis:
 def _verified_klein_basis(tag: GroupFamily, n: Optional[int]) -> KleinBasis:
     """Build the triple of klein_invariants and check it before use.
 
+    The triples and the relations S are Klein's (Vorlesungen ueber das
+    Ikosaeder, 1884), in the coordinates of the generators in groups.
     Each triple is verified to be fixed by both group generators, and the
     relation to vanish under exact substitution; a failure aborts loudly
     since every downstream relation would be wrong.  For D* with 2n outside
@@ -300,7 +286,7 @@ def _verified_klein_basis(tag: GroupFamily, n: Optional[int]) -> KleinBasis:
         polys, square = _octahedral_triple(), [(1, 1, 3), (-108, 3, 0)]
     elif tag is GroupFamily.BINARY_ICOSAHEDRAL:
         polys = _icosahedral_triple()
-        square = [(Fraction(-27, 4), 5, 0), (ExactScalar.rational(Fraction(-25, 4)) * SQRT5, 0, 3)]
+        square = [(Fraction(-27, 4), 5, 0), (SQRT5 * Fraction(-25, 4), 0, 3)]
     else:
         raise UnsupportedFamilyError(f"no invariant triple for {tag}")
     plain = InvariantBasis.from_polys(polys)
@@ -318,8 +304,6 @@ def _verified_klein_basis(tag: GroupFamily, n: Optional[int]) -> KleinBasis:
             # congruence, antidiagonal generator by exact substitution
             if not _check_diagonal_action(poly, 2 * n, 1, -1):
                 raise InvariantError(f"{poly} not fixed by the diagonal action")
-            from .groups import _J
-
             if poly.substitute_linear(_J) != poly:
                 raise InvariantError(f"{poly} not fixed by the antidiagonal action")
     if not basis.relation().substitute(basis.powers).is_zero():

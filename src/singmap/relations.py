@@ -9,10 +9,10 @@ generators are read, since the minimal relations sit there and nowhere
 else, and each image's binomials join its quadratic factorizations and the
 least of the others to the least quadratic one.  Maps by monomials in a
 Klein triple (binary polyhedral quotients and their cyclic products) get
-bounded-degree relations: for each weighted degree, the exact nullspace
-over Q(i, sqrt2, sqrt5) of the Klein normal forms, one sparse row per Klein
-monomial, whose echelon rows with independent parts of total degree <= 2
-are the new relations.
+bounded-degree relations: for each weighted degree w_i + w_j of a pair of
+generators, the exact nullspace over Q(i, sqrt2, sqrt5) of the Klein normal
+forms, one sparse row per Klein monomial, whose echelon rows with
+independent parts of total degree <= 2 are the new relations.
 verify_relation substitutes the generators and demands the identically zero
 polynomial; a relation among Klein monomials is first rewritten in the Klein
 triple itself, so its check expands powers of x, y, z that the map's
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import exactmath
@@ -239,7 +239,9 @@ def bounded_degree_relations(
 
     base is the KleinBasis of the generators' Klein triple and gens their
     exponent triples, which must minimally generate the ring of a rational
-    singularity, as every Z/m x G quotient map does.  Per weighted degree:
+    singularity, as every Z/m x G quotient map does.  A new relation has an
+    independent quadratic part (see _independent_low_parts), so only the
+    weighted degrees w_i + w_j of generator pairs are scanned.  Per degree:
     enumerate candidate monomials x^alpha in the generators in ascending
     graded-lex order, whose indices are the columns, write each as a Klein
     monomial in normal form, and take the exact kernel over the scalar
@@ -263,8 +265,8 @@ def bounded_degree_relations(
     check_degree_bound(degree_bound)
     nvars = len(gens)
     relations: List[MultiPoly] = []
-    step = gcd(*weights)
-    for degree in range(step, degree_bound + 1, step):
+    pair_sums = {w + v for k, w in enumerate(weights) for v in weights[k:]}
+    for degree in sorted(d for d in pair_sums if d <= degree_bound):
         if _count_reached(relations, expected_count):
             break
         exponents = weighted_exponents(weights, degree)[::-1]

@@ -4,7 +4,8 @@ from math import prod
 
 import pytest
 
-from singmap.exactmath import BivariatePoly, ExactScalar, HALF, I, ONE, SQRT5, ZERO
+from singmap import groups
+from singmap.exactmath import BivariatePoly, ExactScalar, HALF, I, ONE, SQRT2, SQRT5, ZERO
 from singmap.linkdata import Family, FamilyTag, SeifertData, euler_invariants, finite_pi1_family
 from singmap.groups import (
     GroupDescriptor,
@@ -224,6 +225,25 @@ class TestGeneratorMatrices:
             check_invariance(BivariatePoly.constant(1), gens)
         with pytest.raises(GroupError, match="order annotations only"):
             group_closure_order(gens)
+
+
+# the generator matrices written out entry by entry, kept as a reference
+# independent of the quaternions they are now built from
+_PHI_DIAG = (ONE + SQRT5) / 4 + I * ((SQRT5 - ONE) / 4)
+TABLE_MATRICES = {
+    "_J": ((ZERO, ONE), (-ONE, ZERO)),
+    "_OMEGA": ((HALF * (ONE + I), HALF * (ONE + I)), (HALF * (-ONE + I), HALF * (ONE - I))),
+    "_T_SECOND": ((HALF * (ONE + I), HALF * (ONE - I)), (HALF * (-ONE - I), HALF * (ONE - I))),
+    "_O_SECOND": ((ZERO, HALF * SQRT2 * (ONE + I)), (HALF * SQRT2 * (-ONE + I), ZERO)),
+    "_I_SECOND": ((_PHI_DIAG, HALF), (-HALF, _PHI_DIAG.conjugate())),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_MATRICES)
+def test_quaternion_matrices_match_the_table(name):
+    matrix = getattr(groups, name)
+    assert matrix == TABLE_MATRICES[name]
+    assert matrix_determinant(matrix) == ONE
 
 
 class TestClosureOrders:

@@ -1,6 +1,7 @@
 """Every name a singmap module imports is used by that module, every
-private module-level name is referenced somewhere in the package, and no
-module reads the environment.
+private module-level name is referenced somewhere in the package, no
+module reads the environment, and the package holds no float and imports
+nothing outside the standard library.
 
 The two package __init__ modules only re-export, so they are exempt from
 the import check.  A name counts as used when the module reads it
@@ -8,6 +9,7 @@ anywhere, as a bare name or as the root of an attribute.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -104,3 +106,38 @@ def test_no_environment_reads(path):
     # parameter or a command-line flag
     reads = list(environment_reads(ast.parse(path.read_text(encoding="utf-8"))))
     assert not reads, f"{path.name} reads the environment: {reads}"
+
+
+def outside_imports(tree):
+    """Each absolute import of a top-level module that is neither in the
+    standard library nor singmap itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.partition(".")[0]]
+        else:
+            continue
+        for root in roots:
+            if root != "singmap" and root not in sys.stdlib_module_names:
+                yield root, node.lineno
+
+
+def float_uses(tree):
+    """Each float or complex literal and each call of float()."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield repr(node.value), node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            yield "float(", node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_exact_and_standard_library_only(path):
+    # every number is exact (int, Fraction or ExactScalar) and the package
+    # runs on a bare Python install
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    outside = list(outside_imports(tree))
+    assert not outside, f"{path.name} imports outside the standard library: {outside}"
+    floats = list(float_uses(tree))
+    assert not floats, f"{path.name} uses floats: {floats}"

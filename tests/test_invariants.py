@@ -179,6 +179,70 @@ class TestKleinInvariants:
         assert basis.degrees == (4, 6, 8)
 
 
+# the triples as coefficient tables, kept as a reference independent of the
+# ground form, Hessian and Jacobian they are now built from
+TABLE_TRIPLES = {
+    GroupFamily.BINARY_TETRAHEDRAL: [
+        "u*v^5 - u^5*v",
+        "u^8 + 14*u^4*v^4 + v^8",
+        "u^12 - 33*u^8*v^4 - 33*u^4*v^8 + v^12",
+    ],
+    GroupFamily.BINARY_OCTAHEDRAL: [
+        "u^10*v^2 - 2*u^6*v^6 + u^2*v^10",
+        "u^8 + 14*u^4*v^4 + v^8",
+        "u^17*v - 34*u^13*v^5 + 34*u^5*v^13 - u*v^17",
+    ],
+    GroupFamily.BINARY_ICOSAHEDRAL: [
+        "s5*u^12 - 22*u^10*v^2 - 33*s5*u^8*v^4 + 44*u^6*v^6 - 33*s5*u^4*v^8"
+        " - 22*u^2*v^10 + s5*v^12",
+        "-3*u^20 - 38*s5*u^18*v^2 + 57*u^16*v^4 - 456*s5*u^14*v^6 + 1482*u^12*v^8"
+        " + 988*s5*u^10*v^10 + 1482*u^8*v^12 - 456*s5*u^6*v^14 + 57*u^4*v^16"
+        " - 38*s5*u^2*v^18 - 3*v^20",
+        "225*u^29*v + 580*s5*u^27*v^3 + 15921*u^25*v^5 - 20880*s5*u^23*v^7"
+        " + 90045*u^21*v^9 + 40020*s5*u^19*v^11 + 570285*u^17*v^13"
+        " - 570285*u^13*v^17 - 40020*s5*u^11*v^19 - 90045*u^9*v^21"
+        " + 20880*s5*u^7*v^23 - 15921*u^5*v^25 - 580*s5*u^3*v^27 - 225*u*v^29",
+    ],
+}
+
+
+def table_dihedral_triple(n):
+    """u^2 v^2, u^2n + v^2n and u v (u^2n - v^2n)."""
+    return [
+        BivariatePoly.monomial(1, 2, 2),
+        BivariatePoly.from_terms([(1, 2 * n, 0), (1, 0, 2 * n)]),
+        BivariatePoly.from_terms([(1, 2 * n + 1, 1), (-1, 1, 2 * n + 1)]),
+    ]
+
+
+class TestKleinConstructions:
+    """Each triple is a ground form x, a second form y and c J(x, y); the
+    derived triples must equal the coefficient tables above."""
+
+    @pytest.mark.parametrize("family, builder", [
+        (GroupFamily.BINARY_TETRAHEDRAL, "_tetrahedral_triple"),
+        (GroupFamily.BINARY_OCTAHEDRAL, "_octahedral_triple"),
+        (GroupFamily.BINARY_ICOSAHEDRAL, "_icosahedral_triple"),
+    ])
+    def test_polyhedral_triples_match_the_tables(self, family, builder):
+        expected = [parse_bivariate(text) for text in TABLE_TRIPLES[family]]
+        assert getattr(invariants, builder)() == expected
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_dihedral_triples_match_the_table(self, n):
+        assert invariants._dihedral_triple(n) == table_dihedral_triple(n)
+
+    def test_hessian_of_the_octahedron_form(self):
+        phi = parse_bivariate("u*v^5 - u^5*v")
+        assert invariants._hessian(phi) == parse_bivariate("u^8 + 14*u^4*v^4 + v^8").scale(-25)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_jacobian_of_the_dihedral_forms(self, n):
+        x, y, _ = table_dihedral_triple(n)
+        expected = BivariatePoly.from_terms([(-4 * n, 2 * n + 1, 1), (4 * n, 1, 2 * n + 1)])
+        assert invariants._jacobian(x, y) == expected
+
+
 @pytest.fixture
 def klein_memo(monkeypatch):
     """An empty memo of verified Klein bases for the test; the process's
