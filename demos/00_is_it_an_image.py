@@ -9,7 +9,7 @@ the orbifold Euler characteristic chi and the rational Euler number e,
 matches the finite families, and names the acting group.
 """
 
-from singmap.linkdata import SeifertData, euler_invariants, finite_pi1_family
+from singmap.linkdata import SeifertData, euler_invariants
 from singmap.pipeline import (
     InfinitePi1Error,
     NotSingularityLinkError,
@@ -33,7 +33,6 @@ for label, link in CASES:
     except NotSingularityLinkError as err:
         print(f"    -> {err}")
     except InfinitePi1Error:
-        family = finite_pi1_family(link)
         print("    -> pi_1 of the link is infinite: NOT an image of a finite map")
     else:
         print(f"    -> pi_1 = {out.group.label()} of order {out.group.order}: "

@@ -23,7 +23,7 @@ from singmap.relations import verify_relation
 
 link = SeifertData.normalized(3, [(2, 1), (2, 1), (2, 1)])
 family = finite_pi1_family(link)
-group = group_from_seifert(family, link)
+group = group_from_seifert(family)
 print("link: {3; (2,1)(2,1)(2,1)}")
 print("group:", group.label(), "of order", group.order)
 

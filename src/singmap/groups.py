@@ -1,12 +1,13 @@
 """Fundamental groups of the finite-pi1 links and their matrix generators.
 
 Each three-fiber family determines the group through a single integer
-m = -e/chi of the link's Euler invariants; m then splits into a cyclic
-factor times a binary polyhedral group (or one of the U(2) groups D', T'
-when the relevant prime power divides m).  Exact 2x2 generator matrices
-over Q[i, sqrt2, sqrt5] are available for the binary polyhedral groups,
-built from unit quaternions, and for the cyclic actions whose root of
-unity lies in the ring; everything else carries order annotations only.
+m = -e/chi of the Euler invariants its Family carries; m then splits into
+a cyclic factor times a binary polyhedral group (or one of the U(2)
+groups D', T' when the relevant prime power divides m).  Exact 2x2
+generator matrices over Q[i, sqrt2, sqrt5] are available for the binary
+polyhedral groups, built from unit quaternions, and for the cyclic
+actions whose root of unity lies in the ring; everything else carries
+order annotations only.
 A matrix is the nested tuple of its rows ((a, b), (c, d)) of
 ExactScalars; this module alone multiplies them.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .exactmath import ExactScalar, HALF, I, ONE, SQRT2, SQRT5, ZERO
-from .linkdata import Family, FamilyTag, euler_invariants
+from .linkdata import Family, FamilyTag
 
 # a 2x2 matrix as its rows ((a, b), (c, d))
 Matrix = Tuple[Tuple[ExactScalar, ExactScalar], Tuple[ExactScalar, ExactScalar]]
@@ -117,24 +118,21 @@ def binary_group(family: GroupFamily, n: int = None) -> GroupDescriptor:
     return GroupDescriptor(family, (), 1, order)
 
 
-def group_from_seifert(family: Family, link=None) -> GroupDescriptor:
-    """Group of the link from its recognized family and its Seifert data.
+def group_from_seifert(family: Family) -> GroupDescriptor:
+    """Group of the link from its recognized family alone.
 
     Every three-fiber family has the cyclic modulus m = -e/chi, read off
-    the link's Euler invariants (for the binary polyhedral G the whole
-    group Z/m x G has order -4e/chi^2).  Odd m (dihedral) and m coprime
-    to 3 (tetrahedral) give the plain product with the binary group;
-    otherwise the 2- resp. 3-power moves into D' resp. T'.
+    the Euler invariants the family carries (for the binary polyhedral G
+    the whole group Z/m x G has order -4e/chi^2).  Odd m (dihedral) and m
+    coprime to 3 (tetrahedral) give the plain product with the binary
+    group; otherwise the 2- resp. 3-power moves into D' resp. T'.
     """
     if not family.is_finite:
         raise GroupError("fundamental group is not finite")
     if family.tag is FamilyTag.LENS:
         p, q = family.params
         return GroupDescriptor(GroupFamily.CYCLIC, (p, q), 1, p)
-    if link is None:
-        raise GroupError("link is required for the three-fiber families")
-    chi, e = euler_invariants(link)
-    m = -e / chi
+    m = -family.e / family.chi
     if m <= 0:
         raise GroupError(f"m = {m} is not positive; data is not a singularity link")
     m = int(m)  # an integer on every three-fiber family

@@ -233,12 +233,6 @@ class KleinBasis(InvariantBasis):
         return self.powers.monomial(exponent)
 
 
-def _check_diagonal_action(poly: BivariatePoly, order: int, ru: int, rv: int) -> bool:
-    """Invariance under u -> zeta^ru u, v -> zeta^rv v for zeta of the given
-    order, checked per exponent: needs ru*a + rv*b = 0 mod order."""
-    return all((ru * a + rv * b) % order == 0 for a, b in poly.terms)
-
-
 _KLEIN_BASES: Dict[object, KleinBasis] = {}
 
 
@@ -300,9 +294,10 @@ def _verified_klein_basis(tag: GroupFamily, n: Optional[int]) -> KleinBasis:
                         f"invariant {poly} is not fixed by its group generator"
                     )
         else:
-            # D* with an inexact root of unity: diagonal action by the
-            # congruence, antidiagonal generator by exact substitution
-            if not _check_diagonal_action(poly, 2 * n, 1, -1):
+            # D* with an inexact root of unity: u^a v^b is fixed by
+            # diag(zeta, zeta^-1), zeta of order 2n, iff a = b mod 2n; the
+            # antidiagonal generator by exact substitution
+            if any((a - b) % (2 * n) for a, b in poly.terms):
                 raise InvariantError(f"{poly} not fixed by the diagonal action")
             if poly.substitute_linear(_J) != poly:
                 raise InvariantError(f"{poly} not fixed by the antidiagonal action")

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 
@@ -235,18 +235,17 @@ def _leaves_first_elimination(graph: PlumbingGraph) -> bool:
 def euler_invariants(link) -> Tuple[Fraction, Fraction]:
     """(orbifold Euler characteristic, rational Euler number).
 
-    chi = 2 - k + sum 1/p_i and e = -b + sum q_i/p_i; lens data uses the
-    convention (1, 0)(p, q), i.e. b = 0 and a single fiber.
+    chi = 2 - k + sum 1/p_i and e = -b + sum q_i/p_i (Jankins-Neumann),
+    summed over the common denominator lcm(p_i).  Lens data L(p, q) is the
+    Seifert data b = 0 with the single fiber (p, q).
     """
     if isinstance(link, LensData):
-        chi = Fraction(2) - 1 + Fraction(1, link.p)
-        e = Fraction(link.q, link.p)
-        return chi, e
-    chi = Fraction(2) - len(link.fibers)
-    e = Fraction(-link.b)
-    for p, q in link.fibers:
-        chi += Fraction(1, p)
-        e += Fraction(q, p)
+        b, fibers = 0, ((link.p, link.q),)
+    else:
+        b, fibers = link.b, link.fibers
+    den = lcm(*(p for p, _ in fibers))
+    chi = Fraction((2 - len(fibers)) * den + sum(den // p for p, _ in fibers), den)
+    e = Fraction(sum(q * (den // p) for p, q in fibers) - b * den, den)
     return chi, e
 
 
@@ -261,14 +260,17 @@ class FamilyTag(enum.Enum):
 
 @dataclass(frozen=True)
 class Family:
-    """Recognized finite-pi1 family with its fiber parameters.
+    """Recognized finite-pi1 family with its fiber parameters and the
+    link's Euler invariants chi and e (see euler_invariants).
 
     params: (p, q) for LENS and DIHEDRAL, (q1, q2) for the three polyhedral
     families, () for NOT_FINITE.
     """
 
     tag: FamilyTag
-    params: Tuple[int, ...] = ()
+    params: Tuple[int, ...]
+    chi: Fraction
+    e: Fraction
 
     @property
     def is_finite(self) -> bool:
@@ -302,31 +304,27 @@ def seifert_to_lens(link: SeifertData) -> LensData:
 
 def finite_pi1_family(link) -> Family:
     """Match normalized link data against the finite-fundamental-group
-    families; NOT_FINITE when chi <= 0, e = 0, or the fiber pattern fits no
-    family."""
-    if isinstance(link, LensData):
-        return Family(FamilyTag.LENS, (link.p, link.q))
+    families, carrying the link's Euler invariants; NOT_FINITE when
+    chi <= 0 or e = 0."""
     chi, e = euler_invariants(link)
+    return Family(*_family_of(link, chi, e), chi, e)
+
+
+def _family_of(link, chi: Fraction, e: Fraction) -> Tuple[FamilyTag, Tuple[int, ...]]:
+    if isinstance(link, LensData):
+        return FamilyTag.LENS, (link.p, link.q)
     if chi <= 0 or e == 0:
-        return Family(FamilyTag.NOT_FINITE)
-    fibers = tuple(sorted(link.fibers))
-    if len(fibers) > 3:
-        return Family(FamilyTag.NOT_FINITE)
-    if len(fibers) <= 2:
+        return FamilyTag.NOT_FINITE, ()
+    if len(link.fibers) <= 2:
         lens = seifert_to_lens(link)
-        return Family(FamilyTag.LENS, (lens.p, lens.q))
-    (p1, q1), (p2, q2), (p3, q3) = fibers
-    if (p1, q1) != (2, 1):
-        return Family(FamilyTag.NOT_FINITE)
+        return FamilyTag.LENS, (lens.p, lens.q)
+    # chi > 0 leaves three fibers only on the platonic triples (2, 2, p),
+    # (2, 3, 3), (2, 3, 4) and (2, 3, 5); p = 2 forces q = 1
+    _, (p2, q2), (p3, q3) = sorted(link.fibers)
     if p2 == 2:
-        return Family(FamilyTag.DIHEDRAL, (p3, q3))
-    if p2 == 3 and p3 == 3:
-        return Family(FamilyTag.TETRAHEDRAL, (q2, q3))
-    if p2 == 3 and p3 == 4:
-        return Family(FamilyTag.OCTAHEDRAL, (q2, q3))
-    if p2 == 3 and p3 == 5:
-        return Family(FamilyTag.ICOSAHEDRAL, (q2, q3))
-    return Family(FamilyTag.NOT_FINITE)
+        return FamilyTag.DIHEDRAL, (p3, q3)
+    tag = {3: FamilyTag.TETRAHEDRAL, 4: FamilyTag.OCTAHEDRAL, 5: FamilyTag.ICOSAHEDRAL}[p3]
+    return tag, (q2, q3)
 
 
 # -- plumbing graph -> link ----------------------------------------------------

@@ -1,7 +1,8 @@
 """End-to-end classification and map synthesis.
 
-classify_link runs: family recognition, group identification, plumbing
-construction, negative-definiteness, Laufer's algorithm.  synthesize_map
+classify_link runs: plumbing construction, negative-definiteness, family
+recognition (with the Euler invariants), group identification, Laufer's
+algorithm.  synthesize_map
 adds the invariant-polynomial map and its verified relations.  Output is a
 plain dict with a stable key layout so the CLI can serialize it
 byte-identically for identical inputs.
@@ -10,7 +11,7 @@ byte-identically for identical inputs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from .exactmath import format_bivariate
@@ -81,10 +82,9 @@ class ClassificationOutput:
         return self.family.is_finite
 
     def to_dict(self) -> dict:
-        chi, e = euler_invariants(self.link)
         out = {
             "input": link_to_dict(self.link),
-            "euler": {"chi": str(chi), "e": str(e)},
+            "euler": {"chi": str(self.family.chi), "e": str(self.family.e)},
             "family": self.family.tag.value,
             "family_params": list(self.family.params),
             "group": self.group.to_dict() if self.group else None,
@@ -205,8 +205,8 @@ def classify_link(link) -> ClassificationOutput:
         )
     family = finite_pi1_family(link)
     if not family.is_finite:
-        raise InfinitePi1Error(*euler_invariants(link))
-    group = group_from_seifert(family, link)
+        raise InfinitePi1Error(family.chi, family.e)
+    group = group_from_seifert(family)
     report = multiplicity_and_embdim(graph)
     return ClassificationOutput(link, family, group, graph, report)
 
@@ -281,13 +281,4 @@ def synthesize_map(link, max_degree: int = None) -> ClassificationOutput:
             f"{len(relations.relations)} of the {relations.expected_count} relations "
             "Wahl's count requires; the relation set is incomplete"
         )
-    return ClassificationOutput(
-        classified.link,
-        classified.family,
-        group,
-        classified.graph,
-        classified.report,
-        invariant_map=basis,
-        relations=relations,
-        warnings=tuple(warnings),
-    )
+    return replace(classified, invariant_map=basis, relations=relations, warnings=tuple(warnings))

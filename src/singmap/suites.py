@@ -147,23 +147,25 @@ def family_sweep(b_max: int = 5, p_max: int = 7):
         (p, q) for p in range(2, p_max + 1) for q in range(1, p) if gcd(p, q) == 1
     ]
     instances = []
+
+    def add(link, tag, params, b):
+        instances.append((link, Family(tag, params, *euler_invariants(link)), b))
+
     for p, q in coprime_pairs:
-        instances.append((LensData(p, q), Family(FamilyTag.LENS, (p, q)), None))
+        add(LensData(p, q), FamilyTag.LENS, (p, q), None)
     for b in range(2, b_max + 1):
         for p, q in coprime_pairs:
-            link = SeifertData.normalized(b, [(2, 1), (2, 1), (p, q)])
-            instances.append((link, Family(FamilyTag.DIHEDRAL, (p, q)), b))
+            add(SeifertData.normalized(b, [(2, 1), (2, 1), (p, q)]), FamilyTag.DIHEDRAL, (p, q), b)
         for q1 in (1, 2):
             for q2 in (1, 2):
                 link = SeifertData.normalized(b, [(2, 1), (3, q1), (3, q2)])
-                family = Family(FamilyTag.TETRAHEDRAL, tuple(sorted((q1, q2))))
-                instances.append((link, family, b))
+                add(link, FamilyTag.TETRAHEDRAL, tuple(sorted((q1, q2))), b)
             for q2 in (1, 3):
                 link = SeifertData.normalized(b, [(2, 1), (3, q1), (4, q2)])
-                instances.append((link, Family(FamilyTag.OCTAHEDRAL, (q1, q2)), b))
+                add(link, FamilyTag.OCTAHEDRAL, (q1, q2), b)
             for q2 in (1, 2, 3, 4):
                 link = SeifertData.normalized(b, [(2, 1), (3, q1), (5, q2)])
-                instances.append((link, Family(FamilyTag.ICOSAHEDRAL, (q1, q2)), b))
+                add(link, FamilyTag.ICOSAHEDRAL, (q1, q2), b)
     return instances
 
 
@@ -176,10 +178,9 @@ def suite_multiplicity_crosscheck(b_max: int = 5, p_max: int = 7) -> List[Check]
     for link, family, b in instances:
         count += 1
         graph = seifert_to_plumbing(link)
-        _, e = euler_invariants(link)
         negdef = negdef_check(graph)
-        if isinstance(link, SeifertData) and negdef != (e < 0):
-            failures.append(f"{link}: negdef {negdef} but e = {e}")
+        if isinstance(link, SeifertData) and negdef != (family.e < 0):
+            failures.append(f"{link}: negdef {negdef} but e = {family.e}")
             continue
         if not negdef:
             continue

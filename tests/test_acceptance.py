@@ -154,12 +154,12 @@ def test_criterion_7_group_formulas():
     ]
     for (q1, q2), family, third_p in expected_simple:
         link = SeifertData.normalized(2, [(2, 1), (3, q1), (third_p, q2)])
-        descriptor = group_from_seifert(finite_pi1_family(link), link)
+        descriptor = group_from_seifert(finite_pi1_family(link))
         assert descriptor.family is family, link
         assert descriptor.cyclic_factor == 1, link
     for k in range(1, 6):
         link = SeifertData.normalized(2, [(2, 1), (2, 1), (k + 1, k)])
-        descriptor = group_from_seifert(finite_pi1_family(link), link)
+        descriptor = group_from_seifert(finite_pi1_family(link))
         assert descriptor.family is GroupFamily.BINARY_DIHEDRAL
         assert descriptor.cyclic_factor == 1
         assert descriptor.params == (k + 1,)
@@ -251,10 +251,10 @@ def test_documented_inconsistency_tetrahedral_m5():
         (0, 0, 5),
     ]
     b2 = SeifertData.normalized(2, [(2, 1), (3, 1), (3, 1)])
-    descriptor = group_from_seifert(finite_pi1_family(b2), b2)
+    descriptor = group_from_seifert(finite_pi1_family(b2))
     assert descriptor.cyclic_factor == 5
     assert multiplicity_and_embdim(seifert_to_plumbing(b2)).embedding_dimension == 5
     b3 = SeifertData.normalized(3, [(2, 1), (3, 1), (3, 1)])
-    descriptor = group_from_seifert(finite_pi1_family(b3), b3)
+    descriptor = group_from_seifert(finite_pi1_family(b3))
     assert descriptor.cyclic_factor == 11
     assert multiplicity_and_embdim(seifert_to_plumbing(b3)).embedding_dimension == 6

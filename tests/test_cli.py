@@ -41,15 +41,29 @@ class TestClassify:
         assert data["report"]["multiplicity"] == 2
         assert data["report"]["embedding_dimension"] == 3
 
-    def test_not_negative_definite(self, capsys):
-        code, _, err = run_cli(capsys, "classify", "--seifert", "1;(2,1)(2,1)(2,1)")
-        assert code == 3
-        assert "negative definite" in err
+    # classify checks the plumbing before it recognizes the family: the
+    # last two links would read as non-normal-form (exit 2) the other way
+    @pytest.mark.parametrize("text, e", [
+        ("1;(2,1)(2,1)(2,1)", "1/2"),
+        ("0;(2,1)", "1/2"),
+        ("0;(3,1)(3,2)", "1"),
+    ])
+    def test_not_negative_definite(self, capsys, text, e):
+        code, out, err = run_cli(capsys, "classify", "--seifert", text)
+        assert code == 3 and out == ""
+        assert err == (
+            f"error: plumbing is not negative definite (e(L) = {e}); not a singularity link\n"
+        )
+
+    def test_non_normal_form_after_plumbing(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "--seifert", "1;(2,1)")
+        assert code == 2 and out == ""
+        assert err == "error: central weight -b with b = 1 is not in normal form\n"
 
     def test_infinite_fundamental_group(self, capsys):
         code, out, err = run_cli(capsys, "classify", "--seifert", "2;(2,1)(3,1)(7,1)")
         assert code == 4
-        assert "infinite" in err
+        assert err == "error: fundamental group is infinite (chi = -1/42, e = -43/42)\n"
         verdict = json.loads(out)
         assert verdict["family"] == "not-finite"
         assert verdict["is_image_of_finite_map"] is False

@@ -6,7 +6,7 @@ import pytest
 
 from singmap import groups
 from singmap.exactmath import BivariatePoly, ExactScalar, HALF, I, ONE, SQRT2, SQRT5, ZERO
-from singmap.linkdata import Family, FamilyTag, SeifertData, euler_invariants, finite_pi1_family
+from singmap.linkdata import Family, FamilyTag, LensData, SeifertData, euler_invariants, finite_pi1_family
 from singmap.groups import (
     GroupDescriptor,
     GroupError,
@@ -26,7 +26,7 @@ from singmap.suites import family_sweep
 
 def descriptor_for(b, fibers):
     link = SeifertData.normalized(b, fibers)
-    return group_from_seifert(finite_pi1_family(link), link)
+    return group_from_seifert(finite_pi1_family(link))
 
 
 class TestGroupFromSeifert:
@@ -90,7 +90,7 @@ class TestGroupFromSeifert:
         assert d.order == 48
 
     def test_lens(self):
-        d = group_from_seifert(Family(FamilyTag.LENS, (5, 2)))
+        d = group_from_seifert(Family(FamilyTag.LENS, (5, 2), *euler_invariants(LensData(5, 2))))
         assert d.family is GroupFamily.CYCLIC
         assert d.params == (5, 2)
         assert d.order == 5
@@ -99,11 +99,12 @@ class TestGroupFromSeifert:
         # b = 1: e = 1/3 > 0, so m = -e/chi = -1 and the data is no singularity link
         link = SeifertData.normalized(1, [(2, 1), (2, 1), (3, 1)])
         with pytest.raises(GroupError, match="m = -1 is not positive"):
-            group_from_seifert(finite_pi1_family(link), link)
+            group_from_seifert(finite_pi1_family(link))
 
     def test_rejects_not_finite(self):
+        link = SeifertData.normalized(2, [(2, 1), (3, 1), (7, 1)])
         with pytest.raises(GroupError):
-            group_from_seifert(Family(FamilyTag.NOT_FINITE), SeifertData.normalized(2, [(2, 1), (3, 1), (7, 1)]))
+            group_from_seifert(Family(FamilyTag.NOT_FINITE, (), *euler_invariants(link)))
 
 
 # the textbook case analysis of m, kept as a reference independent of -e/chi
@@ -126,7 +127,7 @@ def sweep_groups(families):
     rows = []
     for link, family, _ in three_fiber_sweep():
         if euler_invariants(link)[1] < 0:
-            descriptor = group_from_seifert(family, link)
+            descriptor = group_from_seifert(family)
             if descriptor.family in families:
                 rows.append((link, descriptor))
     assert rows
@@ -146,7 +147,7 @@ class TestSweepAgainstTextbook:
         assert len(sweep) > 600
         for link, family, b in sweep:
             if euler_invariants(link)[1] < 0:
-                descriptor = group_from_seifert(family, link)
+                descriptor = group_from_seifert(family)
                 expected = TEXTBOOK_M[family.tag](b, *family.params)
                 assert dict(descriptor.extras).get("m_raw", descriptor.cyclic_factor) == expected, link
 

@@ -23,6 +23,7 @@ from singmap.linkdata import (
     seifert_to_lens,
     seifert_to_plumbing,
 )
+from singmap.suites import family_sweep
 
 
 class TestHirzebruchJung:
@@ -245,7 +246,47 @@ class TestAdjacency:
         assert first == second and hash(first) == hash(second)
 
 
+def reference_euler_invariants(b, fibers):
+    """chi = 2 - k + sum 1/p_i and e = -b + sum q_i/p_i, one Fraction per fiber."""
+    chi, e = Fraction(2 - len(fibers)), Fraction(-b)
+    for p, q in fibers:
+        chi += Fraction(1, p)
+        e += Fraction(q, p)
+    return chi, e
+
+
 class TestEulerInvariants:
+    def test_lens_is_one_fiber_over_b_zero(self):
+        assert euler_invariants(LensData(1, 0)) == reference_euler_invariants(0, [(1, 0)])
+        assert euler_invariants(LensData(1, 0)) == (Fraction(2), Fraction(0))
+        for p in range(2, 40):
+            for q in range(1, p):
+                if gcd(p, q) == 1:
+                    expected = reference_euler_invariants(0, [(p, q)])
+                    assert euler_invariants(LensData(p, q)) == expected, (p, q)
+
+    @pytest.mark.parametrize("b", [-3, 0, 1, 5])
+    def test_no_fibers_matches_reference(self, b):
+        link = SeifertData.normalized(b, [])
+        assert euler_invariants(link) == reference_euler_invariants(b, []) == (2, -b)
+
+    @pytest.mark.parametrize("b", [-4, -1, 0])
+    def test_nonpositive_b_matches_reference(self, b):
+        fibers = [(2, 1), (3, 2), (7, 3)]
+        link = SeifertData.normalized(b, fibers)
+        assert euler_invariants(link) == reference_euler_invariants(b, fibers)
+
+    def test_seeded_corpus_matches_reference(self):
+        rng = random.Random(19)
+        for _ in range(2000):
+            b = rng.randint(-5, 8)
+            fibers = []
+            for _ in range(rng.randint(0, 5)):
+                p = rng.randint(2, 30)
+                fibers.append((p, rng.choice([q for q in range(1, p) if gcd(p, q) == 1])))
+            link = SeifertData.normalized(b, fibers)
+            assert euler_invariants(link) == reference_euler_invariants(b, fibers), link
+
     def test_icosahedral_values(self):
         link = SeifertData.normalized(2, [(2, 1), (3, 1), (5, 1)])
         chi, e = euler_invariants(link)
@@ -264,12 +305,19 @@ class TestEulerInvariants:
 
 
 class TestFamilyRecognition:
+    def test_family_carries_euler_invariants(self):
+        for link, family, _ in family_sweep(12, 12):
+            recognized = finite_pi1_family(link)
+            assert (recognized.chi, recognized.e) == euler_invariants(link), link
+            assert recognized == family, link
+
     def test_icosahedral(self):
         link = SeifertData.normalized(2, [(2, 1), (3, 1), (5, 1)])
-        assert finite_pi1_family(link) == Family(FamilyTag.ICOSAHEDRAL, (1, 1))
+        assert finite_pi1_family(link) == Family(FamilyTag.ICOSAHEDRAL, (1, 1), *euler_invariants(link))
 
     def test_lens(self):
-        assert finite_pi1_family(LensData(7, 3)) == Family(FamilyTag.LENS, (7, 3))
+        link = LensData(7, 3)
+        assert finite_pi1_family(link) == Family(FamilyTag.LENS, (7, 3), *euler_invariants(link))
 
     def test_not_finite_2_3_7(self):
         link = SeifertData.normalized(2, [(2, 1), (3, 1), (7, 1)])
@@ -279,7 +327,7 @@ class TestFamilyRecognition:
 
     def test_dihedral_all_twos(self):
         link = SeifertData.normalized(3, [(2, 1), (2, 1), (2, 1)])
-        assert finite_pi1_family(link) == Family(FamilyTag.DIHEDRAL, (2, 1))
+        assert finite_pi1_family(link) == Family(FamilyTag.DIHEDRAL, (2, 1), *euler_invariants(link))
 
     def test_two_fiber_data_reduces_to_lens(self):
         link = SeifertData.normalized(2, [(2, 1), (3, 1)])

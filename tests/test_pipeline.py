@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from singmap import linkdata
+from singmap import linkdata, pipeline
 from singmap.exactmath import format_bivariate
 from singmap.groups import GroupFamily, UnsupportedFamilyError
 from singmap.linkdata import LensData, LinkError, SeifertData
@@ -75,6 +75,27 @@ class TestClassify:
         monkeypatch.setattr(linkdata, "_leaves_first_elimination", counting)
         output = classify_link(SeifertData.normalized(2, [(2, 1), (3, 2), (5, 4)]))
         assert len(calls) == 1 and calls[0] is output.graph
+
+    @pytest.mark.parametrize("link", [
+        LensData(5, 2),
+        SeifertData.normalized(2, [(2, 1), (3, 1)]),
+        SeifertData.normalized(2, [(2, 1), (3, 2), (5, 4)]),
+        SeifertData.normalized(2, [(2, 1), (2, 1), (3, 1)]),
+    ])
+    def test_euler_invariants_evaluated_once(self, monkeypatch, link):
+        # finite_pi1_family evaluates them; the group and the output dict
+        # read them off the Family
+        calls = []
+        real = linkdata.euler_invariants
+
+        def counting(data):
+            calls.append(data)
+            return real(data)
+
+        monkeypatch.setattr(linkdata, "euler_invariants", counting)
+        monkeypatch.setattr(pipeline, "euler_invariants", counting)
+        classify_link(link).to_dict()
+        assert calls == [link]
 
     def test_infinite_pi1(self):
         with pytest.raises(InfinitePi1Error):

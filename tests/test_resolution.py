@@ -2,6 +2,7 @@
 closed-form tables."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from singmap.linkdata import (
     LinkError,
     PlumbingGraph,
     SeifertData,
+    euler_invariants,
     seifert_to_plumbing,
 )
 from singmap.resolution import (
@@ -128,34 +130,45 @@ class TestMultiplicityReport:
         }
 
 
+def seifert_family(tag, params, b, fibers):
+    """Family(tag, params) with the Euler invariants of {b; fibers}."""
+    return Family(tag, params, *euler_invariants(SeifertData.normalized(b, fibers)))
+
+
+def lens_family(p, q):
+    return Family(FamilyTag.LENS, (p, q), *euler_invariants(LensData(p, q)))
+
+
 class TestClosedForms:
     def test_tetrahedral_e6(self):
-        family = Family(FamilyTag.TETRAHEDRAL, (2, 2))
+        family = seifert_family(FamilyTag.TETRAHEDRAL, (2, 2), 2, [(2, 1), (3, 2), (3, 2)])
         assert closed_form_multiplicity(family, 2) == 2
 
     def test_icosahedral_b3(self):
-        family = Family(FamilyTag.ICOSAHEDRAL, (1, 1))
+        family = seifert_family(FamilyTag.ICOSAHEDRAL, (1, 1), 3, [(2, 1), (3, 1), (5, 1)])
         assert closed_form_multiplicity(family, 3) == 7
 
     def test_dihedral_b3(self):
-        family = Family(FamilyTag.DIHEDRAL, (2, 1))
+        family = seifert_family(FamilyTag.DIHEDRAL, (2, 1), 3, [(2, 1), (2, 1), (2, 1)])
         assert closed_form_multiplicity(family, 3) == 3
 
     def test_dihedral_b2_leading_twos(self):
         # (5, 3) expands to [2, 3]: one leading 2
-        family = Family(FamilyTag.DIHEDRAL, (5, 3))
+        family = seifert_family(FamilyTag.DIHEDRAL, (5, 3), 2, [(2, 1), (2, 1), (5, 3)])
         assert closed_form_multiplicity(family, 2) == 3
 
     def test_lens_rows(self):
-        assert closed_form_multiplicity(Family(FamilyTag.LENS, (5, 2))) == 3
-        assert closed_form_multiplicity(Family(FamilyTag.LENS, (1, 0))) == 1
-        assert closed_form_multiplicity(Family(FamilyTag.LENS, (7, 1))) == 7
+        assert closed_form_multiplicity(lens_family(5, 2)) == 3
+        assert closed_form_multiplicity(lens_family(1, 0)) == 1
+        assert closed_form_multiplicity(lens_family(7, 1)) == 7
 
     def test_rejects_unknown_parameters(self):
+        # (4, 2) is no fiber, so these are the invariants {2; (2,1)(3,2)(4,2)} would have
+        not_a_link = Family(FamilyTag.OCTAHEDRAL, (2, 2), Fraction(1, 12), Fraction(-1, 3))
         with pytest.raises(ValueError):
-            closed_form_multiplicity(Family(FamilyTag.OCTAHEDRAL, (2, 2)), 2)
+            closed_form_multiplicity(not_a_link, 2)
         with pytest.raises(ValueError):
-            closed_form_multiplicity(Family(FamilyTag.TETRAHEDRAL, (1, 1)), None)
+            closed_form_multiplicity(seifert_family(FamilyTag.TETRAHEDRAL, (1, 1), 2, [(2, 1), (3, 1), (3, 1)]), None)
 
     def test_matches_laufer_on_sweep(self):
         for link, family, b in family_sweep(4, 6):
