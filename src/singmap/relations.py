@@ -9,10 +9,9 @@ generators are read, since the minimal relations sit there and nowhere
 else, and each image's binomials join its quadratic factorizations and the
 least of the others to the least quadratic one.  Maps by monomials in a
 Klein triple (binary polyhedral quotients and their cyclic products) get
-bounded-degree relations: for each weighted degree w_i + w_j of a pair of
-generators, the exact nullspace over Q(i, sqrt2, sqrt5) of the Klein normal
-forms, one sparse row per Klein monomial, whose echelon rows with
-independent parts of total degree <= 2 are the new relations.
+bounded-degree relations: per weighted degree w_i + w_j of a pair of
+generators, two exact eliminations over Q(i, sqrt2, sqrt5) of the candidate
+monomials' Klein normal forms pick out the columns of the new relations.
 verify_relation substitutes the generators and demands the identically zero
 polynomial; a relation among Klein monomials is first rewritten in the Klein
 triple itself, so its check expands powers of x, y, z that the map's
@@ -26,11 +25,11 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import exactmath
 from .exactmath import (
     BivariatePoly,
     ExactScalar,
     MultiPoly,
+    ONE,
     ZERO,
     grlex_key,
     rref,
@@ -155,7 +154,7 @@ def monomial_relations(
     the least of Q, the relations are x^q - x^anchor for the other q in Q,
     then x^min(H) - x^anchor when H is not empty.  The ideal I meets F in
     the span of the binomials among F, and L(p, q) is rational, so by Wahl
-    (Ann. Sci. ENS 10, 1977) I meets m^3 in m I (see _independent_low_parts):
+    I meets m^3 in m I (see bounded_degree_relations):
     the new relations on F number the dimension of that span's projection
     onto the quadrics x^Q, which is |Q| when H is not empty and |Q| - 1
     when it is, and any that many with independent quadratic parts will
@@ -239,29 +238,40 @@ def bounded_degree_relations(
 
     base is the KleinBasis of the generators' Klein triple and gens their
     exponent triples, which must minimally generate the ring of a rational
-    singularity, as every Z/m x G quotient map does.  A new relation has an
-    independent quadratic part (see _independent_low_parts), so only the
-    weighted degrees w_i + w_j of generator pairs are scanned.  Per degree:
-    enumerate candidate monomials x^alpha in the generators in ascending
-    graded-lex order, whose indices are the columns, write each as a Klein
-    monomial in normal form, and take the exact kernel over the scalar
-    field of the sparse rows {column: coefficient}, one per Klein monomial
-    met; since the normal form is injective this is the kernel of the
-    (u, v) substitution.  _independent_low_parts picks the new relations
-    out of it.  Each emitted relation is re-verified by exact substitution
-    before it is returned: rewritten in the triple by _in_klein_triple, it
-    is evaluated at the (u, v) expansions of x, y, z through base.powers.
-    That check uses neither the normal form nor S, so a wrong Klein
-    relation still fails it.  With expected_count (Wahl's count), the scan
-    stops after the degree at which that many relations have been found.
+    singularity, as every Z/m x G quotient map does.  Then the part of total
+    degree <= 2 maps I/mI isomorphically onto the tangent cone's quadrics
+    (Wahl, Ann. Sci. ENS 10, 1977: both have dimension (e - 1)(e - 2)/2), so
+    I meets m^3 in m I: a new relation has an independent quadratic part,
+    and only the weighted degrees w_i + w_j of generator pairs are scanned.
+
+    Per degree the columns are the candidate monomials x^alpha in the
+    generators in ascending graded-lex order, so the low ones, of total
+    degree <= 2, come first; column p holds the Klein normal form of x^alpha,
+    one sparse row per Klein monomial.  The normal form is injective, so the
+    matrix's kernel K is that of the (u, v) substitution, and the new
+    relations are the vectors of K with independent low parts.  At column p
+    the span of K's low parts grows by dim K<=p - dim K^high<=p, K^high being
+    the vectors of K with no low part; so p gives a relation exactly when it
+    is not a pivot of the matrix and is low or a pivot of the high columns
+    alone.  A high column with the Klein monomial of an earlier high column
+    equals it, so it is neither, and the first rref, for the high pivots,
+    skips it.  The second runs over the low columns and the high pivots,
+    which hold every pivot of the matrix; the relation at p is
+    e_p - sum_c form[c][p] e_c.
+
+    Each emitted relation is re-verified by exact substitution before it is
+    returned: rewritten in the triple by _in_klein_triple, it is evaluated
+    at the (u, v) expansions of x, y, z through base.powers.  That check
+    uses neither the normal form nor S, so a wrong Klein relation still
+    fails it.  With expected_count (Wahl's count), the scan stops after the
+    degree at which that many relations have been found.
     """
     gens = [tuple(g) for g in gens]
     weights = tuple(base.degree(g) for g in gens)
     if not all(w > 0 for w in weights):
         raise ValueError("every generator needs a positive degree")
     if degree_bound is None:
-        top_two = sorted(weights)[-2:]
-        degree_bound = 2 * sum(top_two)
+        degree_bound = 2 * sum(sorted(weights)[-2:])
     check_degree_bound(degree_bound)
     nvars = len(gens)
     relations: List[MultiPoly] = []
@@ -270,20 +280,29 @@ def bounded_degree_relations(
         if _count_reached(relations, expected_count):
             break
         exponents = weighted_exponents(weights, degree)[::-1]
-        if not exponents:
-            continue
+        low = sum(1 for alpha in exponents if sum(alpha) <= 2)
         rows: Dict[Tuple[int, int, int], Dict[int, ExactScalar]] = {}
+        seen = set()
         for col, alpha in enumerate(exponents):
-            for monomial, coeff in base.normal_form(base.power_product(alpha, gens)).items():
+            target = base.power_product(alpha, gens)
+            if col >= low:
+                if target in seen:
+                    continue
+                seen.add(target)
+            for monomial, coeff in base.normal_form(target).items():
                 rows.setdefault(monomial, {})[col] = coeff
-        # rows in descending Klein-monomial order: the kernel does not depend
-        # on it, the elimination's work does; nullspace_basis is looked up on
-        # the package at call time, so a wrapper installed there sees it
+        # rows in descending Klein-monomial order: the pivots do not depend
+        # on it, the elimination's work does
         matrix = [rows[monomial] for monomial in sorted(rows, reverse=True)]
-        kernel = exactmath.nullspace_basis(matrix, len(exponents))
-        if not kernel:
-            continue
-        for row in _independent_low_parts(kernel, exponents):
+        high = {min(row) for row in rref(
+            [{c: x for c, x in row.items() if c >= low} for row in matrix])}
+        form = {min(row): row for row in rref(
+            [{c: x for c, x in row.items() if c < low or c in high} for row in matrix])}
+        for p in [*range(low), *sorted(high)]:
+            if p in form:
+                continue
+            row = {c: -pivot_row[p] for c, pivot_row in form.items() if p in pivot_row}
+            row[p] = ONE
             relation = _normalize_relation(row, exponents, nvars, weights)
             if not verify_relation(_in_klein_triple(base, relation, gens), base.powers):
                 raise RuntimeError(f"unsound relation {relation}; kernel logic broken")
@@ -306,28 +325,3 @@ def _in_klein_triple(base, relation: MultiPoly, gens) -> MultiPoly:
     return MultiPoly(3, base.degrees, {
         tuple(e - m for e, m in zip(target, low)): coeff for target, coeff in terms.items()
     })
-
-
-def _independent_low_parts(kernel, exponents):
-    """The rows of the degree-d kernel K that are new relations, last first.
-
-    nullspace_basis gives each vector 1 at its free column and entries only
-    at pivot columns left of it, so over ascending exponents kernel is the
-    reduced echelon form of K, each row r_p led by its free column p, and
-    ordered by p.  New relations span K modulo O, the multiples of earlier
-    relations.  For a rational singularity, taking the part of total degree
-    <= 2 maps I/mI isomorphically onto the quadrics of the tangent cone
-    (Wahl: both have dimension (e - 1)(e - 2)/2, the projectivised cone
-    being a curve of minimal degree e - 1 in P^(e-1)); so I meets m^3 in
-    m I, and O is the set of vectors of K with no such part.  K's vectors
-    led by p are r_p plus a combination of earlier rows, up to scale, so p
-    leads one in O exactly when the low part of r_p is in the span of
-    earlier rows' low parts; the rows whose p does not are the pivot
-    columns of the rref below, one sparse row per low exponent keyed by
-    the kernel row's position.  Each is zero at O's leading monomials, all
-    of which lead rows of K, so it is its own residue, and together they
-    are the reduced echelon form of K modulo O.
-    """
-    low = [k for k, alpha in enumerate(exponents) if sum(alpha) <= 2]
-    parts = [{i: row[k] for i, row in enumerate(kernel) if k in row} for k in low]
-    return [kernel[min(part)] for part in reversed(rref(parts))]

@@ -84,6 +84,9 @@ PINNED_OUTPUTS = {
     # earlier ones
     "map --seifert 3;(2,1)(2,1)(9,1)": (0, "970c8357b0360621", "e3b0c44298fc1c14"),
     "map --seifert 4;(2,1)(2,1)(8,1)": (0, "5e8c729e1f8fa981", "e3b0c44298fc1c14"),
+    # Z/35 x D*_36, recorded while each degree's new relations were picked
+    # out of a full kernel basis
+    "map --seifert 5;(2,1)(2,1)(9,1)": (0, "6abea19743924fb3", "e3b0c44298fc1c14"),
     # the cyclic quotients L(101, 3) (36 generators, 595 relations) and
     # L(120, 1) (121 generators), recorded while each image's binomials were
     # found by a union-find over the earlier relations as rewriting moves
@@ -190,3 +193,16 @@ def test_z17_times_dihedral_36_is_complete_and_fast():
     assert body["complete"] is True
     assert len(body["relations"]) == body["expected_relation_count"] == 45
     assert elapsed < 10.0
+
+
+def test_z35_times_dihedral_36_is_complete_and_fast():
+    # Z/35 x D*_36: embedding dimension 13, so Wahl's count is 66
+    start = time.perf_counter()
+    code, data = run(["map", "--seifert", "5;(2,1)(2,1)(9,1)"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert data["group"]["label"] == "Z/35 x D*_36"
+    body = data["relations"]
+    assert body["complete"] is True
+    assert len(body["relations"]) == body["expected_relation_count"] == 66
+    assert elapsed < 20.0

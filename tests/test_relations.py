@@ -547,6 +547,14 @@ class TestQuadraticPartCriterion:
     reference it must match exactly."""
 
     DIRECT_CALLS = [
+        # Z/5 x D*_28: x1^3 x5 and x1^2 x2 x3 are both x^15 y z at degree 90,
+        # so a high column repeats an earlier one
+        (GroupFamily.BINARY_DIHEDRAL, 7,
+         [(5, 0, 0), (4, 1, 0), (1, 0, 1), (0, 5, 0), (0, 1, 1)], 90),
+        # Z/5 x D*_12: x1 x5 and x2 x3^2 are both x^5 y^2 z at degree 40, so
+        # a high column equals a low one and gives a relation
+        (GroupFamily.BINARY_DIHEDRAL, 3,
+         [(5, 0, 0), (3, 0, 1), (1, 1, 0), (0, 5, 0), (0, 2, 1)], 40),
         *((GroupFamily.BINARY_DIHEDRAL, n, KLEIN_TRIPLE, 4 * n + 4) for n in (2, 3, 4, 5)),
         (GroupFamily.BINARY_DIHEDRAL, 2, KLEIN_TRIPLE, 12),
         (GroupFamily.BINARY_DIHEDRAL, 2, [(3, 0, 0), (2, 1, 0), (0, 3, 0), (0, 0, 1)], 24),
