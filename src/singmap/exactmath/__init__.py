@@ -3,7 +3,7 @@ polynomials, sparse exact elimination, and the polynomial text format."""
 
 from .ring import ExactScalar, HALF, I, ONE, SQRT2, SQRT5, SQRT10, ZERO
 from .poly import BivariatePoly, MultiPoly, Powers, grlex_key, weighted_exponents
-from .linalg import in_span, nullspace_basis, rref
+from .linalg import in_span, insert_row, nullspace_basis, rref
 from .textform import (
     format_bivariate,
     format_multi,
@@ -29,6 +29,7 @@ __all__ = [
     "weighted_exponents",
     "nullspace_basis",
     "rref",
+    "insert_row",
     "in_span",
     "parse_bivariate",
     "parse_multi",

@@ -32,6 +32,7 @@ from .exactmath import (
     SQRT5,
     grlex_key,
     in_span,
+    insert_row,
 )
 from .groups import _J, GroupFamily, UnsupportedFamilyError, binary_group, generator_matrices
 from .linkdata import hj_expand
@@ -343,16 +344,11 @@ def product_invariant_monomials(degrees: Sequence[int], m: int) -> List[Tuple[in
 def expressible_in(
     base: KleinBasis, candidate: Sequence[int], others: Sequence[Sequence[int]]
 ) -> bool:
-    """Whether the Klein monomial candidate is a polynomial in others.
-
-    Everything is homogeneous, so only the products of others whose
-    weighted degree equals the candidate's can contribute; the question
-    reduces to membership of the candidate's normal form in the span of
-    theirs.
+    """Whether the Klein monomial candidate is a polynomial in others: by
+    homogeneity, whether its normal form lies in the span of those of the
+    products of others of its weighted degree.  minimalize_generators does
+    not call it; it is the membership predicate the tests check it against.
     """
-    # the answer does not depend on the order of rows and columns, but the
-    # elimination is shorter in descending monomial order: with the products
-    # unsorted, map on Z/89 x I* takes about three times as long
     products = sorted(_products_of_degree(base, others, base.degree(candidate)), reverse=True)
     if not products:
         return False
@@ -380,15 +376,19 @@ def minimalize_generators(
     candidates: Sequence[Sequence[int]],
     target_count: int = None,
 ) -> List[Tuple[int, int, int]]:
-    """Greedily drop Klein monomials expressible in the remaining ones.
+    """A minimal generating set among the Klein monomials candidates.
 
-    The scan visits candidates in descending graded-lex order of the
-    leading monomial of their (u, v) expansion; candidates that share it
-    are ordered by their sorted (u, v) support, so only those are expanded.
-    Each expressible one is dropped, until target_count generators remain
-    (when given).  One pass is enough: dropping a candidate only shrinks the
-    others' pools, so a candidate found inexpressible stays so.  The
-    returned list keeps the input order of the survivors.
+    One ascending pass over the degrees with one semi-echelon form each: the
+    normal forms of the products of the generators kept below, which span
+    the decomposables, go in first, then the degree's candidates, and a
+    candidate is kept exactly when it grows the rank.  Candidates go in the
+    reverse of a greedy deletion's order: descending graded-lex order of the
+    leading (u, v) monomial, ties by sorted (u, v) support (so only ties are
+    expanded).  Deletion from the top and insertion from the bottom keep the
+    same basis of the matroid contracted by the decomposables, and a dropped
+    candidate adds nothing to the products of the kept ones.  The pass stops
+    before a degree once target_count generators, when given, are kept.  The
+    survivors keep their input order.
     """
     candidates = [tuple(c) for c in candidates]
     leads = [base.leading_exponent(c) for c in candidates]
@@ -399,11 +399,19 @@ def minimalize_generators(
         support = tuple(sorted(base.expand(candidates[k]).terms)) if shared[lead] > 1 else ()
         return grlex_key(lead), support
 
-    kept = list(range(len(candidates)))
-    for k in sorted(kept, key=scan_key, reverse=True):
-        if target_count is not None and len(kept) <= target_count:
+    degrees = [base.degree(c) for c in candidates]
+    kept: List[int] = []
+    for degree in sorted(set(degrees)):
+        if target_count is not None and len(kept) >= target_count:
             break
-        rest = [candidates[j] for j in kept if j != k]
-        if expressible_in(base, candidates[k], rest):
-            kept.remove(k)
-    return [candidates[j] for j in kept]
+        form = {}
+        products = _products_of_degree(base, [candidates[j] for j in kept], degree)
+        for t in sorted(products, reverse=True):
+            insert_row(form, base.normal_form(t))
+        tier = [k for k, d in enumerate(degrees) if d == degree]
+        for k in sorted(tier, key=scan_key, reverse=True)[::-1]:
+            rank = len(form)
+            insert_row(form, base.normal_form(candidates[k]))
+            if len(form) > rank:
+                kept.append(k)
+    return [candidates[j] for j in sorted(kept)]

@@ -31,6 +31,7 @@ from .exactmath import (
     MultiPoly,
     ONE,
     ZERO,
+    format_multi,
     grlex_key,
     rref,
     weighted_exponents,
@@ -100,8 +101,6 @@ class RelationSet:
         return "wahl-count" if self.complete else "degree-bound"
 
     def to_dict(self) -> dict:
-        from .exactmath import format_multi
-
         return {
             "relations": [format_multi(r) for r in self.relations],
             "degree_bound": self.degree_bound,

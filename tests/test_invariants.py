@@ -3,6 +3,7 @@ with Klein's relation and normal form, product-group congruence search and
 minimalization."""
 
 import io
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -12,6 +13,7 @@ from singmap.cli import main
 from singmap.exactmath import (
     BivariatePoly,
     format_bivariate,
+    grlex_key,
     parse_bivariate,
     parse_multi,
     weighted_exponents,
@@ -500,6 +502,52 @@ class TestMinimalize:
         assert expressible_in(base, (1, 2, 0), [(3, 0, 0), (0, 0, 1)])
         assert not expressible_in(base, (1, 2, 0), [(3, 0, 0), (0, 3, 0)])
         assert not expressible_in(base, (0, 0, 1), [(3, 0, 0), (1, 2, 0)])
+
+
+def reference_minimalize(base, candidates):
+    """Greedy deletion from the top: visit the candidates in descending
+    graded-lex order of their leading (u, v) monomial, ties by sorted (u, v)
+    support, and drop each one expressible in the rest.  The survivors keep
+    their input order."""
+    candidates = [tuple(c) for c in candidates]
+    leads = [base.leading_exponent(c) for c in candidates]
+    shared = Counter(leads)
+
+    def scan_key(k):
+        lead = leads[k]
+        support = tuple(sorted(base.expand(candidates[k]).terms)) if shared[lead] > 1 else ()
+        return grlex_key(lead), support
+
+    kept = list(range(len(candidates)))
+    for k in sorted(kept, key=scan_key, reverse=True):
+        if expressible_in(base, candidates[k], [candidates[j] for j in kept if j != k]):
+            kept.remove(k)
+    return [candidates[j] for j in kept]
+
+
+class TestMinimalizeAgainstDeletion:
+    CASES = [
+        (GroupFamily.BINARY_DIHEDRAL, n, m) for n in (4, 5, 9) for m in (1, 5, 7, 11, 13)
+    ] + [
+        (tag, None, m)
+        for tag in (GroupFamily.BINARY_TETRAHEDRAL, GroupFamily.BINARY_OCTAHEDRAL,
+                    GroupFamily.BINARY_ICOSAHEDRAL)
+        for m in (1, 5, 7)
+    ]
+
+    @pytest.mark.parametrize("tag,n,m", CASES)
+    def test_same_survivors_as_greedy_deletion(self, tag, n, m):
+        # insertion from the bottom keeps what deletion from the top keeps,
+        # and with the minimal count the pass may stop early
+        base = klein_invariants(tag, n)
+        candidates = product_invariant_monomials(base.degrees, m)
+        kept = reference_minimalize(base, candidates)
+        assert minimalize_generators(base, candidates) == kept
+        assert minimalize_generators(base, candidates, target_count=len(kept)) == kept
+        for k, survivor in enumerate(kept):
+            assert not expressible_in(base, survivor, kept[:k] + kept[k + 1:]), survivor
+        for dropped in set(candidates) - set(kept):
+            assert expressible_in(base, dropped, kept), dropped
 
 
 def test_formatted_generators():
