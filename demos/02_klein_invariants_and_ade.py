@@ -12,11 +12,12 @@ from singmap.exactmath import format_bivariate, parse_multi
 from singmap.groups import (
     GroupDescriptor,
     GroupFamily,
+    check_invariance,
     generator_matrices,
     group_closure_order,
 )
 from singmap.invariants import klein_invariants
-from singmap.relations import bounded_degree_relations, check_invariance, verify_relation
+from singmap.relations import bounded_degree_relations, verify_relation
 
 print("Group orders by exact closure enumeration")
 print("=" * 50)

@@ -34,7 +34,12 @@ from .resolution import (
     multiplicity_and_embdim,
     rationality_and_genus,
 )
-from .groups import generator_matrices, group_closure_order, group_from_seifert
+from .groups import (
+    check_invariance,
+    generator_matrices,
+    group_closure_order,
+    group_from_seifert,
+)
 from .invariants import (
     cyclic_invariant_generators,
     klein_invariants,
@@ -44,7 +49,6 @@ from .invariants import (
 )
 from .relations import (
     bounded_degree_relations,
-    check_invariance,
     monomial_relations,
     verify_relation,
 )

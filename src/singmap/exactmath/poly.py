@@ -381,6 +381,21 @@ class MultiPoly:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "terms", clean)
 
+    @staticmethod
+    def _of(nvars: int, weights: tuple, terms: Dict[tuple, ExactScalar]) -> "MultiPoly":
+        """Wrap terms the library built itself, without re-validating them.
+
+        Internal and trusted: weights is a tuple of nvars positive ints and
+        every exponent a tuple of nvars nonnegative ints, with ExactScalar
+        coefficients.  Zero coefficients are still dropped, since merged
+        terms can cancel.
+        """
+        poly = object.__new__(MultiPoly)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "weights", weights)
+        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if not c.is_zero()})
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
@@ -390,7 +405,7 @@ class MultiPoly:
         terms = {tuple(alpha): ONE}
         beta = tuple(beta)
         terms[beta] = terms.get(beta, ZERO) - ONE
-        return MultiPoly(nvars, weights, terms)
+        return MultiPoly._of(nvars, tuple(weights), terms)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         acc = dict(self.terms)

@@ -4,10 +4,11 @@ Each three-fiber family determines the group through a single integer
 m = -e/chi of the Euler invariants its Family carries; m then splits into
 a cyclic factor times a binary polyhedral group (or one of the U(2)
 groups D', T' when the relevant prime power divides m).  Exact 2x2
-generator matrices over Q[i, sqrt2, sqrt5] are available for the binary
-polyhedral groups, built from unit quaternions, and for the cyclic
-actions whose root of unity lies in the ring; everything else carries
-order annotations only.
+generator matrices over Q[i, sqrt2, sqrt5], built from unit quaternions,
+exist only for the binary polyhedral groups themselves: D*_4, D*_8,
+D*_16, T*, O* and I*.  They serve to certify Klein's invariant triples
+(check_invariance) and to count group orders by closure; classification
+never needs them.
 A matrix is the nested tuple of its rows ((a, b), (c, d)) of
 ExactScalars; this module alone multiplies them.
 """
@@ -18,7 +19,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from .exactmath import ExactScalar, HALF, I, ONE, SQRT2, SQRT5, ZERO
+from .exactmath import BivariatePoly, ExactScalar, HALF, I, ONE, SQRT2, SQRT5, ZERO
 from .linkdata import Family, FamilyTag
 
 # a 2x2 matrix as its rows ((a, b), (c, d))
@@ -30,7 +31,9 @@ class GroupError(ValueError):
 
 
 class UnsupportedFamilyError(GroupError):
-    """Raised for D' and T': no matrix representation is provided."""
+    """Raised for a group with no matrix representation here: D' and T'
+    (no map is built for them), and any group but a binary polyhedral one
+    when its generator matrices are asked for."""
 
 
 class GroupFamily(enum.Enum):
@@ -172,19 +175,6 @@ def group_from_seifert(family: Family) -> GroupDescriptor:
 # -- exact generator matrices ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """2x2 generators; matrices is None when only order annotations exist."""
-
-    matrices: Optional[Tuple[Matrix, ...]]
-    descriptions: Tuple[str, ...]
-
-    def __iter__(self):
-        if self.matrices is None:
-            raise GroupError("generator set carries order annotations only")
-        return iter(self.matrices)
-
-
 def root_of_unity(n: int) -> Optional[ExactScalar]:
     """Exact primitive n-th root of unity, for n dividing 8; None otherwise.
 
@@ -202,10 +192,6 @@ def root_of_unity(n: int) -> Optional[ExactScalar]:
     return None
 
 
-def _diag(a: ExactScalar, d: ExactScalar) -> Matrix:
-    return ((a, ZERO), (ZERO, d))
-
-
 def _quaternion(a, b, c, d) -> Matrix:
     """The SU(2) matrix of the unit quaternion a + b i + c j + d k."""
     return ((a + b * I, c + d * I), (-c + d * I, a - b * I))
@@ -220,69 +206,36 @@ _O_SECOND = _quaternion(0, 0, HALF * SQRT2, HALF * SQRT2)
 # (phi + i/phi + j)/2 with phi the golden ratio: a unit icosian
 _I_SECOND = _quaternion((ONE + SQRT5) / 4, (SQRT5 - ONE) / 4, HALF, 0)
 
+_POLYHEDRAL_PAIRS = {
+    GroupFamily.BINARY_TETRAHEDRAL: (_OMEGA, _T_SECOND),
+    GroupFamily.BINARY_OCTAHEDRAL: (_OMEGA, _O_SECOND),
+    GroupFamily.BINARY_ICOSAHEDRAL: (_OMEGA, _I_SECOND),
+}
 
-def generator_matrices(descriptor: GroupDescriptor) -> GeneratorSet:
-    """Exact generators when all entries lie in Q[i, sqrt2, sqrt5].
 
-    Cyclic (p, q) uses diag(zeta_p, zeta_p^q); the binary dihedral group
-    D*_{4n} uses diag(zeta_2n, zeta_2n^-1) and the antidiagonal j; T*, O*,
-    I* use the fixed unit-quaternion pairs.  A cyclic product factor adds
-    diag(zeta_m, zeta_m).  Whenever a needed root of unity is outside the
-    ring the set degrades to order annotations (matrices None).
+def generator_matrices(descriptor: GroupDescriptor) -> Optional[Tuple[Matrix, ...]]:
+    """Exact generators of a binary polyhedral group (cyclic factor 1).
+
+    D*_{4n} gets diag(zeta_2n, zeta_2n^-1) and j when 2n divides 8, and None
+    otherwise, as zeta_2n then lies outside Q(i, sqrt2, sqrt5); T*, O* and
+    I* get their unit-quaternion pairs.  Every other group raises
+    UnsupportedFamilyError.
     """
     family = descriptor.family
-    if family in (GroupFamily.D_PRIME, GroupFamily.T_PRIME):
-        raise UnsupportedFamilyError(
-            f"{descriptor.label()} has no matrix representation here"
-        )
-    matrices = []
-    descriptions = []
-    exact = True
-    if family is GroupFamily.CYCLIC:
-        p, q = descriptor.params
-        descriptions.append(f"diag(zeta_{p}, zeta_{p}^{q})")
-        zeta = root_of_unity(p)
-        if zeta is None:
-            exact = False
-        else:
-            matrices.append(_diag(zeta, _power(zeta, q)))
-    elif family is GroupFamily.BINARY_DIHEDRAL:
-        n = descriptor.params[0]
-        descriptions.append(f"diag(zeta_{2 * n}, zeta_{2 * n}^-1)")
-        descriptions.append("antidiag(1, -1)")
-        zeta = root_of_unity(2 * n)
-        if zeta is None:
-            exact = False
-        else:
-            matrices.append(_diag(zeta, _power(zeta, 2 * n - 1)))
-        matrices.append(_J)
-    elif family is GroupFamily.BINARY_TETRAHEDRAL:
-        matrices.extend([_OMEGA, _T_SECOND])
-        descriptions.extend(["(1+i+j+k)/2", "(1+i+j-k)/2"])
-    elif family is GroupFamily.BINARY_OCTAHEDRAL:
-        matrices.extend([_OMEGA, _O_SECOND])
-        descriptions.extend(["(1+i+j+k)/2", "(j+k)/sqrt2"])
-    elif family is GroupFamily.BINARY_ICOSAHEDRAL:
-        matrices.extend([_OMEGA, _I_SECOND])
-        descriptions.extend(["(1+i+j+k)/2", "(phi + i/phi + j)/2"])
-    else:
-        raise GroupError(f"unhandled family {family}")
-    m = descriptor.cyclic_factor
-    if m > 1:
-        descriptions.append(f"diag(zeta_{m}, zeta_{m})")
-        zeta = root_of_unity(m)
-        if zeta is None:
-            exact = False
-        else:
-            matrices.append(_diag(zeta, zeta))
-    return GeneratorSet(tuple(matrices) if exact else None, tuple(descriptions))
+    if descriptor.cyclic_factor == 1:
+        if family in _POLYHEDRAL_PAIRS:
+            return _POLYHEDRAL_PAIRS[family]
+        if family is GroupFamily.BINARY_DIHEDRAL:
+            zeta = root_of_unity(2 * descriptor.params[0])
+            if zeta is None:
+                return None
+            return (((zeta, ZERO), (ZERO, zeta.conjugate())), _J)
+    raise UnsupportedFamilyError(f"{descriptor.label()} has no matrix representation here")
 
 
-def _power(scalar: ExactScalar, n: int) -> ExactScalar:
-    out = ONE
-    for _ in range(n):
-        out = out * scalar
-    return out
+def check_invariance(poly: BivariatePoly, generators) -> bool:
+    """True iff poly is fixed by every generator matrix."""
+    return all(poly.substitute_linear(m) == poly for m in generators)
 
 
 def _product(m: Matrix, n: Matrix) -> Matrix:
@@ -306,7 +259,7 @@ def group_closure_order(generators, cap: int = 500) -> int:
 
     Work-queue closure under products with everything seen so far; raises
     if the closure exceeds cap, which signals wrong generators rather than
-    a big group.  A GeneratorSet without exact matrices raises GroupError.
+    a big group.
     """
     gens = list(generators)
     if not gens:

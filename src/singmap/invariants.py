@@ -34,7 +34,14 @@ from .exactmath import (
     in_span,
     insert_row,
 )
-from .groups import _J, GroupFamily, UnsupportedFamilyError, binary_group, generator_matrices
+from .groups import (
+    _J,
+    GroupFamily,
+    UnsupportedFamilyError,
+    binary_group,
+    check_invariance,
+    generator_matrices,
+)
 from .linkdata import hj_expand
 
 
@@ -201,7 +208,7 @@ class KleinBasis(InvariantBasis):
         """z^2 - S(x, y) in the variables x1, x2, x3."""
         terms = {(i, j, 0): -coeff for (i, j), coeff in self.square.terms.items()}
         terms[(0, 0, 2)] = ONE
-        return MultiPoly(3, self.degrees, terms)
+        return MultiPoly._of(3, self.degrees, terms)
 
     def degree(self, exponent: Sequence[int]) -> int:
         return sum(e * d for e, d in zip(exponent, self.degrees))
@@ -286,22 +293,18 @@ def _verified_klein_basis(tag: GroupFamily, n: Optional[int]) -> KleinBasis:
         raise UnsupportedFamilyError(f"no invariant triple for {tag}")
     plain = InvariantBasis.from_polys(polys)
     basis = KleinBasis(plain.generators, plain.degrees, square=BivariatePoly.from_terms(square))
-    gens = generator_matrices(binary_group(tag, n)).matrices
-    for poly in polys:
-        if gens is not None:
-            for matrix in gens:
-                if poly.substitute_linear(matrix) != poly:
-                    raise InvariantError(
-                        f"invariant {poly} is not fixed by its group generator"
-                    )
-        else:
-            # D* with an inexact root of unity: u^a v^b is fixed by
-            # diag(zeta, zeta^-1), zeta of order 2n, iff a = b mod 2n; the
-            # antidiagonal generator by exact substitution
+    gens = generator_matrices(binary_group(tag, n))
+    if gens is None:
+        # D* with an inexact root of unity: u^a v^b is fixed by
+        # diag(zeta, zeta^-1), zeta of order 2n, iff a = b mod 2n; the
+        # antidiagonal generator by exact substitution
+        for poly in polys:
             if any((a - b) % (2 * n) for a, b in poly.terms):
                 raise InvariantError(f"{poly} not fixed by the diagonal action")
-            if poly.substitute_linear(_J) != poly:
-                raise InvariantError(f"{poly} not fixed by the antidiagonal action")
+        gens = (_J,)
+    for poly in polys:
+        if not check_invariance(poly, gens):
+            raise InvariantError(f"invariant {poly} is not fixed by its group generators")
     if not basis.relation().substitute(basis.powers).is_zero():
         raise InvariantError(f"Klein relation {basis.relation()} = 0 does not hold")
     return basis

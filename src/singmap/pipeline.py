@@ -165,10 +165,17 @@ def _body(descriptor: dict, key: str) -> dict:
 
 def parse_link_descriptor(descriptor: dict):
     """JSON link descriptor: {'lens': [p, q]} or {'seifert': {...}} or
-    {'graph': {'weights': [...], 'edges': [...]}}.  Every number must be a
-    JSON integer; anything else raises LinkError."""
+    {'graph': {'weights': [...], 'edges': [...]}}, with exactly one of the
+    three keys.  Every number must be a JSON integer; anything else raises
+    LinkError."""
     if not isinstance(descriptor, dict):
         raise LinkError("link descriptor must be a JSON object")
+    kinds = [key for key in ("lens", "seifert", "graph") if key in descriptor]
+    if not kinds:
+        raise LinkError("descriptor needs one of the keys: lens, seifert, graph")
+    if len(kinds) > 1:
+        raise LinkError(f"descriptor needs exactly one of the keys lens, seifert, graph, "
+                        f"got {', '.join(kinds)}")
     if "lens" in descriptor:
         p, q = _integers(descriptor["lens"], "lens", 2)
         return LensData(p, q)
@@ -178,14 +185,12 @@ def parse_link_descriptor(descriptor: dict):
             raise LinkError("seifert descriptor needs the key b")
         fibers = _pairs(body.get("fibers", []), "seifert fibers")
         return SeifertData.normalized(_integer(body["b"], "seifert b"), fibers)
-    if "graph" in descriptor:
-        body = _body(descriptor, "graph")
-        if "weights" not in body:
-            raise LinkError("graph descriptor needs the key weights")
-        weights = _integers(body["weights"], "graph weights")
-        graph = PlumbingGraph.build(weights, _pairs(body.get("edges", []), "graph edges"))
-        return graph_to_link(graph)
-    raise LinkError("descriptor needs one of the keys: lens, seifert, graph")
+    body = _body(descriptor, "graph")
+    if "weights" not in body:
+        raise LinkError("graph descriptor needs the key weights")
+    weights = _integers(body["weights"], "graph weights")
+    graph = PlumbingGraph.build(weights, _pairs(body.get("edges", []), "graph edges"))
+    return graph_to_link(graph)
 
 
 # -- classification --------------------------------------------------------------

@@ -26,7 +26,6 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import (
-    BivariatePoly,
     ExactScalar,
     MultiPoly,
     ONE,
@@ -119,12 +118,6 @@ def verify_relation(relation: MultiPoly, generators) -> bool:
     """True iff substituting x_i -> generators[i] gives exactly zero.
     generators is a sequence of BivariatePoly or a Powers over them."""
     return relation.substitute(generators).is_zero()
-
-
-def check_invariance(poly: BivariatePoly, generators) -> bool:
-    """True iff poly is fixed by every generator matrix.  A GeneratorSet
-    without exact matrices raises GroupError."""
-    return all(poly.substitute_linear(m) == poly for m in generators)
 
 
 # -- binomial relations of monomial maps ----------------------------------------
@@ -224,7 +217,7 @@ def _normalize_relation(row, exponents, nvars, weights) -> MultiPoly:
     inverse = terms[max(terms, key=grlex_key)].inverse()
     terms = {exp: coeff * inverse for exp, coeff in terms.items()}
     den = lcm(*(coeff.den for coeff in terms.values()))
-    return MultiPoly(nvars, weights, {exp: coeff * den for exp, coeff in terms.items()})
+    return MultiPoly._of(nvars, weights, {exp: coeff * den for exp, coeff in terms.items()})
 
 
 def bounded_degree_relations(
@@ -321,6 +314,6 @@ def _in_klein_triple(base, relation: MultiPoly, gens) -> MultiPoly:
         target = base.power_product(alpha, gens)
         terms[target] = terms.get(target, ZERO) + coeff
     low = [min(column) for column in zip(*terms)]
-    return MultiPoly(3, base.degrees, {
+    return MultiPoly._of(3, base.degrees, {
         tuple(e - m for e, m in zip(target, low)): coeff for target, coeff in terms.items()
     })

@@ -27,12 +27,13 @@ from .resolution import (
 from .groups import (
     GroupFamily,
     binary_group,
+    check_invariance,
     generator_matrices,
     group_closure_order,
     has_unit_determinant,
 )
 from .invariants import cyclic_invariant_generators, klein_invariants
-from .relations import check_invariance, verify_relation
+from .relations import verify_relation
 
 Check = Tuple[str, bool, str]
 

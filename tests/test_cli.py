@@ -141,6 +141,9 @@ class TestClassify:
             {"graph": {"weights": None}},
             {"lens": [5, 2.7]},
             {"lens": [True, 0]},
+            {"lens": [5, 2], "seifert": {}},
+            {"seifert": {"b": 2, "fibers": [[2, 1], [3, 1], [5, 1]]}, "graph": {"weights": [-2]}},
+            {"unknown": 1},
         ],
     )
     def test_malformed_descriptor(self, capsys, tmp_path, descriptor):

@@ -12,6 +12,7 @@ from singmap.exactmath import (
     ExactScalar,
     HALF,
     I,
+    MultiPoly,
     ONE,
     Powers,
     SQRT2,
@@ -426,6 +427,11 @@ class TestBivariatePoly:
         assert parse_bivariate("u^2 + u*v").homogeneous_degree() == 2
         assert parse_bivariate("u^2 + u").homogeneous_degree() is None
 
+    @pytest.mark.parametrize("exponent", [(-1, 0), (0, -1), (-2, -3)])
+    def test_negative_exponent_rejected(self, exponent):
+        with pytest.raises(ValueError, match="negative exponent"):
+            BivariatePoly({(1, 1): ONE, exponent: ONE})
+
 
 class TestMultiPoly:
     def test_weighted_degree(self):
@@ -441,6 +447,30 @@ class TestMultiPoly:
     def test_mixed_degrees_not_homogeneous(self):
         r = parse_multi("x1 + x2", [2, 3])
         assert r.weighted_degree() is None
+
+    @pytest.mark.parametrize("weights", [[2], [2, 3, 4], [2, 0], [-1, 3]],
+                             ids=["too few", "too many", "zero", "negative"])
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="one positive weight per variable"):
+            MultiPoly(2, weights, {(1, 0): ONE})
+
+    @pytest.mark.parametrize("weights", [[2, 0], [-1, 3]])
+    def test_parse_multi_rejects_nonpositive_weight(self, weights):
+        with pytest.raises(ValueError, match="one positive weight per variable"):
+            parse_multi("x1", weights)
+
+    @pytest.mark.parametrize("exponent", [(1,), (1, 0, 0), (1, -1), (-2, 0)],
+                             ids=["short", "long", "negative second", "negative first"])
+    def test_bad_exponent_rejected(self, exponent):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            MultiPoly(2, [2, 3], {(1, 0): ONE, exponent: ONE})
+
+    def test_trusted_constructor_drops_zeros(self):
+        terms = {(1, 0): ONE, (0, 1): ZERO, (2, 0): HALF - HALF}
+        trusted = MultiPoly._of(2, (2, 3), terms)
+        assert trusted == MultiPoly(2, [2, 3], terms)
+        assert trusted.terms == {(1, 0): ONE} and trusted.weights == (2, 3)
+        assert MultiPoly.binomial(2, [2, 3], (1, 0), [1, 0]).is_zero()
 
 
 class TestHelpers:

@@ -5,7 +5,7 @@ from math import prod
 import pytest
 
 from singmap import groups
-from singmap.exactmath import BivariatePoly, ExactScalar, HALF, I, ONE, SQRT2, SQRT5, ZERO
+from singmap.exactmath import ExactScalar, HALF, I, ONE, SQRT2, SQRT5, ZERO
 from singmap.linkdata import Family, FamilyTag, LensData, SeifertData, euler_invariants, finite_pi1_family
 from singmap.groups import (
     GroupDescriptor,
@@ -20,7 +20,6 @@ from singmap.groups import (
     matrix_determinant,
     root_of_unity,
 )
-from singmap.relations import check_invariance
 from singmap.suites import family_sweep
 
 
@@ -167,27 +166,9 @@ class TestSweepAgainstTextbook:
 
 
 class TestGeneratorMatrices:
-    def test_cyclic_2_1(self):
-        d = GroupDescriptor(GroupFamily.CYCLIC, (2, 1), 1, 2)
-        gens = generator_matrices(d)
-        (matrix,) = gens.matrices
-        assert matrix == ((-ONE, ExactScalar.rational(0)), (ExactScalar.rational(0), -ONE))
-
-    def test_cyclic_8_exact(self):
-        d = GroupDescriptor(GroupFamily.CYCLIC, (8, 3), 1, 8)
-        gens = generator_matrices(d)
-        assert gens.matrices is not None
-        assert group_closure_order(gens) == 8
-
-    def test_cyclic_5_annotation_only(self):
-        d = GroupDescriptor(GroupFamily.CYCLIC, (5, 2), 1, 5)
-        gens = generator_matrices(d)
-        assert gens.matrices is None
-        assert "zeta_5" in gens.descriptions[0]
-
     def test_tetrahedral_pair(self):
         d = GroupDescriptor(GroupFamily.BINARY_TETRAHEDRAL, (), 1, 24)
-        first, second = generator_matrices(d).matrices
+        first, second = generator_matrices(d)
         half = HALF
         assert first[0] == (half * (ONE + I), half * (ONE + I))
         assert first[1][0] == half * (-ONE + I)
@@ -195,7 +176,7 @@ class TestGeneratorMatrices:
 
     def test_icosahedral_second_generator_entries(self):
         d = GroupDescriptor(GroupFamily.BINARY_ICOSAHEDRAL, (), 1, 120)
-        _, second = generator_matrices(d).matrices
+        _, second = generator_matrices(d)
         # diagonal entries: ((1+s5) + i(s5-1))/4 and its conjugate
         top_left = (ONE + SQRT5) / 4 + I * ((SQRT5 - ONE) / 4)
         assert second[0][0] == top_left
@@ -210,22 +191,30 @@ class TestGeneratorMatrices:
         with pytest.raises(UnsupportedFamilyError):
             generator_matrices(d)
 
-    def test_product_factor_annotation(self):
-        d = GroupDescriptor(GroupFamily.BINARY_ICOSAHEDRAL, (), 29, 29 * 120)
-        gens = generator_matrices(d)
-        assert gens.matrices is None  # zeta_29 is outside the ring
-        assert any("zeta_29" in s for s in gens.descriptions)
-
     @pytest.mark.parametrize("descriptor", [
         GroupDescriptor(GroupFamily.CYCLIC, (5, 2), 1, 5),
+        GroupDescriptor(GroupFamily.CYCLIC, (8, 3), 1, 8),
         GroupDescriptor(GroupFamily.BINARY_OCTAHEDRAL, (), 29, 29 * 48),
-    ], ids=["Z/5", "Z/29 x O*"])
-    def test_annotation_only_sets_refuse_matrix_use(self, descriptor):
-        gens = generator_matrices(descriptor)
-        with pytest.raises(GroupError, match="order annotations only"):
-            check_invariance(BivariatePoly.constant(1), gens)
-        with pytest.raises(GroupError, match="order annotations only"):
-            group_closure_order(gens)
+        GroupDescriptor(GroupFamily.BINARY_DIHEDRAL, (2,), 3, 24),
+        GroupDescriptor(GroupFamily.T_PRIME, (1,), 1, 24),
+    ], ids=["Z/5", "Z/8", "Z/29 x O*", "Z/3 x D*_8", "T'_24"])
+    def test_only_binary_polyhedral_groups_have_matrices(self, descriptor):
+        with pytest.raises(UnsupportedFamilyError, match="no matrix representation"):
+            generator_matrices(descriptor)
+
+    @pytest.mark.parametrize("n, exact", [(1, True), (2, True), (3, False), (4, True),
+                                          (5, False), (8, False)])
+    def test_dihedral_matrices_exist_when_2n_divides_8(self, n, exact):
+        gens = generator_matrices(GroupDescriptor(GroupFamily.BINARY_DIHEDRAL, (n,), 1, 4 * n))
+        assert (gens is not None) is exact
+        if exact:
+            diagonal, antidiagonal = gens
+            zeta = root_of_unity(2 * n)
+            inverse = ONE
+            for _ in range(2 * n - 1):
+                inverse = inverse * zeta
+            assert diagonal == ((zeta, ZERO), (ZERO, inverse))
+            assert antidiagonal == groups._J
 
 
 # the generator matrices written out entry by entry, kept as a reference
@@ -265,7 +254,7 @@ class TestClosureOrders:
 
     def test_closure_elements_have_unit_determinant(self):
         d = GroupDescriptor(GroupFamily.BINARY_TETRAHEDRAL, (), 1, 24)
-        gens = list(generator_matrices(d).matrices)
+        gens = list(generator_matrices(d))
         seen = set(gens)
         queue = list(seen)
         while queue:
@@ -290,7 +279,7 @@ class TestClosureOrders:
 
     def test_binary_dihedral_relations(self):
         d = GroupDescriptor(GroupFamily.BINARY_DIHEDRAL, (2,), 1, 8)
-        x, y = generator_matrices(d).matrices
+        x, y = generator_matrices(d)
         minus_identity = ((-ONE, ZERO), (ZERO, -ONE))
         assert _product(x, x) == minus_identity
         assert _product(y, y) == minus_identity

@@ -18,7 +18,7 @@ from singmap.exactmath import (
     parse_multi,
     weighted_exponents,
 )
-from singmap.groups import GroupDescriptor, GroupFamily, generator_matrices
+from singmap.groups import GroupDescriptor, GroupFamily, check_invariance, generator_matrices
 from singmap.invariants import (
     InvariantError,
     KleinBasis,
@@ -32,7 +32,6 @@ from singmap.invariants import (
 )
 from singmap.linkdata import LensData, seifert_to_plumbing
 from singmap.resolution import multiplicity_and_embdim
-from singmap.relations import check_invariance
 from itertools import product
 from math import gcd
 

@@ -48,8 +48,17 @@ class TestParsing:
         assert link == LensData(5, 2)
 
     def test_descriptor_unknown_key(self):
-        with pytest.raises(LinkError):
+        with pytest.raises(LinkError, match="needs one of the keys: lens, seifert, graph"):
             parse_link_descriptor({"unknown": 1})
+
+    @pytest.mark.parametrize("descriptor, kinds", [
+        ({"lens": [5, 2], "seifert": {}}, "lens, seifert"),
+        ({"graph": {"weights": [-2]}, "lens": [5, 2]}, "lens, graph"),
+        ({"lens": [5, 2], "seifert": {"b": 2}, "graph": {}}, "lens, seifert, graph"),
+    ])
+    def test_descriptor_with_two_kinds_rejected(self, descriptor, kinds):
+        with pytest.raises(LinkError, match=f"exactly one of the keys lens, seifert, graph, got {kinds}$"):
+            parse_link_descriptor(descriptor)
 
 
 class TestClassify:
