@@ -7,7 +7,8 @@ column: row} whose rows are monic at their pivot and zero left of it.
 reduce_row subtracts rows of a form, visiting pivots in ascending order,
 until the row is zero at every pivot; insert_row reduces a row and stores
 what is left, made monic, under its pivot.  rref, nullspace_basis and
-in_span take and return such rows and run on these two.
+in_span take such rows and run on these two; rref returns the reduced
+form itself, {pivot: row} in ascending pivot order.
 
 No result depends on the order of the rows.  For a fixed column order the
 pivots of any semi-echelon basis of a span S are the leading columns of the
@@ -19,7 +20,6 @@ form and the nullspace basis read from it.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List
 
 from .ring import ONE, ExactScalar
@@ -34,19 +34,14 @@ def reduce_row(form: Dict[object, Row], row: Row) -> Row:
     right, so visiting pivots in ascending order clears each one for good.
     """
     row = dict(row)
-    pending = [col for col in row if col in form]
-    heapify(pending)
-    while pending:
-        col = heappop(pending)
+    for col in sorted(form):
         factor = row.get(col)
-        if factor is None:  # a column queued twice, already cleared
+        if factor is None:
             continue
         for j, y in form[col].items():
             x = row.get(j)
             if x is None:
                 row[j] = -(factor * y)
-                if j in form:
-                    heappush(pending, j)
             else:
                 x = x - factor * y
                 if x:
@@ -66,24 +61,18 @@ def insert_row(form: Dict[object, Row], row: Row) -> None:
         form[col] = {j: x * inv for j, x in row.items()}
 
 
-def _reduced_form(rows: Iterable[Row]) -> Dict[object, Row]:
-    """The reduced row echelon form of rows as {pivot column: row}: insert
-    every row, then clear the entries above each pivot, last pivot first, so
-    the rows at later pivots are already reduced (earlier ones are never met)."""
+def rref(rows: Iterable[Row]) -> Dict[object, Row]:
+    """The reduced row echelon form of rows as {pivot column: row}, in
+    ascending pivot order: insert every row, then clear the entries above
+    each pivot, last pivot first, so the rows at later pivots are already
+    reduced (earlier ones are never met).  The input is not modified."""
     form: Dict[object, Row] = {}
     for row in rows:
         insert_row(form, row)
     for col in sorted(form, reverse=True):
         row = form.pop(col)
         form[col] = reduce_row(form, row)
-    return form
-
-
-def rref(rows: Iterable[Row]) -> List[Row]:
-    """The nonzero rows of the reduced row echelon form of rows, in
-    ascending pivot order.  The input is not modified."""
-    form = _reduced_form(rows)
-    return [form[col] for col in sorted(form)]
+    return {col: form[col] for col in sorted(form)}
 
 
 def nullspace_basis(rows: Iterable[Row], ncols: int) -> List[Row]:
@@ -92,7 +81,7 @@ def nullspace_basis(rows: Iterable[Row], ncols: int) -> List[Row]:
     Each basis vector has entry 1 in its free column and the pivot entries
     solved from the reduced echelon form; vectors are ordered by free column.
     """
-    form = _reduced_form(rows)
+    form = rref(rows)
     basis = []
     for free in range(ncols):
         if free in form:

@@ -30,7 +30,7 @@ def grlex_key(exponent: Sequence[int]):
 
 def weighted_exponents(weights: Sequence[int], degree: int) -> List[Tuple[int, ...]]:
     """Exponent vectors alpha with sum alpha_i * weights_i = degree, in
-    descending graded-lex order.  With no weights only degree 0 has one,
+    ascending graded-lex order.  With no weights only degree 0 has one,
     the empty vector."""
     if not weights:
         return [()] if degree == 0 else []
@@ -48,7 +48,7 @@ def weighted_exponents(weights: Sequence[int], degree: int) -> List[Tuple[int, .
 
     if degree >= 0:
         scan(0, [], degree)
-    return sorted(out, key=grlex_key, reverse=True)
+    return sorted(out, key=grlex_key)
 
 
 def _components(terms: Dict[Exponent2, ExactScalar]):

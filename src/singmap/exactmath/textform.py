@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress
 from typing import Dict, Sequence, Tuple
 
 from .ring import BASIS_SYMBOLS, ExactScalar
@@ -105,13 +106,19 @@ def parse_multi(text: str, weights: Sequence[int]) -> MultiPoly:
     return MultiPoly(len(weights), weights, parse_terms(text, _multi_variables(len(weights))))
 
 
+class _NumberedVariables:
+    """The names x1, x2, ... of a MultiPoly's variables, each made only
+    when a printed monomial reads it."""
+
+    def __getitem__(self, k: int) -> str:
+        return f"x{k + 1}"
+
+
 def _monomial_text(exponent: Sequence[int], variables: Sequence[str]) -> str:
     pieces = []
-    for e, name in zip(exponent, variables):
-        if e == 1:
-            pieces.append(name)
-        elif e > 1:
-            pieces.append(f"{name}^{e}")
+    for k in compress(range(len(exponent)), exponent):  # the nonzero exponents
+        e = exponent[k]
+        pieces.append(variables[k] if e == 1 else f"{variables[k]}^{e}")
     return "*".join(pieces)
 
 
@@ -151,4 +158,4 @@ def format_bivariate(p: BivariatePoly) -> str:
 
 
 def format_multi(p: MultiPoly) -> str:
-    return format_terms(p.terms, _multi_variables(p.nvars))
+    return format_terms(p.terms, _NumberedVariables())

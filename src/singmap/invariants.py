@@ -33,6 +33,7 @@ from .exactmath import (
     grlex_key,
     in_span,
     insert_row,
+    weighted_exponents,
 )
 from .groups import (
     _J,
@@ -360,18 +361,9 @@ def expressible_in(
 
 def _products_of_degree(base: KleinBasis, factors, degree: int):
     """The distinct Klein monomials prod factors^alpha of the given weighted
-    degree, by an unbounded knapsack over degrees: there are far fewer of
-    them than exponent vectors alpha."""
-    reach = {0: {(0, 0, 0)}}
-    for x, y, z in factors:
-        weight = base.degree((x, y, z))
-        for total in range(weight, degree + 1):  # ascending, so a factor may repeat
-            below = reach.get(total - weight)
-            if below:
-                reach.setdefault(total, set()).update(
-                    (a + x, b + y, c + z) for a, b, c in below
-                )
-    return reach.get(degree, set())
+    degree."""
+    weights = [base.degree(f) for f in factors]
+    return {base.power_product(alpha, factors) for alpha in weighted_exponents(weights, degree)}
 
 
 def minimalize_generators(

@@ -238,7 +238,7 @@ def _cyclic_map(p: int, q: int, report: SingularityReport, max_degree):
     basis = InvariantBasis.from_polys(monomials_from_exponents(exponents))
     expected = _expected_relation_count(report, len(exponents))
     if p == 1:
-        relations = RelationSet((), (1, 1), 0, expected)
+        relations = RelationSet((), 0, expected)
     else:
         relations = monomial_relations(exponents, max_degree, expected)
     return basis, relations, _generator_warnings(len(exponents), report)

@@ -80,7 +80,6 @@ class RelationSet:
     """
 
     relations: Tuple[MultiPoly, ...]
-    weights: Tuple[int, ...]
     degree_bound: int
     expected_count: Optional[int] = None
 
@@ -189,13 +188,13 @@ def monomial_relations(
             for alpha in weighted_exponents(weights, degree):
                 u_part = sum(e * g[0] for e, g in zip(alpha, gens))
                 fibers.setdefault(u_part, []).append(alpha)
-        fiber = fibers[a_part][::-1]  # ascending graded-lex: Q, then H
+        fiber = fibers[a_part]  # ascending graded-lex: Q, then H
         quadrics = sum(1 for alpha in fiber if sum(alpha) == 2)
         anchor, *others = fiber[:quadrics + 1]
         for other in others:
             # other > anchor in graded-lex, so the leading sign is +1
             relations.append(MultiPoly.binomial(nvars, weights, other, anchor))
-    return RelationSet(tuple(relations), weights, degree_bound, expected_count)
+    return RelationSet(tuple(relations), degree_bound, expected_count)
 
 
 # -- bounded-degree relations of polynomial maps ---------------------------------
@@ -271,7 +270,7 @@ def bounded_degree_relations(
     for degree in sorted(d for d in pair_sums if d <= degree_bound):
         if _count_reached(relations, expected_count):
             break
-        exponents = weighted_exponents(weights, degree)[::-1]
+        exponents = weighted_exponents(weights, degree)
         low = sum(1 for alpha in exponents if sum(alpha) <= 2)
         rows: Dict[Tuple[int, int, int], Dict[int, ExactScalar]] = {}
         seen = set()
@@ -286,11 +285,9 @@ def bounded_degree_relations(
         # rows in descending Klein-monomial order: the pivots do not depend
         # on it, the elimination's work does
         matrix = [rows[monomial] for monomial in sorted(rows, reverse=True)]
-        high = {min(row) for row in rref(
-            [{c: x for c, x in row.items() if c >= low} for row in matrix])}
-        form = {min(row): row for row in rref(
-            [{c: x for c, x in row.items() if c < low or c in high} for row in matrix])}
-        for p in [*range(low), *sorted(high)]:
+        high = rref([{c: x for c, x in row.items() if c >= low} for row in matrix])
+        form = rref([{c: x for c, x in row.items() if c < low or c in high} for row in matrix])
+        for p in [*range(low), *high]:
             if p in form:
                 continue
             row = {c: -pivot_row[p] for c, pivot_row in form.items() if p in pivot_row}
@@ -300,7 +297,7 @@ def bounded_degree_relations(
                 raise RuntimeError(f"unsound relation {relation}; kernel logic broken")
             relations.append(relation)
     relations.sort(key=lambda r: (r.weighted_degree(), grlex_key(r.leading_exponent())))
-    return RelationSet(tuple(relations), weights, degree_bound, expected_count)
+    return RelationSet(tuple(relations), degree_bound, expected_count)
 
 
 def _in_klein_triple(base, relation: MultiPoly, gens) -> MultiPoly:

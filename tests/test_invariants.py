@@ -524,6 +524,21 @@ def reference_minimalize(base, candidates):
     return [candidates[j] for j in kept]
 
 
+def reference_products_of_degree(base, factors, degree):
+    """The distinct Klein monomials prod factors^alpha of the given weighted
+    degree, by an unbounded knapsack over degrees."""
+    reach = {0: {(0, 0, 0)}}
+    for x, y, z in factors:
+        weight = base.degree((x, y, z))
+        for total in range(weight, degree + 1):  # ascending, so a factor may repeat
+            below = reach.get(total - weight)
+            if below:
+                reach.setdefault(total, set()).update(
+                    (a + x, b + y, c + z) for a, b, c in below
+                )
+    return reach.get(degree, set())
+
+
 class TestMinimalizeAgainstDeletion:
     CASES = [
         (GroupFamily.BINARY_DIHEDRAL, n, m) for n in (4, 5, 9) for m in (1, 5, 7, 11, 13)
@@ -547,6 +562,15 @@ class TestMinimalizeAgainstDeletion:
             assert not expressible_in(base, survivor, kept[:k] + kept[k + 1:]), survivor
         for dropped in set(candidates) - set(kept):
             assert expressible_in(base, dropped, kept), dropped
+
+    @pytest.mark.parametrize("tag,n,m", CASES)
+    def test_products_of_degree_match_the_knapsack(self, tag, n, m):
+        base = klein_invariants(tag, n)
+        candidates = product_invariant_monomials(base.degrees, m)
+        for degree in range(max(base.degree(c) for c in candidates) + 1):
+            assert invariants._products_of_degree(base, candidates, degree) == (
+                reference_products_of_degree(base, candidates, degree)
+            ), degree
 
 
 def test_formatted_generators():
