@@ -1,9 +1,10 @@
 """Sparse exact polynomials: bivariate in u, v and weighted multivariate.
 
 Both classes map exponent tuples to nonzero ExactScalar coefficients and are
-treated as immutable; every operation returns a fresh polynomial.  Terms are
-ordered graded-lexicographically (total degree first, then lexicographic with
-the earlier variable larger) wherever a deterministic order is needed.
+treated as immutable; every BivariatePoly operation returns a fresh
+polynomial, and a MultiPoly has no arithmetic.  Terms are ordered
+graded-lexicographically (total degree first, then lexicographic with the
+earlier variable larger) wherever a deterministic order is needed.
 """
 
 from __future__ import annotations
@@ -360,7 +361,8 @@ class MultiPoly:
 
     The weights record the degrees of the bivariate generators that the
     variables stand for, so weighted-homogeneous relation candidates can be
-    enumerated degree by degree.
+    enumerated degree by degree.  A MultiPoly is a relation record: it is
+    built once, compared, substituted and printed, and has no arithmetic.
     """
 
     __slots__ = ("nvars", "weights", "terms")
@@ -407,25 +409,6 @@ class MultiPoly:
         terms[beta] = terms.get(beta, ZERO) - ONE
         return MultiPoly._of(nvars, tuple(weights), terms)
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        acc = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc[exp] = acc.get(exp, ZERO) + coeff
-        return MultiPoly(self.nvars, self.weights, acc)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        acc = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc[exp] = acc.get(exp, ZERO) - coeff
-        return MultiPoly(self.nvars, self.weights, acc)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, self.weights, {e: -c for e, c in self.terms.items()})
-
-    def scale(self, c) -> "MultiPoly":
-        c = _coerce_scalar(c)
-        return MultiPoly(self.nvars, self.weights, {e: coeff * c for e, coeff in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -437,12 +420,9 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def weighted_degree_of(self, exponent) -> int:
-        return sum(e * w for e, w in zip(exponent, self.weights))
-
     def weighted_degree(self) -> Optional[int]:
         """Common weighted degree of all terms, or None if mixed."""
-        degrees = {self.weighted_degree_of(e) for e in self.terms}
+        degrees = {sum(e * w for e, w in zip(exp, self.weights)) for exp in self.terms}
         if len(degrees) == 1:
             return degrees.pop()
         return None

@@ -141,8 +141,6 @@ def format_terms(terms: Dict[tuple, ExactScalar], variables: Sequence[str]) -> s
                 pieces.append(symbol)
             if monomial:
                 pieces.append(monomial)
-            if not pieces:
-                pieces.append("1")
             printed.append((sign, "*".join(pieces)))
     if not printed:
         return "0"

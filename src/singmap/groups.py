@@ -63,11 +63,6 @@ class GroupDescriptor:
     order: int
     extras: Tuple[Tuple[str, int], ...] = field(default=())
 
-    def binary_order(self) -> int:
-        if self.family is GroupFamily.CYCLIC:
-            return self.order
-        return self.order // self.cyclic_factor
-
     def label(self) -> str:
         base = {
             GroupFamily.CYCLIC: lambda: f"Z/{self.params[0]}",
@@ -92,7 +87,7 @@ class GroupDescriptor:
         if self.family is GroupFamily.CYCLIC:
             out["p"], out["q"] = self.params
         else:
-            out["binary_order"] = self.binary_order()
+            out["binary_order"] = self.order // self.cyclic_factor
         for key, value in self.extras:
             out[key] = value
         return out

@@ -11,7 +11,9 @@ least of the others to the least quadratic one.  Maps by monomials in a
 Klein triple (binary polyhedral quotients and their cyclic products) get
 bounded-degree relations: per weighted degree w_i + w_j of a pair of
 generators, two exact eliminations over Q(i, sqrt2, sqrt5) of the candidate
-monomials' Klein normal forms pick out the columns of the new relations.
+monomials' Klein normal forms pick out the columns of the new relations;
+each relation leaves that echelon form monic at its leading monomial and in
+output order, so it is only cleared of denominators, never sorted.
 verify_relation substitutes the generators and demands the identically zero
 polynomial; a relation among Klein monomials is first rewritten in the Klein
 triple itself, so its check expands powers of x, y, z that the map's
@@ -31,7 +33,6 @@ from .exactmath import (
     ONE,
     ZERO,
     format_multi,
-    grlex_key,
     rref,
     weighted_exponents,
 )
@@ -107,10 +108,6 @@ class RelationSet:
             "expected_relation_count": self.expected_count,
             "stop_reason": self.stop_reason,
         }
-
-
-def _count_reached(relations: Sequence, expected_count: Optional[int]) -> bool:
-    return expected_count is not None and len(relations) >= expected_count
 
 
 def verify_relation(relation: MultiPoly, generators) -> bool:
@@ -205,18 +202,17 @@ def _normalize_relation(row, exponents, nvars, weights) -> MultiPoly:
     graded-lex leading coefficient is a positive integer and the rational
     content over the 8-basis coordinates is 1.
 
-    Dividing by the leading coefficient makes it 1, and scaling by the lcm
-    den of the denominators then makes it den, so a prime p of the content
+    The row must be monic at its graded-lex leading column, as every row
+    that a relation scan builds is: a pivot row of an echelon form, or
+    e_p minus pivots left of p.  Scaling by the lcm den of the denominators
+    then makes the leading coefficient den, so a prime p of the content
     divides den.  There is none: if p^k exactly divides den, it exactly
     divides the denominator d of some coefficient, which in lowest terms
     has a numerator coordinate prime to p, and den * coefficient multiplies
     that coordinate by den / d, also prime to p.
     """
-    terms = {exponents[k]: coeff for k, coeff in row.items()}
-    inverse = terms[max(terms, key=grlex_key)].inverse()
-    terms = {exp: coeff * inverse for exp, coeff in terms.items()}
-    den = lcm(*(coeff.den for coeff in terms.values()))
-    return MultiPoly._of(nvars, weights, {exp: coeff * den for exp, coeff in terms.items()})
+    den = lcm(*(coeff.den for coeff in row.values()))
+    return MultiPoly._of(nvars, weights, {exponents[k]: coeff * den for k, coeff in row.items()})
 
 
 def bounded_degree_relations(
@@ -248,7 +244,12 @@ def bounded_degree_relations(
     equals it, so it is neither, and the first rref, for the high pivots,
     skips it.  The second runs over the low columns and the high pivots,
     which hold every pivot of the matrix; the relation at p is
-    e_p - sum_c form[c][p] e_c.
+    e_p - sum_c form[c][p] e_c.  Each such c is a pivot left of p, so the
+    relation is already monic at its graded-lex leading monomial
+    x^exponents[p], as _normalize_relation needs.  The degrees ascend, and
+    within one p ascends (rref returns its pivots in ascending order), so
+    the relations come out in (weighted degree, leading exponent) order,
+    the output order, with no sort.
 
     Each emitted relation is re-verified by exact substitution before it is
     returned: rewritten in the triple by _in_klein_triple, it is evaluated
@@ -268,7 +269,7 @@ def bounded_degree_relations(
     relations: List[MultiPoly] = []
     pair_sums = {w + v for k, w in enumerate(weights) for v in weights[k:]}
     for degree in sorted(d for d in pair_sums if d <= degree_bound):
-        if _count_reached(relations, expected_count):
+        if expected_count is not None and len(relations) >= expected_count:
             break
         exponents = weighted_exponents(weights, degree)
         low = sum(1 for alpha in exponents if sum(alpha) <= 2)
@@ -296,7 +297,6 @@ def bounded_degree_relations(
             if not verify_relation(_in_klein_triple(base, relation, gens), base.powers):
                 raise RuntimeError(f"unsound relation {relation}; kernel logic broken")
             relations.append(relation)
-    relations.sort(key=lambda r: (r.weighted_degree(), grlex_key(r.leading_exponent())))
     return RelationSet(tuple(relations), degree_bound, expected_count)
 
 

@@ -462,8 +462,10 @@ class TestKleinTripleCheck:
         checked = 0
         for relation in result.relations:
             first = next(iter(relation.terms))
-            flipped = relation - MultiPoly(relation.nvars, relation.weights,
-                                           {first: relation.terms[first] * 2})
+            flipped = MultiPoly(relation.nvars, relation.weights, {
+                alpha: -coeff if alpha == first else coeff
+                for alpha, coeff in relation.terms.items()
+            })
             for candidate in (relation, flipped):
                 by_triple = verify_relation(_in_klein_triple(base, candidate, gens), base.powers)
                 assert by_triple == verify_relation(candidate, expanded)
@@ -588,14 +590,19 @@ class TestQuadraticPartCriterion:
                 assert any(sum(alpha) == 2 for alpha in relation.terms), (gens, relation)
 
 
+def _scaled(poly, c):
+    """poly with every coefficient multiplied by c."""
+    return MultiPoly(poly.nvars, poly.weights, {e: coeff * c for e, coeff in poly.terms.items()})
+
+
 def _three_step_normalization(row, exponents, nvars, weights):
     """Reference: build the relation, then scale it three times."""
     poly = MultiPoly(nvars, weights, {exponents[k]: coeff for k, coeff in row.items()})
-    poly = poly.scale(poly.terms[poly.leading_exponent()].inverse())
-    poly = poly.scale(lcm(*(coeff.den for coeff in poly.terms.values())))
+    poly = _scaled(poly, poly.terms[poly.leading_exponent()].inverse())
+    poly = _scaled(poly, lcm(*(coeff.den for coeff in poly.terms.values())))
     content = gcd(*(n for coeff in poly.terms.values() for n in coeff.num))
     if content > 1:
-        poly = poly.scale(Fraction(1, content))
+        poly = _scaled(poly, Fraction(1, content))
     return poly
 
 
@@ -612,6 +619,10 @@ class TestNormalizeRelation:
                 coords[rng.randrange(8)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 50),
                                                     rng.randint(1, 9))
                 row[k] = ExactScalar(coords) * rng.choice([1, 6, 35, Fraction(1, 14)])
+            # monic at the graded-lex leading column, as every row of both
+            # relation scans is
+            inverse = row[max(row, key=lambda k: grlex_key(exponents[k]))].inverse()
+            row = {k: coeff * inverse for k, coeff in row.items()}
             got = _normalize_relation(row, exponents, nvars, weights)
             want = _three_step_normalization(row, exponents, nvars, weights)
             assert list(got.terms.items()) == list(want.terms.items())

@@ -14,9 +14,11 @@ from singmap.linkdata import (
     PlumbingGraph,
     SeifertData,
     euler_invariants,
+    negdef_check,
     seifert_to_plumbing,
 )
 from singmap.resolution import (
+    Cycle,
     closed_form_multiplicity,
     fundamental_cycle,
     multiplicity_and_embdim,
@@ -36,6 +38,18 @@ def relabel(graph, order):
         [graph.weights[old] for old in order],
         [(new[i], new[j]) for i, j in graph.edges],
     )
+
+
+def naive_laufer(graph):
+    """Laufer's sequence with no bookkeeping: add E_i at the first vertex
+    with Z . E_i > 0, then recompute every product."""
+    z = [1] * graph.size
+    while True:
+        products = [Cycle(tuple(z)).dot_vertex(graph, i) for i in range(graph.size)]
+        offenders = [i for i, product in enumerate(products) if product > 0]
+        if not offenders:
+            return tuple(z)
+        z[offenders[0]] += 1
 
 
 class TestFundamentalCycle:
@@ -80,6 +94,30 @@ class TestFundamentalCycle:
                 assert fundamental_cycle(relabelled).multiplicities == tuple(
                     cycle[old] for old in order
                 ), (link, order)
+
+    def test_worklist_pushes_a_vertex_again(self):
+        # a step that leaves its own vertex's product positive must push it
+        # again; on this tree the worklist does so
+        graph = PlumbingGraph.build(
+            [-3, -2, -3, -2, -3, -2, -2, -2, -2, -2],
+            [(0, 1), (1, 2), (0, 3), (1, 4), (3, 5), (5, 6), (5, 7), (0, 8), (1, 9)],
+        )
+        cycle = fundamental_cycle(graph).multiplicities
+        assert cycle == naive_laufer(graph) == (2, 3, 1, 2, 1, 2, 1, 1, 1, 2)
+
+    def test_matches_the_naive_sequence_on_random_trees(self):
+        rng = random.Random(1959)
+        checked = 0
+        while checked < 300:
+            size = rng.randint(2, 14)
+            graph = PlumbingGraph.build(
+                [rng.choice([-2, -3]) for _ in range(size)],
+                [(rng.randrange(k), k) for k in range(1, size)],
+            )
+            if not negdef_check(graph):
+                continue
+            assert fundamental_cycle(graph).multiplicities == naive_laufer(graph), graph
+            checked += 1
 
 
 class TestRationality:
