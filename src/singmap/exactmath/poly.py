@@ -19,6 +19,8 @@ Exponent2 = Tuple[int, int]
 
 
 def _coerce_scalar(c) -> ExactScalar:
+    """c as an ExactScalar; ExactScalar.rational refuses anything but an
+    int or a Fraction with TypeError."""
     if isinstance(c, ExactScalar):
         return c
     return ExactScalar.rational(c)
@@ -311,9 +313,15 @@ class BivariatePoly:
 class Powers:
     """Monomials prod bases[i]^alpha[i] in fixed bivariate polynomials.
 
-    Each power bases[i]^n is computed once, by one multiplication from the
-    power below it, and kept for the life of the instance.  An instance may
-    be shared: a KleinBasis holds one over its triple (x, y, z), which
+    Three tables, all kept for the life of the instance and grown on
+    demand, never rebuilt.  _powers[i] lists bases[i]^0, bases[i]^1, ...,
+    each power made by one multiplication from the one below it, up to the
+    largest exponent asked for so far.  _monomials maps every exponent
+    vector alpha that monomial was asked for to its expansion, so each
+    monomial is multiplied out once and a second call returns the same
+    BivariatePoly.  _parts maps every alpha that combination met to the
+    integer decomposition (_components) of that expansion.  An instance
+    may be shared: a KleinBasis holds one over its triple (x, y, z), which
     expands the printed map and verifies every relation found for it, and
     klein_invariants keeps one KleinBasis per family for the process.
     """
@@ -321,6 +329,8 @@ class Powers:
     def __init__(self, bases: Sequence[BivariatePoly]):
         self.bases = tuple(bases)
         self._powers = [[BivariatePoly.constant(1), base] for base in self.bases]
+        self._monomials: Dict[tuple, BivariatePoly] = {}
+        self._parts: Dict[tuple, tuple] = {}
 
     def power(self, i: int, n: int) -> BivariatePoly:
         powers = self._powers[i]
@@ -329,12 +339,17 @@ class Powers:
         return powers[n]
 
     def monomial(self, alpha: Sequence[int]) -> BivariatePoly:
-        product = None
-        for i, e in enumerate(alpha):
-            if e:
-                factor = self.power(i, e)
-                product = factor if product is None else product * factor
-        return BivariatePoly.constant(1) if product is None else product
+        alpha = tuple(alpha)
+        product = self._monomials.get(alpha)
+        if product is None:
+            for i, e in enumerate(alpha):
+                if e:
+                    factor = self.power(i, e)
+                    product = factor if product is None else product * factor
+            if product is None:
+                product = BivariatePoly.constant(1)
+            self._monomials[alpha] = product
+        return product
 
     def combination(self, terms: Dict[tuple, ExactScalar]) -> BivariatePoly:
         """The sum of coeff * monomial(alpha) over terms {alpha: coeff}.
@@ -344,7 +359,10 @@ class Powers:
         """
         expanded = []
         for alpha, coeff in terms.items():
-            den, parts = _components(self.monomial(alpha).terms)
+            kept = self._parts.get(alpha)
+            if kept is None:
+                kept = self._parts[alpha] = _components(self.monomial(alpha).terms)
+            den, parts = kept
             expanded.append((coeff, den * coeff.den, parts))
         common = lcm(*(den for _, den, _ in expanded))
         acc: Dict[Exponent2, List[int]] = {}

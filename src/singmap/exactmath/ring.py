@@ -10,7 +10,10 @@ the basis up to an integer factor.  The coordinates are held as eight
 integer numerators over one positive integer denominator, always in lowest
 terms (gcd(den, *num) == 1, zero is ((0,) * 8, 1)), so every operation is
 exact, equal values have equal representations, and the arithmetic runs on
-Python integers.
+Python integers.  A product or difference of two rationals (every
+irrational coordinate zero, as for all D*, T* and O* data) is one integer
+fraction reduced by one gcd, with no pass over the basis.  Values enter
+only as int, Fraction or ExactScalar; anything else is a TypeError.
 
 The ring is in fact the degree-8 number field Q(i, sqrt2, sqrt5); inversion
 takes norms down the tower Q(i, s2, s5) > Q(s2, s5) > Q(s5) > Q.  Division
@@ -59,7 +62,7 @@ _MUL = tuple(tuple(_basis_product(b1, b2) for b2 in _BASIS) for b1 in _BASIS)
 
 Rationalish = Union[int, Fraction]
 
-_ZERO_NUM = (0,) * 8
+_ZERO_TAIL = (0,) * 7  # the irrational coordinates of a rational
 
 
 class ExactScalar:
@@ -69,7 +72,7 @@ class ExactScalar:
     __slots__ = ("num", "den")
 
     def __init__(self, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(_fraction(c) for c in coords)
         if len(coords) != 8:
             raise ValueError("ExactScalar needs 8 coordinates")
         # the lcm of reduced denominators leaves the numerators coprime to it
@@ -102,8 +105,8 @@ class ExactScalar:
 
     @staticmethod
     def rational(q: Rationalish) -> "ExactScalar":
-        q = Fraction(q)
-        return ExactScalar._of((q.numerator,) + _ZERO_NUM[1:], q.denominator)
+        q = _fraction(q)
+        return ExactScalar._of((q.numerator,) + _ZERO_TAIL, q.denominator)
 
     @staticmethod
     def basis_element(index: int) -> "ExactScalar":
@@ -138,10 +141,16 @@ class ExactScalar:
             other = ExactScalar._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        x, y = self.num, other.num
         d1, d2 = self.den, other.den
+        if x.count(0) - (not x[0]) == 7 and y.count(0) - (not y[0]) == 7:
+            # both rational: one integer fraction, one gcd
+            if d1 == d2:
+                return _rational(x[0] - y[0], d1)
+            return _rational(x[0] * d2 - y[0] * d1, d1 * d2)
         if d1 == d2:
-            return _reduced(tuple(a - b for a, b in zip(self.num, other.num)), d1)
-        return _reduced(tuple(a * d2 - b * d1 for a, b in zip(self.num, other.num)), d1 * d2)
+            return _reduced(tuple(a - b for a, b in zip(x, y)), d1)
+        return _reduced(tuple(a * d2 - b * d1 for a, b in zip(x, y)), d1 * d2)
 
     def __rsub__(self, other):
         other = ExactScalar._coerce(other)
@@ -157,11 +166,15 @@ class ExactScalar:
             other = ExactScalar._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        x, y = self.num, other.num
+        if x.count(0) - (not x[0]) == 7 and y.count(0) - (not y[0]) == 7:
+            # both rational: one integer fraction, one gcd
+            return _rational(x[0] * y[0], self.den * other.den)
         out = [0, 0, 0, 0, 0, 0, 0, 0]
-        for k1, a in enumerate(self.num):
+        for k1, a in enumerate(x):
             if a:
                 row = _MUL[k1]
-                for k2, b in enumerate(other.num):
+                for k2, b in enumerate(y):
                     if b:
                         k, factor = row[k2]
                         out[k] += a * b * factor
@@ -233,7 +246,7 @@ class ExactScalar:
             n, d = self.num[0], self.den
             if n < 0:
                 n, d = -n, -d
-            return ExactScalar._of((d,) + _ZERO_NUM[1:], n)
+            return ExactScalar._of((d,) + _ZERO_TAIL, n)
         a1 = self.galois(flip_i=True)
         n1 = self * a1
         n1c = n1.galois(flip_sqrt2=True)
@@ -263,6 +276,23 @@ _GALOIS_SIGNS = {
     flips: tuple(-1 if sum(e for e, f in zip(b, flips) if f) % 2 else 1 for b in _BASIS)
     for flips in product((False, True), repeat=3)
 }
+
+
+def _fraction(value) -> Fraction:
+    """value as a Fraction, for an int or a Fraction only: a float or a
+    string would enter the exact layer as whatever Fraction() reads it as."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"exact scalars take int or Fraction values, not {type(value).__name__}")
+    return Fraction(value)
+
+
+def _rational(n: int, den: int) -> ExactScalar:
+    """The rational scalar n / den for den > 0, in lowest terms."""
+    g = gcd(n, den)
+    if g != 1:
+        n //= g
+        den //= g
+    return ExactScalar._of((n,) + _ZERO_TAIL, den)
 
 
 def _reduced(num: tuple, den: int) -> ExactScalar:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import compress
+from math import gcd
 from typing import Dict, Sequence, Tuple
 
 from .ring import BASIS_SYMBOLS, ExactScalar
@@ -128,15 +129,21 @@ def format_terms(terms: Dict[tuple, ExactScalar], variables: Sequence[str]) -> s
     printed = []
     for exponent in sorted(terms, key=grlex_key, reverse=True):
         coeff = terms[exponent]
+        den = coeff.den
         monomial = _monomial_text(exponent, variables)
         for numerator, symbol in zip(coeff.num, BASIS_SYMBOLS):
             if numerator == 0:
                 continue
             sign = "-" if numerator < 0 else "+"
-            mag = Fraction(abs(numerator), coeff.den)
+            # the magnitude |numerator| / den in lowest terms
+            top = abs(numerator)
+            g = gcd(top, den)
+            top, bottom = top // g, den // g
             pieces = []
-            if mag != 1 or (not symbol and not monomial):
-                pieces.append(str(mag))
+            if bottom != 1:
+                pieces.append(f"{top}/{bottom}")
+            elif top != 1 or (not symbol and not monomial):
+                pieces.append(str(top))
             if symbol:
                 pieces.append(symbol)
             if monomial:

@@ -191,11 +191,15 @@ class KleinBasis(InvariantBasis):
     relations among Klein monomials are exactly the linear relations among
     their normal forms, which have a few terms where the (u, v) expansions
     have hundreds.  powers is the one Powers over the triple: it expands
-    Klein monomials in u, v, for the printed map and for the verification
-    of every relation found among them.  klein_invariants hands out one
-    verified basis per family per process, so these tables, and those of
-    the powers of S behind normal_form, serve every map of the family and
-    grow to the largest degree any of them asked for.
+    Klein monomials in u, v, for the printed map, for the tie-break of
+    minimalize_generators and for the verification of every relation found
+    among them.  It keeps the powers of x, y and z, every Klein monomial it
+    has expanded, and the integer decomposition of each monomial that a
+    verification summed.  klein_invariants hands out one verified basis per
+    family per process, so these tables, and those of the powers of S
+    behind normal_form, serve every map of the family: the powers grow to
+    the largest exponent any map asked for, the monomial tables by each
+    distinct Klein monomial met, and nothing is dropped.
     """
 
     square: Optional[BivariatePoly] = None
@@ -324,24 +328,30 @@ def product_invariant_monomials(degrees: Sequence[int], m: int) -> List[Tuple[in
     completing a_j can be minimal, as every larger one lies above it.  The
     prefixes are walked in ascending lexicographic order, in which
     everything below a solution comes before it, so a solution is kept
-    unless an element already kept lies below it.  Output sorted
-    lexicographically descending.
+    unless an element already kept lies below it.  That test is one table
+    lookup: below[P] is the least last coordinate of a kept element whose
+    prefix is at or below P, the minimum of P's own kept value and of
+    below[P - e_i] over its immediate predecessors, m + 1 if there is none.
+    Output sorted lexicographically descending.
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
     *head, last = (int(d) for d in degrees)
     least = [next((v for v in range(m + 1) if (r + v * last) % m == 0), None) for r in range(m)]
+    # prefixes are numbered in base m + 1, so P - e_i is P's number minus strides[i]
+    strides = [(m + 1) ** k for k in range(len(head) - 1, -1, -1)]
+    below: List[int] = []
     basis: List[Tuple[int, ...]] = []
-    for prefix in product(range(m + 1), repeat=len(head)):
+    for index, prefix in enumerate(product(range(m + 1), repeat=len(head))):
+        low = min((below[index - s] for s, a in zip(strides, prefix) if a), default=m + 1)
         if any(prefix):
             value = least[sum(a * d for a, d in zip(prefix, head)) % m]
-            if value is None:
-                continue
         else:
             value = m // gcd(last, m)  # the least positive completion of zero
-        solution = prefix + (value,)
-        if not any(all(k <= s for k, s in zip(kept, solution)) for kept in basis):
-            basis.append(solution)
+        if value is not None and value < low:
+            basis.append(prefix + (value,))
+            low = value
+        below.append(low)
     return sorted(basis, reverse=True)
 
 

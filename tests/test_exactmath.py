@@ -21,6 +21,7 @@ from singmap.exactmath import (
     ZERO,
     format_bivariate,
     format_multi,
+    format_terms,
     in_span,
     nullspace_basis,
     parse_bivariate,
@@ -29,6 +30,7 @@ from singmap.exactmath import (
     weighted_exponents,
 )
 from singmap.exactmath.linalg import insert_row, reduce_row
+from singmap.exactmath.ring import BASIS_SYMBOLS
 
 
 def random_scalar(rng, spread=6):
@@ -246,6 +248,78 @@ class TestScalarAgainstReference:
                 assert hash(value) == hash(a)
         assert ExactScalar.rational(Fraction(6, 4)) == Fraction(3, 2)
         assert hash(ExactScalar.rational(Fraction(6, 4))) == hash(ExactScalar.rational(Fraction(3, 2)))
+
+
+def rational_or_not(rng):
+    """A rational (zero, negative, whole or not) or a scalar with irrational
+    coordinates, about equally often."""
+    kind = rng.choice(["zero", "whole", "fraction", "irrational"])
+    if kind == "zero":
+        return ZERO
+    if kind == "whole":
+        return ExactScalar.rational(rng.choice([-1, 1]) * rng.randint(1, 40))
+    if kind == "fraction":
+        return ExactScalar.rational(Fraction(rng.randint(-40, 40), rng.randint(1, 36)))
+    scalar = sparse_scalar(rng)
+    return scalar if not scalar.is_rational() else scalar + SQRT5
+
+
+class TestRationalFastPath:
+    """A product or difference of two rationals skips the 8 x 8 basis loop;
+    it must agree with the general 8-coordinate arithmetic, held here as
+    ref_mul and ref_add, in value and in representation."""
+
+    def test_products_and_differences_against_the_general_path(self):
+        rng = random.Random(20261019)
+        seen = set()
+        for _ in range(1000):
+            a, b = rational_or_not(rng), rational_or_not(rng)
+            product, difference = a * b, a - b
+            assert product.coords == ref_mul(a.coords, b.coords)
+            assert difference.coords == ref_add(a.coords, tuple(-x for x in b.coords))
+            for result in (product, difference):
+                assert_lowest_terms(result)
+            if a.is_rational() and b.is_rational():
+                assert product.is_rational() and difference.is_rational()
+                assert product.as_fraction() == a.as_fraction() * b.as_fraction()
+                assert difference.as_fraction() == a.as_fraction() - b.as_fraction()
+            seen.add((a.is_rational(), b.is_rational(), a.is_zero() or b.is_zero(),
+                      a.is_rational() and a.as_fraction() < 0))
+        # rational x rational, rational x irrational both ways, zeros and negatives
+        assert {(True, True, False, True), (True, False, False, False),
+                (False, True, False, False), (True, True, True, False)} <= seen
+
+    def test_zero_and_equal_denominators(self):
+        third = ExactScalar.rational(Fraction(1, 3))
+        assert (third - third).num == (0,) * 8 and (third - third).den == 1
+        assert ((third * 3) - ONE) == ZERO and (ZERO * third).den == 1
+        # equal denominators: (5 - 2) / 6 reduces to 1/2
+        assert ExactScalar.rational(Fraction(5, 6)) - ExactScalar.rational(Fraction(1, 3)) == HALF
+        assert (ExactScalar.rational(-4) * ExactScalar.rational(Fraction(-3, 8))) == Fraction(3, 2)
+
+
+class TestOnlyExactValues:
+    # a float or a string would enter as whatever Fraction() reads it as
+    @pytest.mark.parametrize("value", [0.1, 1.0, "1/3", "2", None, complex(1, 0)])
+    def test_rational_and_coordinates_refuse_other_types(self, value):
+        with pytest.raises(TypeError):
+            ExactScalar.rational(value)
+        with pytest.raises(TypeError):
+            ExactScalar([value] + [0] * 7)
+        with pytest.raises(TypeError):
+            BivariatePoly.constant(value)
+        with pytest.raises(TypeError):
+            BivariatePoly({(0, 0): value})
+        with pytest.raises(TypeError):
+            BivariatePoly.monomial(value, 1, 2)
+        with pytest.raises(TypeError):
+            MultiPoly(1, [2], {(1,): value})
+
+    def test_exact_values_still_enter(self):
+        third = ExactScalar.rational(Fraction(1, 3))
+        assert BivariatePoly.constant(Fraction(1, 3)).terms == {(0, 0): third}
+        assert BivariatePoly({(0, 0): SQRT5, (1, 0): 2}).terms == {(0, 0): SQRT5, (1, 0): ONE * 2}
+        assert ExactScalar([Fraction(1, 2), 3, 0, 0, 0, 0, 0, 0]) == HALF + I * 3
 
 
 def random_poly(rng, terms):
@@ -726,6 +800,48 @@ class TestSparseElimination:
                 difference = [x - first.get(j, ZERO) for j, x in enumerate(dense)]
                 assert reference_in_span(matrix, difference)
 
+    def test_stored_rows_are_monic_copies(self):
+        # a reduced row already monic at its pivot is stored as it is, one
+        # that is not is scaled; neither aliases the row passed in
+        form = {}
+        monic = {1: ONE, 3: HALF, 4: SQRT5}
+        insert_row(form, monic)
+        assert form[1] == monic and form[1] is not monic
+        scaled = {0: ExactScalar.rational(-2), 2: I}
+        insert_row(form, scaled)
+        assert form[0] == {0: ONE, 2: -HALF * I}
+        assert scaled == {0: ExactScalar.rational(-2), 2: I}
+        # 2 e_1 + 2 e_3 reduces by the row at 1 to e_3 - 2 SQRT5 e_4, monic at 3
+        insert_row(form, {1: ExactScalar.rational(2), 3: ExactScalar.rational(2)})
+        assert form[3] == {3: ONE, 4: SQRT5 * -2}
+        monic[3] = ZERO
+        assert form[1] == {1: ONE, 3: HALF, 4: SQRT5}
+
+
+def reference_format_terms(terms, variables):
+    """format_terms as it was written with one Fraction per printed part."""
+    printed = []
+    for exponent in sorted(terms, key=lambda e: (sum(e), tuple(e)), reverse=True):
+        coeff = terms[exponent]
+        monomial = "*".join(variables[k] if e == 1 else f"{variables[k]}^{e}"
+                            for k, e in enumerate(exponent) if e)
+        for numerator, symbol in zip(coeff.num, BASIS_SYMBOLS):
+            if numerator == 0:
+                continue
+            mag = Fraction(abs(numerator), coeff.den)
+            pieces = []
+            if mag != 1 or (not symbol and not monomial):
+                pieces.append(str(mag))
+            if symbol:
+                pieces.append(symbol)
+            if monomial:
+                pieces.append(monomial)
+            printed.append(("-" if numerator < 0 else "+", "*".join(pieces)))
+    if not printed:
+        return "0"
+    out = ("-" if printed[0][0] == "-" else "") + printed[0][1]
+    return out + "".join(f" {sign} {body}" for sign, body in printed[1:])
+
 
 class TestTextFormat:
     CASES = [
@@ -792,6 +908,27 @@ class TestTextFormat:
     def test_zero_denominator_is_a_value_error(self, text):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_bivariate(text)
+
+    def test_magnitudes_match_the_fraction_formatter(self):
+        rng = random.Random(1019)
+        symbols = [ONE, I, SQRT2, SQRT5, SQRT10, I * SQRT2, I * SQRT5, I * SQRT10]
+        seen = set()
+        for _ in range(400):
+            coeff = ZERO
+            for symbol in rng.sample(symbols, rng.randint(1, 3)):
+                value = rng.choice([1, -1, rng.randint(-30, 30), Fraction(rng.randint(-30, 30),
+                                                                          rng.randint(1, 24))])
+                coeff = coeff + symbol * value
+            den = rng.choice([1, 1, 2, 6, 35])
+            coeff = coeff / den
+            terms = {(): coeff} if rng.random() < 0.3 else \
+                {(rng.randint(0, 3), rng.randint(0, 3)): coeff, (4, 0): ONE}
+            variables = () if () in terms else ("u", "v")
+            assert format_terms(terms, variables) == reference_format_terms(terms, variables)
+            seen.update((n < 0, n % coeff.den == 0, abs(n) == coeff.den) for n in coeff.num if n)
+        # negative and positive parts, whole numbers, fractions and 1 were all printed
+        assert {(True, True, True), (False, True, True), (True, False, False),
+                (False, False, False), (False, True, False)} <= seen
 
     def test_invariance_negative_control_still_parses(self):
         p = parse_bivariate("u^10*v^2 + u^2*v^10 - 2*u^7*v^5")

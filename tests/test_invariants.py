@@ -3,8 +3,10 @@ with Klein's relation and normal form, product-group congruence search and
 minimalization."""
 
 import io
+import random
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +14,7 @@ from singmap import invariants
 from singmap.cli import main
 from singmap.exactmath import (
     BivariatePoly,
+    ExactScalar,
     format_bivariate,
     grlex_key,
     parse_bivariate,
@@ -391,6 +394,41 @@ class TestKleinNormalForm:
             assert base.leading_exponent(t) == base.expand(t).leading_exponent()
 
 
+class TestKeptExpansions:
+    """Powers keeps every Klein-monomial expansion of a family's basis."""
+
+    # family, D* index, weighted degree up to which every monomial is checked
+    CASES = [
+        (GroupFamily.BINARY_DIHEDRAL, 2, 36),
+        (GroupFamily.BINARY_DIHEDRAL, 5, 52),
+        (GroupFamily.BINARY_TETRAHEDRAL, None, 60),
+        (GroupFamily.BINARY_OCTAHEDRAL, None, 72),
+        (GroupFamily.BINARY_ICOSAHEDRAL, None, 90),
+    ]
+
+    @pytest.mark.parametrize("family,n,top", CASES)
+    def test_kept_expansions_are_the_products(self, klein_memo, family, n, top):
+        base = klein_invariants(family, n)
+        x, y, z = base.generators
+        rng = random.Random(top)
+        for degree in range(1, top + 1):
+            monomials = weighted_exponents(base.degrees, degree)
+            if not monomials:
+                continue
+            # a combination before any of its monomials is kept, and after
+            terms = {t: ExactScalar.rational(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5)))
+                     for t in monomials}
+            first = base.powers.combination(terms)
+            fresh = BivariatePoly({})
+            for t in monomials:
+                a, b, c = t
+                kept = base.expand(t)
+                assert kept == x ** a * y ** b * z ** c, t
+                assert base.expand(t) is kept and base.powers.monomial(list(t)) is kept
+                fresh = fresh + kept.scale(terms[t])
+            assert first == fresh == base.powers.combination(terms)
+
+
 class TestProductMonomials:
     def test_dihedral_example(self):
         expected = [(3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0), (0, 0, 1)]
@@ -452,6 +490,17 @@ class TestProductMonomialsAgainstSearch:
             for m in range(1, 14):
                 assert product_invariant_monomials(degrees, m) == \
                     reference_product_monomials(degrees, m), (degrees, m)
+
+    # pairs, whose prefixes have one immediate predecessor, and quadruples,
+    # whose prefixes have up to three
+    @pytest.mark.parametrize("degrees, top", [
+        ((1, 1), 13), ((2, 3), 13), ((4, 6), 13), ((5, 7), 13),
+        ((1, 2, 3, 4), 6), ((4, 4, 6, 9), 6), ((3, 5, 7, 11), 5), ((6, 8, 12, 12), 5),
+    ])
+    def test_other_lengths(self, degrees, top):
+        for m in range(1, top + 1):
+            assert product_invariant_monomials(degrees, m) == \
+                reference_product_monomials(degrees, m), (degrees, m)
 
 
 class TestMinimalize:
