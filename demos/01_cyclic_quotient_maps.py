@@ -25,7 +25,7 @@ report = multiplicity_and_embdim(seifert_to_plumbing(LensData(5, 2)))
 print(f"multiplicity {report.multiplicity}, embedding dimension "
       f"{report.embedding_dimension} (= number of map components)")
 
-found = monomial_relations(exponents)
+found = monomial_relations(5, 2)
 print("binomial equations of the image:")
 for relation in found.relations:
     print("   ", format_multi(relation), "= 0")

@@ -53,17 +53,12 @@ def reduce_row(form: Dict[object, Row], row: Row) -> Row:
 
 def insert_row(form: Dict[object, Row], row: Row) -> None:
     """Add row to the span of form: what is left of it after reduce_row,
-    made monic, is stored under its leading column.  A row already monic
-    there is stored as it is (reduce_row returned a fresh dict)."""
+    made monic, is stored under its leading column."""
     row = reduce_row(form, row)
     if row:
         col = min(row)
-        lead = row[col]
-        if lead == ONE:
-            form[col] = row
-        else:
-            inv = lead.inverse()
-            form[col] = {j: x * inv for j, x in row.items()}
+        inv = row[col].inverse()
+        form[col] = {j: x * inv for j, x in row.items()}
 
 
 def rref(rows: Iterable[Row]) -> Dict[object, Row]:

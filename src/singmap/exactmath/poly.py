@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import index
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ring import _MUL, ExactScalar, ONE, ZERO, _reduced
@@ -153,7 +154,7 @@ class BivariatePoly:
                 a, b = exp
                 if a < 0 or b < 0:
                     raise ValueError(f"negative exponent {exp}")
-                clean[(int(a), int(b))] = coeff
+                clean[(index(a), index(b))] = coeff
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -211,18 +212,6 @@ class BivariatePoly:
     def scale(self, c) -> "BivariatePoly":
         c = _coerce_scalar(c)
         return BivariatePoly({e: coeff * c for e, coeff in self.terms.items()})
-
-    def __pow__(self, n: int) -> "BivariatePoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = BivariatePoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, BivariatePoly):
@@ -386,13 +375,13 @@ class MultiPoly:
     __slots__ = ("nvars", "weights", "terms")
 
     def __init__(self, nvars: int, weights: Sequence[int], terms: Dict[tuple, ExactScalar]):
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(index(w) for w in weights)
         if len(weights) != nvars or any(w <= 0 for w in weights):
             raise ValueError("need one positive weight per variable")
         clean = {}
         for exp, coeff in terms.items():
             coeff = _coerce_scalar(coeff)
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(index(e) for e in exp)
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp}")
             if not coeff.is_zero():

@@ -143,39 +143,41 @@ def _jacobian(f: BivariatePoly, g: BivariatePoly) -> BivariatePoly:
     return f_u * g_v - f_v * g_u
 
 
-def _klein_triple(x: BivariatePoly, y: BivariatePoly, c) -> List[BivariatePoly]:
-    return [x, y, _jacobian(x, y).scale(c)]
-
-
 # Klein's octahedron form u v (v^4 - u^4), zero at the vertices 0, oo, +-1,
 # +-i, and the cube form u^8 + 14 u^4 v^4 + v^8, zero at the face centres
 _OCTAHEDRON = BivariatePoly.from_terms([(1, 1, 5), (-1, 5, 1)])
 _CUBE = _hessian(_OCTAHEDRON).scale(Fraction(-1, 25))
 
 
-def _dihedral_triple(n: int) -> List[BivariatePoly]:
-    x = BivariatePoly.monomial(1, 2, 2)
-    y = BivariatePoly.from_terms([(1, 2 * n, 0), (1, 0, 2 * n)])
-    return _klein_triple(x, y, Fraction(-1, 4 * n))
+def _klein_forms(tag: GroupFamily, n: Optional[int]):
+    """Klein's data for D*_{4n}, T*, O* or I* (Vorlesungen ueber das
+    Ikosaeder, 1884), in the coordinates of the generators in groups:
+    (x, y, c, S) with x the ground form, y the second form, z = c J(x, y),
+    and S the terms (coefficient, i, j) of the relation z^2 = S(x, y), each
+    standing for coefficient * x^i y^j:
 
-
-def _tetrahedral_triple() -> List[BivariatePoly]:
-    return _klein_triple(_OCTAHEDRON, _CUBE, Fraction(1, 8))
-
-
-def _octahedral_triple() -> List[BivariatePoly]:
-    return _klein_triple(_OCTAHEDRON ** 2, _CUBE, Fraction(-1, 16))
-
-
-def _icosahedral_triple() -> List[BivariatePoly]:
-    # the icosahedron form in the coordinates of the generators in groups;
-    # Klein's own, for another choice, is u v (u^10 + 11 u^5 v^5 - v^10)
-    s5 = SQRT5
-    x = BivariatePoly.from_terms([
-        (s5, 12, 0), (s5, 0, 12), (-22, 10, 2), (-22, 2, 10),
-        (-33 * s5, 8, 4), (-33 * s5, 4, 8), (44, 6, 6),
-    ])
-    return _klein_triple(x, _hessian(x).scale(s5 / 9680), Fraction(-1, 32))
+        D*_{4n}: S = x y^2 - 4 x^(n+1)     T*: S = y^3 - 108 x^4
+        O*:      S = x y^3 - 108 x^3       I*: S = -(27 x^5 + 25 s5 y^3)/4
+    """
+    if tag is GroupFamily.BINARY_DIHEDRAL:
+        x = BivariatePoly.monomial(1, 2, 2)
+        y = BivariatePoly.from_terms([(1, 2 * n, 0), (1, 0, 2 * n)])
+        return x, y, Fraction(-1, 4 * n), [(1, 1, 2), (-4, n + 1, 0)]
+    if tag is GroupFamily.BINARY_TETRAHEDRAL:
+        return _OCTAHEDRON, _CUBE, Fraction(1, 8), [(1, 0, 3), (-108, 4, 0)]
+    if tag is GroupFamily.BINARY_OCTAHEDRAL:
+        return _OCTAHEDRON * _OCTAHEDRON, _CUBE, Fraction(-1, 16), [(1, 1, 3), (-108, 3, 0)]
+    if tag is GroupFamily.BINARY_ICOSAHEDRAL:
+        # the icosahedron form for the generators in groups; Klein's own,
+        # for another choice, is u v (u^10 + 11 u^5 v^5 - v^10)
+        s5 = SQRT5
+        x = BivariatePoly.from_terms([
+            (s5, 12, 0), (s5, 0, 12), (-22, 10, 2), (-22, 2, 10),
+            (-33 * s5, 8, 4), (-33 * s5, 4, 8), (44, 6, 6),
+        ])
+        square = [(Fraction(-27, 4), 5, 0), (s5 * Fraction(-25, 4), 0, 3)]
+        return x, _hessian(x).scale(s5 / 9680), Fraction(-1, 32), square
+    raise UnsupportedFamilyError(f"no invariant triple for {tag}")
 
 
 @dataclass(frozen=True)
@@ -250,11 +252,8 @@ _KLEIN_BASES: Dict[object, KleinBasis] = {}
 
 
 def klein_invariants(tag: GroupFamily, n: int = None) -> KleinBasis:
-    """The classical generator triple for D*_{4n}, T*, O* or I*, with
-    Klein's relation z^2 = S(x, y):
-
-        D*_{4n}: S = x y^2 - 4 x^(n+1)     T*: S = y^3 - 108 x^4
-        O*:      S = x y^3 - 108 x^3       I*: S = -(27 x^5 + 25 s5 y^3)/4
+    """The classical generator triple (x, y, z) for D*_{4n}, T*, O* or I*,
+    with Klein's relation z^2 = S(x, y), both from _klein_forms.
 
     One verified KleinBasis per family per process: the first call for a
     family builds and verifies it, and every later call returns that same
@@ -275,27 +274,17 @@ def klein_invariants(tag: GroupFamily, n: int = None) -> KleinBasis:
 
 
 def _verified_klein_basis(tag: GroupFamily, n: Optional[int]) -> KleinBasis:
-    """Build the triple of klein_invariants and check it before use.
+    """Build the triple (x, y, c J(x, y)) and the relation S of
+    _klein_forms and check them before use.
 
-    The triples and the relations S are Klein's (Vorlesungen ueber das
-    Ikosaeder, 1884), in the coordinates of the generators in groups.
-    Each triple is verified to be fixed by both group generators, and the
-    relation to vanish under exact substitution; a failure aborts loudly
-    since every downstream relation would be wrong.  For D* with 2n outside
-    {2, 4, 8} the diagonal generator is checked through the exponent
-    congruence instead of an explicit root of unity.
+    Each of x, y, z is verified to be fixed by both group generators, and
+    z^2 - S(x, y) to vanish under exact substitution; a failure aborts
+    loudly since every downstream relation would be wrong.  For D* with 2n
+    outside {2, 4, 8} the diagonal generator is checked through the
+    exponent congruence instead of an explicit root of unity.
     """
-    if tag is GroupFamily.BINARY_DIHEDRAL:
-        polys, square = _dihedral_triple(n), [(1, 1, 2), (-4, n + 1, 0)]
-    elif tag is GroupFamily.BINARY_TETRAHEDRAL:
-        polys, square = _tetrahedral_triple(), [(1, 0, 3), (-108, 4, 0)]
-    elif tag is GroupFamily.BINARY_OCTAHEDRAL:
-        polys, square = _octahedral_triple(), [(1, 1, 3), (-108, 3, 0)]
-    elif tag is GroupFamily.BINARY_ICOSAHEDRAL:
-        polys = _icosahedral_triple()
-        square = [(Fraction(-27, 4), 5, 0), (SQRT5 * Fraction(-25, 4), 0, 3)]
-    else:
-        raise UnsupportedFamilyError(f"no invariant triple for {tag}")
+    x, y, c, square = _klein_forms(tag, n)
+    polys = [x, y, _jacobian(x, y).scale(c)]
     plain = InvariantBasis.from_polys(polys)
     basis = KleinBasis(plain.generators, plain.degrees, square=BivariatePoly.from_terms(square))
     gens = generator_matrices(binary_group(tag, n))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import index
 from typing import List, Sequence, Tuple
 
 
@@ -69,11 +70,12 @@ class SeifertData:
         form, or LinkError is raised."""
         kept = []
         for p, q in fibers:
+            p, q = index(p), index(q)
             if p < 1 or q < 0:
                 raise LinkError(f"bad fiber ({p}, {q})")
             if (p, q) != (1, 0):
-                kept.append((int(p), int(q)))
-        return SeifertData(int(b), tuple(sorted(kept)))
+                kept.append((p, q))
+        return SeifertData(index(b), tuple(sorted(kept)))
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,8 @@ class PlumbingGraph:
 
     @staticmethod
     def build(weights: Sequence[int], edges: Sequence[Tuple[int, int]]) -> "PlumbingGraph":
-        canon = tuple(sorted(tuple(sorted((int(i), int(j)))) for i, j in edges))
-        return PlumbingGraph(tuple(int(w) for w in weights), canon)
+        canon = tuple(sorted(tuple(sorted((index(i), index(j)))) for i, j in edges))
+        return PlumbingGraph(tuple(index(w) for w in weights), canon)
 
     @property
     def size(self) -> int:

@@ -237,10 +237,7 @@ def _cyclic_map(p: int, q: int, report: SingularityReport, max_degree):
     exponents = cyclic_invariant_generators(p, q)
     basis = InvariantBasis.from_polys(monomials_from_exponents(exponents))
     expected = _expected_relation_count(report, len(exponents))
-    if p == 1:
-        relations = RelationSet((), 0, expected)
-    else:
-        relations = monomial_relations(exponents, max_degree, expected)
+    relations = monomial_relations(p, q, max_degree, expected)
     return basis, relations, _generator_warnings(len(exponents), report)
 
 

@@ -2,22 +2,23 @@
 
 Two discovery routes, both resting on Wahl's theorem that a rational
 singularity's minimal equations have independent quadratic parts, and one
-verifier.  Monomial maps (cyclic quotients) get binomial relations: two
-factorizations of the same (u, v)-monomial give x^alpha - x^beta.  Only
-Riemenschneider's images g_(k-1) + g_(l+1) of the Hirzebruch-Jung ordered
-generators are read, since the minimal relations sit there and nowhere
-else, and each image's binomials join its quadratic factorizations and the
-least of the others to the least quadratic one.  Maps by monomials in a
-Klein triple (binary polyhedral quotients and their cyclic products) get
-bounded-degree relations: per weighted degree w_i + w_j of a pair of
-generators, two exact eliminations over Q(i, sqrt2, sqrt5) of the candidate
-monomials' Klein normal forms pick out the columns of the new relations;
-each relation leaves that echelon form monic at its leading monomial and in
-output order, so it is only cleared of denominators, never sorted.
-verify_relation substitutes the generators and demands the identically zero
-polynomial; a relation among Klein monomials is first rewritten in the Klein
-triple itself, so its check expands powers of x, y, z that the map's
-KleinBasis already holds.
+verifier.  Monomial maps (cyclic quotients of L(p, q)) get binomial
+relations from (p, q) alone: two factorizations of the same (u, v)-monomial
+give x^alpha - x^beta.  Only Riemenschneider's images g_(k-1) + g_(l+1) of
+the Hirzebruch-Jung ordered generators are read, since the minimal
+relations sit there and nowhere else, and each image's binomials join its
+quadratic factorizations and the least of the others to the least
+quadratic one.  Maps by monomials in a Klein triple (binary polyhedral
+quotients and their cyclic products) get bounded-degree relations: per
+weighted degree w_i + w_j of a pair of generators, two exact eliminations
+over Q(i, sqrt2, sqrt5) of the candidate monomials' Klein normal forms pick
+out the columns of the new relations; each relation leaves that echelon
+form monic at its leading monomial and in output order, so it is only
+cleared of denominators, never sorted.  verify_relation substitutes the
+generators and demands the identically zero polynomial; every Klein
+relation is checked so before it is returned, rewritten in the Klein triple
+itself, whose powers the map's KleinBasis already holds.  Binomials are not
+substituted: they hold by construction, both sides factoring one monomial.
 """
 
 from __future__ import annotations
@@ -120,20 +121,23 @@ def verify_relation(relation: MultiPoly, generators) -> bool:
 
 
 def monomial_relations(
-    gens: Sequence[Tuple[int, int]],
+    p: int,
+    q: int,
     degree_bound: int = None,
     expected_count: Optional[int] = None,
 ) -> RelationSet:
-    """Binomial generators of the relation ideal of a cyclic quotient map.
+    """Binomial generators of the relation ideal of the cyclic quotient
+    map of L(p, q).
 
-    gens must be cyclic_invariant_generators(p, q), the Hilbert basis
-    g_0, ..., g_(e-1) in Hirzebruch-Jung order (ValueError otherwise).  The
-    minimal relations then sit exactly at the images g_(k-1) + g_(l+1),
+    Its components are the monomials of the Hilbert basis g_0, ..., g_(e-1)
+    in Hirzebruch-Jung order, cyclic_invariant_generators(p, q).  The
+    minimal relations sit exactly at the images g_(k-1) + g_(l+1),
     1 <= k <= l <= e - 2 (Riemenschneider's quasi-determinantal equations,
     Math. Ann. 209, 1974), and only those images are visited, in increasing
     weighted degree A + B, then increasing A; images above degree_bound are
     skipped.  The default bound 2 * p * max-degree covers every image.
-    expected_count (Wahl's count) only certifies completeness.
+    expected_count (Wahl's count) only certifies completeness.  The smooth
+    point p = 1 has no relation: degree_bound 0 and Wahl's count 0.
 
     Each image's relations are read off its own fiber F, its factorizations
     in ascending graded-lex order.  F splits into Q, those of total degree
@@ -153,16 +157,9 @@ def monomial_relations(
     into a proper multiple of its anchor, both of total degree >= 3, so it
     never meets Q, and by the count it joins all of H to min(H).
     """
-    gens = [tuple(g) for g in gens]
-    try:
-        p = gens[0][0]
-        hilbert_basis = cyclic_invariant_generators(p, p - gens[1][0])
-    except (IndexError, ValueError):
-        hilbert_basis = None
-    if gens != hilbert_basis:
-        raise ValueError(
-            f"need the Hirzebruch-Jung ordered Hilbert basis of a cyclic action, got {gens}"
-        )
+    gens = cyclic_invariant_generators(p, q)
+    if p == 1:
+        return RelationSet((), 0, wahl_relation_count(len(gens)))
     weights = tuple(a + b for a, b in gens)
     if degree_bound is None:
         degree_bound = 2 * p * max(weights)

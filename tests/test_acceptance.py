@@ -73,7 +73,7 @@ def test_criterion_2_example_5_2():
     ]
     for text in stated:
         assert verify_relation(parse_multi(text, weights), generators), text
-    discovered = monomial_relations(exponents)
+    discovered = monomial_relations(5, 2)
     oracle = parse_multi("x2*x3^2 - x1*x4", weights)  # z w^2 = x y
     assert oracle in discovered.relations
     for relation in discovered.relations:
@@ -226,7 +226,7 @@ def test_criterion_9_property_suites():
     for p, q in rng.sample(pairs, 50):
         exponents = cyclic_invariant_generators(p, q)
         generators = monomials_from_exponents(exponents)
-        found = monomial_relations(exponents, 3 * max(a + b for a, b in exponents))
+        found = monomial_relations(p, q, 3 * max(a + b for a, b in exponents))
         for relation in found.relations:
             assert verify_relation(relation, generators), (p, q)
     elapsed = time.perf_counter() - start

@@ -15,6 +15,7 @@ from singmap.cli import main
 from singmap.exactmath import (
     BivariatePoly,
     ExactScalar,
+    Powers,
     format_bivariate,
     grlex_key,
     parse_bivariate,
@@ -219,22 +220,31 @@ def table_dihedral_triple(n):
     ]
 
 
+def forms_triple(family, n=None):
+    """(x, y, c J(x, y)) from the forms of _klein_forms."""
+    x, y, c, _ = invariants._klein_forms(family, n)
+    return [x, y, invariants._jacobian(x, y).scale(c)]
+
+
 class TestKleinConstructions:
     """Each triple is a ground form x, a second form y and c J(x, y); the
     derived triples must equal the coefficient tables above."""
 
-    @pytest.mark.parametrize("family, builder", [
-        (GroupFamily.BINARY_TETRAHEDRAL, "_tetrahedral_triple"),
-        (GroupFamily.BINARY_OCTAHEDRAL, "_octahedral_triple"),
-        (GroupFamily.BINARY_ICOSAHEDRAL, "_icosahedral_triple"),
+    @pytest.mark.parametrize("family", [
+        GroupFamily.BINARY_TETRAHEDRAL, GroupFamily.BINARY_OCTAHEDRAL,
+        GroupFamily.BINARY_ICOSAHEDRAL,
     ])
-    def test_polyhedral_triples_match_the_tables(self, family, builder):
+    def test_polyhedral_triples_match_the_tables(self, family):
         expected = [parse_bivariate(text) for text in TABLE_TRIPLES[family]]
-        assert getattr(invariants, builder)() == expected
+        assert forms_triple(family) == expected
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_dihedral_triples_match_the_table(self, n):
-        assert invariants._dihedral_triple(n) == table_dihedral_triple(n)
+        assert forms_triple(GroupFamily.BINARY_DIHEDRAL, n) == table_dihedral_triple(n)
+
+    def test_no_forms_for_other_families(self):
+        with pytest.raises(invariants.UnsupportedFamilyError):
+            invariants._klein_forms(GroupFamily.CYCLIC, None)
 
     def test_hessian_of_the_octahedron_form(self):
         phi = parse_bivariate("u*v^5 - u^5*v")
@@ -290,39 +300,48 @@ class TestKleinMemo:
                          (GroupFamily.BINARY_DIHEDRAL, 3)]
 
     @pytest.mark.parametrize("corrupt, message", [
-        # p1 replaced by u v, which the group does not fix
-        (lambda p1, p2, p3: [parse_bivariate("u*v"), p2, p3], "not fixed"),
-        # an invariant triple on which z^2 = S fails
-        (lambda p1, p2, p3: [p1, p2, p3.scale(2)], "Klein relation"),
+        # x replaced by u v, which the group does not fix
+        (lambda x, y, c, s: (parse_bivariate("u*v"), y, c, s), "not fixed"),
+        # an invariant triple on which z^2 = S fails: z doubled
+        (lambda x, y, c, s: (x, y, 2 * c, s), "Klein relation"),
     ])
     def test_failed_verification_stores_nothing(self, klein_memo, monkeypatch, corrupt, message):
-        real = invariants._tetrahedral_triple
-        monkeypatch.setattr(invariants, "_tetrahedral_triple", lambda: corrupt(*real()))
+        real = invariants._klein_forms
+        monkeypatch.setattr(invariants, "_klein_forms", lambda *args: corrupt(*real(*args)))
         for _ in range(2):
             with pytest.raises(InvariantError, match=message):
                 klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
             assert klein_memo == {}
-        monkeypatch.setattr(invariants, "_tetrahedral_triple", real)
-        assert klein_invariants(GroupFamily.BINARY_TETRAHEDRAL).generators == tuple(real())
+        monkeypatch.setattr(invariants, "_klein_forms", real)
+        assert klein_invariants(GroupFamily.BINARY_TETRAHEDRAL).generators == tuple(
+            forms_triple(GroupFamily.BINARY_TETRAHEDRAL))
 
     @pytest.mark.parametrize("which", [0, 1, 2])
-    @pytest.mark.parametrize("family, n, builder", [
-        (GroupFamily.BINARY_ICOSAHEDRAL, None, "_icosahedral_triple"),
-        (GroupFamily.BINARY_OCTAHEDRAL, None, "_octahedral_triple"),
-        (GroupFamily.BINARY_DIHEDRAL, 2, "_dihedral_triple"),  # exact generator matrices
-        (GroupFamily.BINARY_DIHEDRAL, 3, "_dihedral_triple"),  # congruence and J
+    @pytest.mark.parametrize("family, n", [
+        (GroupFamily.BINARY_ICOSAHEDRAL, None),
+        (GroupFamily.BINARY_OCTAHEDRAL, None),
+        (GroupFamily.BINARY_DIHEDRAL, 2),  # exact generator matrices
+        (GroupFamily.BINARY_DIHEDRAL, 3),  # congruence and J
     ])
     def test_one_wrong_coefficient_stores_nothing(self, klein_memo, monkeypatch, family, n,
-                                                  builder, which):
-        real = getattr(invariants, builder)
+                                                  which):
+        def plus_lead(poly):
+            return poly + BivariatePoly.monomial(1, *poly.leading_exponent())
 
-        def corrupted(*args):
-            polys = list(real(*args))
-            lead = polys[which].leading_exponent()
-            polys[which] = polys[which] + BivariatePoly.monomial(1, *lead)
-            return polys
+        # x or y through the forms, z = c J(x, y) through the Jacobian
+        if which == 2:
+            jacobian = invariants._jacobian
+            monkeypatch.setattr(invariants, "_jacobian", lambda f, g: plus_lead(jacobian(f, g)))
+        else:
+            forms = invariants._klein_forms
 
-        monkeypatch.setattr(invariants, builder, corrupted)
+            def corrupted(*args):
+                x, y, c, square = forms(*args)
+                xy = [x, y]
+                xy[which] = plus_lead(xy[which])
+                return (*xy, c, square)
+
+            monkeypatch.setattr(invariants, "_klein_forms", corrupted)
         # x = u^2 v^2 of D* stays invariant when scaled; only z^2 = S fails
         dihedral_x = family is GroupFamily.BINARY_DIHEDRAL and which == 0
         with pytest.raises(InvariantError, match="Klein relation" if dihedral_x else "not fixed"):
@@ -345,12 +364,20 @@ class TestKleinMemo:
         assert {code for code, _, _ in forward.values()} == {0}
 
 
-def normal_form_in_uv(base, form):
-    """Substitute the Klein triple into a normal form {(i, j, e): c}."""
-    x, y, z = base.generators
+def triple_product(powers, exponent):
+    """x^a y^b z^c from the powers of a Powers over the triple (x, y, z),
+    without its kept monomials."""
+    product = BivariatePoly.constant(1)
+    for i, e in enumerate(exponent):
+        product = product * powers.power(i, e)
+    return product
+
+
+def normal_form_in_uv(powers, form):
+    """Substitute the Klein triple of powers into a normal form {(i, j, e): c}."""
     total = BivariatePoly({})
-    for (i, j, e), coeff in form.items():
-        total = total + (x ** i * y ** j * z ** e).scale(coeff)
+    for exponent, coeff in form.items():
+        total = total + triple_product(powers, exponent).scale(coeff)
     return total
 
 
@@ -368,14 +395,14 @@ class TestKleinNormalForm:
     @pytest.mark.parametrize("family,n,top", CASES)
     def test_normal_form_is_the_product(self, family, n, top):
         base = klein_invariants(family, n)
-        x, y, z = base.generators
+        powers = Powers(base.generators)
         z_powers = set()
         for degree in range(1, top + 1):
-            for a, b, c in weighted_exponents(base.degrees, degree):
-                form = base.normal_form((a, b, c))
+            for t in weighted_exponents(base.degrees, degree):
+                form = base.normal_form(t)
                 assert all(e in (0, 1) for _, _, e in form)
-                assert normal_form_in_uv(base, form) == x ** a * y ** b * z ** c, (a, b, c)
-                z_powers.add(c)
+                assert normal_form_in_uv(powers, form) == triple_product(powers, t), t
+                z_powers.add(t[2])
         assert {0, 1, 2, 3, 4} <= z_powers
 
     def test_relation_vanishes_and_a_wrong_square_does_not(self):
@@ -386,7 +413,7 @@ class TestKleinNormalForm:
         wrong = KleinBasis(base.generators, base.degrees, square=BivariatePoly(flipped))
         assert not wrong.relation().substitute(list(base.generators)).is_zero()
         z = base.generators[2]
-        assert normal_form_in_uv(wrong, wrong.normal_form((0, 0, 2))) != z * z
+        assert normal_form_in_uv(Powers(wrong.generators), wrong.normal_form((0, 0, 2))) != z * z
 
     def test_leading_exponent_adds_up(self):
         base = klein_invariants(GroupFamily.BINARY_ICOSAHEDRAL)
@@ -409,7 +436,7 @@ class TestKeptExpansions:
     @pytest.mark.parametrize("family,n,top", CASES)
     def test_kept_expansions_are_the_products(self, klein_memo, family, n, top):
         base = klein_invariants(family, n)
-        x, y, z = base.generators
+        powers = Powers(base.generators)
         rng = random.Random(top)
         for degree in range(1, top + 1):
             monomials = weighted_exponents(base.degrees, degree)
@@ -421,9 +448,8 @@ class TestKeptExpansions:
             first = base.powers.combination(terms)
             fresh = BivariatePoly({})
             for t in monomials:
-                a, b, c = t
                 kept = base.expand(t)
-                assert kept == x ** a * y ** b * z ** c, t
+                assert kept == triple_product(powers, t), t
                 assert base.expand(t) is kept and base.powers.monomial(list(t)) is kept
                 fresh = fresh + kept.scale(terms[t])
             assert first == fresh == base.powers.combination(terms)

@@ -98,6 +98,26 @@ class TestSeifertToPlumbing:
         with pytest.raises(LinkError):
             SeifertData.normalized(2, [(3, 3)])
 
+    # int() would truncate 2.9 to 2 and read "3" as 3
+    @pytest.mark.parametrize("b, fibers", [
+        (2.9, [(2, 1), (3, 1), (5, 4)]),
+        (2, [(2.2, 1), (3, 1), (5, 4)]),
+        (2, [(2, 1.0), (3, 1), (5, 4)]),
+        ("2", [(2, 1), (3, 1), (5, 4)]),
+    ])
+    def test_normalized_refuses_non_integers(self, b, fibers):
+        with pytest.raises(TypeError):
+            SeifertData.normalized(b, fibers)
+
+    @pytest.mark.parametrize("weights, edges", [
+        ([-2.7, -3.2], [(0, 1)]),
+        ([-2, -3], [(0, 1.9)]),
+        (["-2", -3], [(0, 1)]),
+    ])
+    def test_plumbing_build_refuses_non_integers(self, weights, edges):
+        with pytest.raises(TypeError):
+            PlumbingGraph.build(weights, edges)
+
     def test_output_always_normal_form(self):
         for b in range(2, 6):
             for p, q in [(2, 1), (5, 2), (7, 6), (5, 3)]:

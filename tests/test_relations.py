@@ -49,16 +49,14 @@ from singmap.relations import (
 
 class TestMonomialRelations:
     def test_5_2_contains_oracle_binomial(self):
-        gens = cyclic_invariant_generators(5, 2)
-        result = monomial_relations(gens)
+        result = monomial_relations(5, 2)
         # z w^2 - x y in the variables x1..x4 = (u^5, u^3 v, u v^2, v^5)
         target = parse_multi("x2*x3^2 - x1*x4", [5, 4, 3, 5])
         assert target in result.relations
         assert result.to_dict()["complete_up_to_bound"] is True
 
     def test_5_2_generators_are_determinantal(self):
-        gens = cyclic_invariant_generators(5, 2)
-        result = monomial_relations(gens)
+        result = monomial_relations(5, 2)
         texts = {format_multi(r) for r in result.relations}
         assert texts == {"x1*x3 - x2^2", "x3^3 - x2*x4", "x2*x3^2 - x1*x4"}
 
@@ -70,8 +68,7 @@ class TestMonomialRelations:
         assert verify_relation(z5, polys)
 
     def test_wahl_count_stops_the_scan(self):
-        gens = cyclic_invariant_generators(19, 1)
-        result = monomial_relations(gens, expected_count=171)
+        result = monomial_relations(19, 1, expected_count=171)
         assert len(result.relations) == 171
         assert {r.weighted_degree() for r in result.relations} == {38}
         assert result.degree_bound == 722
@@ -80,15 +77,14 @@ class TestMonomialRelations:
     def test_2_1_single_relation(self):
         # y^2 = xz for (x, y, z) = (u^2, uv, v^2); normalization puts the
         # graded-lex leading monomial x1*x3 first with positive sign
-        gens = cyclic_invariant_generators(2, 1)
-        result = monomial_relations(gens)
+        result = monomial_relations(2, 1)
         assert [format_multi(r) for r in result.relations] == ["x1*x3 - x2^2"]
-        polys = monomials_from_exponents(gens)
+        polys = monomials_from_exponents(cyclic_invariant_generators(2, 1))
         assert verify_relation(parse_multi("x2^2 - x1*x3", [2, 2, 2]), polys)
 
     def test_relations_all_weighted_homogeneous(self):
         for p, q in [(5, 2), (7, 3), (7, 1), (6, 5)]:
-            result = monomial_relations(cyclic_invariant_generators(p, q), 4 * p)
+            result = monomial_relations(p, q, 4 * p)
             for r in result.relations:
                 assert r.weighted_degree() is not None
 
@@ -100,7 +96,7 @@ class TestMonomialRelations:
         for p, q in rng.sample(pairs, 50):
             gens = cyclic_invariant_generators(p, q)
             polys = monomials_from_exponents(gens)
-            result = monomial_relations(gens, 3 * max(a + b for a, b in gens))
+            result = monomial_relations(p, q, 3 * max(a + b for a, b in gens))
             assert result.relations, (p, q)
             for r in result.relations:
                 assert verify_relation(r, polys), (p, q, format_multi(r))
@@ -196,7 +192,7 @@ class TestRiemenschneiderImagesAgainstScan:
                 gens = cyclic_invariant_generators(p, q)
                 wahl = wahl_relation_count(len(gens))
                 for bound, count in [(None, wahl), (p, wahl), (p, None)]:
-                    found = json.dumps(monomial_relations(gens, bound, count).to_dict())
+                    found = json.dumps(monomial_relations(p, q, bound, count).to_dict())
                     expected = json.dumps(
                         reference_monomial_relations(gens, bound, count).to_dict()
                     )
@@ -206,7 +202,7 @@ class TestRiemenschneiderImagesAgainstScan:
         # L(400, 399): three generators (u^400, u v, v^400), one relation at
         # degree 800, which the full scan reaches after 321,000 images
         start = time.perf_counter()
-        result = monomial_relations(cyclic_invariant_generators(400, 399), expected_count=1)
+        result = monomial_relations(400, 399, expected_count=1)
         elapsed = time.perf_counter() - start
         assert [format_multi(r) for r in result.relations] == ["x2^400 - x1*x3"]
         assert result.complete
@@ -219,26 +215,19 @@ class TestRiemenschneiderImagesAgainstScan:
         for p, q in pairs:
             gens = cyclic_invariant_generators(p, q)
             polys = monomials_from_exponents(gens)
-            result = monomial_relations(gens, expected_count=wahl_relation_count(len(gens)))
+            result = monomial_relations(p, q, expected_count=wahl_relation_count(len(gens)))
             assert result.complete, (p, q)
             assert len(set(result.relations)) == len(result.relations), (p, q)
             for r in result.relations:
                 assert r.weighted_degree() is not None, (p, q, format_multi(r))
                 assert verify_relation(r, polys), (p, q, format_multi(r))
 
-    @pytest.mark.parametrize(
-        "gens",
-        [
-            [(2, 0), (0, 2), (1, 1)],  # the basis of L(2, 1), not in chain order
-            [(5, 0), (1, 2), (3, 1), (0, 5)],
-            [(5, 0), (3, 1), (1, 2)],  # L(5, 2) without its last generator
-            [(4, 0)],
-            [],
-        ],
-    )
-    def test_not_a_hirzebruch_jung_basis_rejected(self, gens):
-        with pytest.raises(ValueError):
-            monomial_relations(gens)
+    @pytest.mark.parametrize("degree_bound", [None, 5])
+    def test_smooth_point_has_no_relations(self, degree_bound):
+        result = monomial_relations(1, 0, degree_bound)
+        assert result.relations == ()
+        assert result.degree_bound == 0
+        assert result.complete
 
 
 KLEIN_TRIPLE = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -312,14 +301,14 @@ class TestBoundedDegreeRelations:
             bounded_degree_relations(base, product, 24, expected_count=2)
         with pytest.raises(RuntimeError):
             # the six relations of L(4,1) all have weighted degree 8
-            monomial_relations(cyclic_invariant_generators(4, 1), expected_count=5)
+            monomial_relations(4, 1, expected_count=5)
 
     def test_degree_bound_below_one_rejected(self):
         base = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
         with pytest.raises(ValueError):
             bounded_degree_relations(base, KLEIN_TRIPLE, 0)
         with pytest.raises(ValueError):
-            monomial_relations(cyclic_invariant_generators(5, 2), -1)
+            monomial_relations(5, 2, -1)
 
     def test_filtration_consistency(self):
         base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2)
@@ -361,7 +350,9 @@ class TestOctahedralProduct:
     @staticmethod
     def product_map():
         p1, p2, p3 = klein_invariants(GroupFamily.BINARY_OCTAHEDRAL).generators
-        return [p1 ** 4 * p2, p1 ** 2 * p3, p1 * p2 ** 2, p2 ** 7, p2 ** 3 * p3]
+        p1_2, p2_2 = p1 * p1, p2 * p2
+        p2_3 = p2_2 * p2
+        return [p1_2 * p1_2 * p2, p1_2 * p3, p1 * p2_2, p2_3 * p2_3 * p2, p2_3 * p3]
 
     def test_all_sixteen_equations_verify(self):
         gens = self.product_map()
