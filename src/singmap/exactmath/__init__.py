@@ -1,5 +1,5 @@
 """Exact arithmetic foundation: the ring Q[i, sqrt2, sqrt5], sparse exact
-polynomials, sparse exact elimination, and the polynomial text format."""
+polynomials, sparse integer elimination, and the polynomial text format."""
 
 from .ring import ExactScalar, HALF, I, ONE, SQRT2, SQRT5, SQRT10, ZERO
 from .poly import BivariatePoly, MultiPoly, Powers, grlex_key, weighted_exponents

@@ -1,71 +1,84 @@
-"""One sparse exact elimination, which is all the library's linear algebra.
+"""One sparse fraction-free elimination over the integers, which is all the
+library's linear algebra.
 
-A row is a dict {column: ExactScalar} with no zero entries.  Its columns may
-be any mutually comparable keys (integers, Klein-monomial tuples), and its
-pivot is its least column, min(row).  A semi-echelon form is a dict {pivot
-column: row} whose rows are monic at their pivot and zero left of it.
-reduce_row subtracts rows of a form, visiting pivots in ascending order,
-until the row is zero at every pivot; insert_row reduces a row and stores
-what is left, made monic, under its pivot.  rref, nullspace_basis and
-in_span take such rows and run on these two; rref returns the reduced
-form itself, {pivot: row} in ascending pivot order.
+A row is a dict {column: int} with no zero entries.  Its columns may be any
+mutually comparable keys (integers, Klein-monomial tuples), and its pivot is
+its least column, min(row).  A row is primitive when its entries have gcd 1
+and its pivot entry is positive.  A semi-echelon form is a dict {pivot
+column: row} of primitive rows, each zero left of its pivot.  reduce_row
+clears a row at each pivot c of a form in ascending order: with a the
+row's entry at c and p the pivot entry, and a', p' the two divided by their
+gcd, row = p' row - a' form[c] (Bareiss, Math. Comp. 22, 1968, without the
+determinant bookkeeping).  That scales the row by p' != 0 modulo the span
+and divides by nothing; what is left is made primitive.  insert_row stores
+the reduction of a row under its pivot; rref, nullspace_basis and in_span
+run on these two, and rref returns the reduced form itself, {pivot: row}
+in ascending pivot order.
 
 No result depends on the order of the rows.  For a fixed column order the
 pivots of any semi-echelon basis of a span S are the leading columns of the
-nonzero vectors of S.  Two vectors congruent modulo S and zero at every
-pivot differ by a vector of S with no entry at a pivot, which is zero; so
-the reduction of a vector is unique, and so are the reduced row echelon
-form and the nullspace basis read from it.
+nonzero vectors of S.  Two vectors zero at every pivot and congruent modulo
+S up to a rational factor are proportional, since the difference of the
+right multiples lies in S with no entry at a pivot; so the primitive
+reduction of a vector is unique, and so are the reduced row echelon form
+and the nullspace basis read from it.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Dict, Iterable, List
 
-from .ring import ONE, ExactScalar
-
-Row = Dict[object, ExactScalar]
+Row = Dict[object, int]
 
 
 def reduce_row(form: Dict[object, Row], row: Row) -> Row:
-    """row modulo the span of form: a new row that is zero at every pivot.
+    """row modulo the span of form, up to a nonzero rational factor: a new
+    row that is zero at every pivot, primitive unless it is empty.
 
-    Subtracting the row stored at pivot c changes only columns c and to its
-    right, so visiting pivots in ascending order clears each one for good.
+    Subtracting a multiple of the row stored at pivot c changes only
+    columns c and to its right, so visiting pivots in ascending order
+    clears each one for good.
     """
     row = dict(row)
     for col in sorted(form):
-        factor = row.get(col)
-        if factor is None:
+        a = row.get(col)
+        if a is None:
             continue
-        for j, y in form[col].items():
-            x = row.get(j)
-            if x is None:
-                row[j] = -(factor * y)
+        pivot_row = form[col]
+        p = pivot_row[col]
+        g = gcd(a, p)
+        a, p = a // g, p // g
+        if p != 1:
+            for j in row:
+                row[j] *= p
+        for j, y in pivot_row.items():
+            x = row.get(j, 0) - a * y  # nonzero where row had no entry
+            if x:
+                row[j] = x
             else:
-                x = x - factor * y
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-    return row
+                del row[j]
+    if not row:
+        return row
+    g = gcd(*row.values())
+    g = -g if row[min(row)] < 0 else g
+    return {j: x // g for j, x in row.items()} if g != 1 else row
 
 
 def insert_row(form: Dict[object, Row], row: Row) -> None:
-    """Add row to the span of form: what is left of it after reduce_row,
-    made monic, is stored under its leading column."""
+    """Add row to the span of form: what is left of it after reduce_row is
+    stored under its leading column."""
     row = reduce_row(form, row)
     if row:
-        col = min(row)
-        inv = row[col].inverse()
-        form[col] = {j: x * inv for j, x in row.items()}
+        form[min(row)] = row
 
 
 def rref(rows: Iterable[Row]) -> Dict[object, Row]:
     """The reduced row echelon form of rows as {pivot column: row}, in
-    ascending pivot order: insert every row, then clear the entries above
-    each pivot, last pivot first, so the rows at later pivots are already
-    reduced (earlier ones are never met).  The input is not modified."""
+    ascending pivot order, each row primitive and zero at every other
+    pivot: insert every row, then clear the entries above each pivot, last
+    pivot first, so the rows at later pivots are already reduced (earlier
+    ones are never met).  The input is not modified."""
     form: Dict[object, Row] = {}
     for row in rows:
         insert_row(form, row)
@@ -78,17 +91,22 @@ def rref(rows: Iterable[Row]) -> Dict[object, Row]:
 def nullspace_basis(rows: Iterable[Row], ncols: int) -> List[Row]:
     """Right nullspace basis of rows over the columns 0..ncols-1.
 
-    Each basis vector has entry 1 in its free column and the pivot entries
-    solved from the reduced echelon form; vectors are ordered by free column.
+    There is one basis vector per free column f, ordered by f: the
+    integer vector with content 1, positive at f, whose pivot entries are
+    solved from the reduced echelon form.  Every pivot it meets lies left
+    of f, so f is its last column.
     """
     form = rref(rows)
     basis = []
     for free in range(ncols):
         if free in form:
             continue
-        vec = {col: -row[free] for col, row in form.items() if free in row}
-        vec[free] = ONE
-        basis.append(vec)
+        solved = [(col, row[free], row[col]) for col, row in form.items() if free in row]
+        scale = lcm(*(p for _, _, p in solved))
+        vec = {col: -a * (scale // p) for col, a, p in solved}
+        vec[free] = scale
+        g = gcd(*vec.values())
+        basis.append({j: x // g for j, x in vec.items()})
     return basis
 
 

@@ -10,15 +10,12 @@ the basis up to an integer factor.  The coordinates are held as eight
 integer numerators over one positive integer denominator, always in lowest
 terms (gcd(den, *num) == 1, zero is ((0,) * 8, 1)), so every operation is
 exact, equal values have equal representations, and the arithmetic runs on
-Python integers.  A product or difference of two rationals (every
-irrational coordinate zero, as for all D*, T* and O* data) is one integer
-fraction reduced by one gcd, with no pass over the basis.  Values enter
-only as int, Fraction or ExactScalar; anything else is a TypeError.
+Python integers.  Values enter only as int, Fraction or ExactScalar;
+anything else is a TypeError.
 
-The ring is in fact the degree-8 number field Q(i, sqrt2, sqrt5); inversion
-takes norms down the tower Q(i, s2, s5) > Q(s2, s5) > Q(s5) > Q.  Division
-by anything other than a rational is only needed when eliminating over the
-field.
+The ring is in fact the degree-8 number field Q(i, sqrt2, sqrt5), but no
+caller divides by anything but a rational: the group matrices and the Klein
+forms only multiply, and elimination runs on integers (linalg).
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from typing import Union
 
 # Basis symbol k is i^e1 * s2^e2 * s5^e5 for (e1, e2, e5) = _BASIS[k].
 _BASIS = (
@@ -58,11 +54,6 @@ def _basis_product(b1, b2):
 
 # _MUL[k1][k2] = (index, factor) with e_{k1} * e_{k2} = factor * e_index.
 _MUL = tuple(tuple(_basis_product(b1, b2) for b2 in _BASIS) for b1 in _BASIS)
-
-
-Rationalish = Union[int, Fraction]
-
-_ZERO_TAIL = (0,) * 7  # the irrational coordinates of a rational
 
 
 class ExactScalar:
@@ -104,9 +95,10 @@ class ExactScalar:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def rational(q: Rationalish) -> "ExactScalar":
+    def rational(q) -> "ExactScalar":
+        """The int or Fraction q."""
         q = _fraction(q)
-        return ExactScalar._of((q.numerator,) + _ZERO_TAIL, q.denominator)
+        return ExactScalar._of((q.numerator, 0, 0, 0, 0, 0, 0, 0), q.denominator)
 
     @staticmethod
     def basis_element(index: int) -> "ExactScalar":
@@ -143,11 +135,6 @@ class ExactScalar:
                 return NotImplemented
         x, y = self.num, other.num
         d1, d2 = self.den, other.den
-        if x.count(0) - (not x[0]) == 7 and y.count(0) - (not y[0]) == 7:
-            # both rational: one integer fraction, one gcd
-            if d1 == d2:
-                return _rational(x[0] - y[0], d1)
-            return _rational(x[0] * d2 - y[0] * d1, d1 * d2)
         if d1 == d2:
             return _reduced(tuple(a - b for a, b in zip(x, y)), d1)
         return _reduced(tuple(a * d2 - b * d1 for a, b in zip(x, y)), d1 * d2)
@@ -167,9 +154,6 @@ class ExactScalar:
             if other is NotImplemented:
                 return NotImplemented
         x, y = self.num, other.num
-        if x.count(0) - (not x[0]) == 7 and y.count(0) - (not y[0]) == 7:
-            # both rational: one integer fraction, one gcd
-            return _rational(x[0] * y[0], self.den * other.den)
         out = [0, 0, 0, 0, 0, 0, 0, 0]
         for k1, a in enumerate(x):
             if a:
@@ -183,17 +167,10 @@ class ExactScalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """Division by a nonzero int or Fraction; no caller divides by an
+        irrational, so the field's inverse is not kept."""
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                raise ZeroDivisionError("division by zero")
-            # (num / den) / (n / d) = (num * d) / (den * n), kept with den > 0
-            n, d = q.numerator, q.denominator
-            if n < 0:
-                n, d = -n, -d
-            return _reduced(tuple(a * d for a in self.num), self.den * n)
-        if isinstance(other, ExactScalar):
-            return self * other.inverse()
+            return self * (1 / Fraction(other))
         return NotImplemented
 
     def __eq__(self, other):
@@ -209,18 +186,8 @@ class ExactScalar:
     def __bool__(self):
         return any(self.num)
 
-    # -- predicates and parts ----------------------------------------------
-
     def is_zero(self) -> bool:
         return not any(self.num)
-
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
 
     # -- Galois conjugations -----------------------------------------------
 
@@ -232,28 +199,6 @@ class ExactScalar:
     def conjugate(self) -> "ExactScalar":
         """Complex conjugation i -> -i."""
         return self.galois(flip_i=True)
-
-    def inverse(self) -> "ExactScalar":
-        """Multiplicative inverse via norms down the tower i -> s2 -> s5.
-
-        n1 = a * a' (i flipped) lies in Q(s2, s5), n2 = n1 * n1' (s2 flipped)
-        in Q(s5), and n3 = n2 * n2' (s5 flipped) in Q; then
-        1/a = a' * n1' * n2' / n3.  A rational is inverted directly.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        if self.is_rational():
-            n, d = self.num[0], self.den
-            if n < 0:
-                n, d = -n, -d
-            return ExactScalar._of((d,) + _ZERO_TAIL, n)
-        a1 = self.galois(flip_i=True)
-        n1 = self * a1
-        n1c = n1.galois(flip_sqrt2=True)
-        n2 = n1 * n1c
-        n2c = n2.galois(flip_sqrt5=True)
-        n3 = n2 * n2c
-        return (a1 * n1c * n2c) / n3.as_fraction()
 
     # -- printing ------------------------------------------------------------
 
@@ -284,15 +229,6 @@ def _fraction(value) -> Fraction:
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"exact scalars take int or Fraction values, not {type(value).__name__}")
     return Fraction(value)
-
-
-def _rational(n: int, den: int) -> ExactScalar:
-    """The rational scalar n / den for den > 0, in lowest terms."""
-    g = gcd(n, den)
-    if g != 1:
-        n //= g
-        den //= g
-    return ExactScalar._of((n,) + _ZERO_TAIL, den)
 
 
 def _reduced(num: tuple, den: int) -> ExactScalar:

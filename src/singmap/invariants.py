@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import comb, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import (
@@ -153,20 +153,25 @@ def _klein_forms(tag: GroupFamily, n: Optional[int]):
     """Klein's data for D*_{4n}, T*, O* or I* (Vorlesungen ueber das
     Ikosaeder, 1884), in the coordinates of the generators in groups:
     (x, y, c, S) with x the ground form, y the second form, z = c J(x, y),
-    and S the terms (coefficient, i, j) of the relation z^2 = S(x, y), each
-    standing for coefficient * x^i y^j:
+    and S = (terms, den, root) Klein's relation z^2 = S(x, y) in integer
+    form: S(x, y) = S'(x, y') / den with y' = sqrt(root) y, for the integer
+    terms (coefficient, i, j) of S', each standing for coefficient x^i y'^j:
 
         D*_{4n}: S = x y^2 - 4 x^(n+1)     T*: S = y^3 - 108 x^4
-        O*:      S = x y^3 - 108 x^3       I*: S = -(27 x^5 + 25 s5 y^3)/4
+        O*:      S = x y^3 - 108 x^3       I*: S = -(27 x^5 + 5 y'^3)/4
+
+    den and root are 1, except for I*, where y' = s5 y and so
+    S = -(27 x^5 + 25 s5 y^3)/4.
     """
     if tag is GroupFamily.BINARY_DIHEDRAL:
         x = BivariatePoly.monomial(1, 2, 2)
         y = BivariatePoly.from_terms([(1, 2 * n, 0), (1, 0, 2 * n)])
-        return x, y, Fraction(-1, 4 * n), [(1, 1, 2), (-4, n + 1, 0)]
+        return x, y, Fraction(-1, 4 * n), ([(1, 1, 2), (-4, n + 1, 0)], 1, 1)
     if tag is GroupFamily.BINARY_TETRAHEDRAL:
-        return _OCTAHEDRON, _CUBE, Fraction(1, 8), [(1, 0, 3), (-108, 4, 0)]
+        return _OCTAHEDRON, _CUBE, Fraction(1, 8), ([(1, 0, 3), (-108, 4, 0)], 1, 1)
     if tag is GroupFamily.BINARY_OCTAHEDRAL:
-        return _OCTAHEDRON * _OCTAHEDRON, _CUBE, Fraction(-1, 16), [(1, 1, 3), (-108, 3, 0)]
+        square = ([(1, 1, 3), (-108, 3, 0)], 1, 1)
+        return _OCTAHEDRON * _OCTAHEDRON, _CUBE, Fraction(-1, 16), square
     if tag is GroupFamily.BINARY_ICOSAHEDRAL:
         # the icosahedron form for the generators in groups; Klein's own,
         # for another choice, is u v (u^10 + 11 u^5 v^5 - v^10)
@@ -175,7 +180,7 @@ def _klein_forms(tag: GroupFamily, n: Optional[int]):
             (s5, 12, 0), (s5, 0, 12), (-22, 10, 2), (-22, 2, 10),
             (-33 * s5, 8, 4), (-33 * s5, 4, 8), (44, 6, 6),
         ])
-        square = [(Fraction(-27, 4), 5, 0), (s5 * Fraction(-25, 4), 0, 3)]
+        square = ([(-27, 5, 0), (-5, 0, 3)], 4, 5)
         return x, _hessian(x).scale(s5 / 9680), Fraction(-1, 32), square
     raise UnsupportedFamilyError(f"no invariant triple for {tag}")
 
@@ -185,35 +190,47 @@ class KleinBasis(InvariantBasis):
     """The Klein triple (x, y, z) of a binary polyhedral group G with its
     relation z^2 = S(x, y), so that C[u, v]^G = C[x, y, z]/(z^2 - S).
 
-    square is S, a BivariatePoly whose two variables stand for x and y.  A
-    Klein monomial x^a y^b z^c is its exponent triple (a, b, c); its normal
-    form x^a y^b z^(c mod 2) S^(c div 2) is a dict {(i, j, e): coefficient}
-    with e in {0, 1}.  The ring is free over C[x, y] on 1 and z, and x, y
-    are algebraically independent, so the normal form is injective: linear
-    relations among Klein monomials are exactly the linear relations among
-    their normal forms, which have a few terms where the (u, v) expansions
-    have hundreds.  powers is the one Powers over the triple: it expands
-    Klein monomials in u, v, for the printed map, for the tie-break of
-    minimalize_generators and for the verification of every relation found
-    among them.  It keeps the powers of x, y and z, every Klein monomial it
-    has expanded, and the integer decomposition of each monomial that a
-    verification summed.  klein_invariants hands out one verified basis per
-    family per process, so these tables, and those of the powers of S
-    behind normal_form, serve every map of the family: the powers grow to
-    the largest exponent any map asked for, the monomial tables by each
+    S is held in the integer form of _klein_forms: square is the two
+    integer terms (coefficient, i, j) of S', with S(x, y) = S'(x, y') / den
+    and y' = sqrt(root) y; den and root are 1, or 4 and 5 for I*.  A Klein
+    monomial x^a y^b z^c is its exponent triple (a, b, c).  Its normal form
+    x^a y^b z^(c mod 2) S^(c div 2) is held as the integer form
+    x^a y'^b z^(c mod 2) S'^(c div 2), a dict {(i, j, e): int} with e in
+    {0, 1}: the normal form in x, y', z times the column factor
+    sqrt(root)^b den^(c div 2).  The ring is free over C[x, y] on 1 and z,
+    and x, y are algebraically independent, so the normal form is
+    injective: linear relations among Klein monomials are exactly the
+    linear relations among their normal forms, which have a few terms where
+    the (u, v) expansions have hundreds.  Scaling a column or a monomial
+    moves no pivot, so ranks and spans are read off the integer forms, and
+    a kernel vector w of them is the relation with coefficients w times the
+    column factors (column_ratio).
+
+    powers is the one Powers over the triple: it expands Klein monomials in
+    u, v, for the printed map, for the tie-break of minimalize_generators
+    and for the verification of every relation found among them.  It keeps
+    the powers of x, y and z, every Klein monomial it has expanded, and the
+    integer decomposition of each monomial that a verification summed.
+    klein_invariants hands out one verified basis per family per process,
+    so these tables serve every map of the family: the powers grow to the
+    largest exponent any map asked for, the monomial tables by each
     distinct Klein monomial met, and nothing is dropped.
     """
 
-    square: Optional[BivariatePoly] = None
+    square: Tuple[Tuple[int, int, int], ...]
+    den: int = 1
+    root: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "powers", Powers(self.generators))
-        object.__setattr__(self, "_square_powers", Powers((self.square,)))
         object.__setattr__(self, "_leads", [g.leading_exponent() for g in self.generators])
 
     def relation(self) -> MultiPoly:
-        """z^2 - S(x, y) in the variables x1, x2, x3."""
-        terms = {(i, j, 0): -coeff for (i, j), coeff in self.square.terms.items()}
+        """z^2 - S(x, y) in the variables x1, x2, x3: the coefficient of
+        x^i y^j in S is that of x^i y'^j in S' times the column factor of
+        x^i y^j over that of z^2, which is den."""
+        terms = {(i, j, 0): self.column_ratio(-coeff, (i, j, 0), (0, 0, 2))
+                 for coeff, i, j in self.square}
         terms[(0, 0, 2)] = ONE
         return MultiPoly._of(3, self.degrees, terms)
 
@@ -228,12 +245,28 @@ class KleinBasis(InvariantBasis):
             a, b, c = a + e * x, b + e * y, c + e * z
         return a, b, c
 
-    def normal_form(self, exponent: Sequence[int]) -> Dict[Tuple[int, int, int], ExactScalar]:
-        """x^a y^b z^(c mod 2) S^(c div 2) as {(i, j, e): coefficient}."""
+    def normal_form(self, exponent: Sequence[int]) -> Dict[Tuple[int, int, int], int]:
+        """x^a y'^b z^(c mod 2) S'^(c div 2) as {(i, j, e): int}."""
         a, b, c = exponent
         k, e = divmod(c, 2)
-        terms = self._square_powers.power(0, k).terms
-        return {(i + a, j + b, e): coeff for (i, j), coeff in terms.items()}
+        # S' has two terms, so S'^k is read off the binomial theorem
+        (c1, i1, j1), (c2, i2, j2) = self.square
+        return {
+            (a + t * i1 + (k - t) * i2, b + t * j1 + (k - t) * j2, e):
+                comb(k, t) * c1 ** t * c2 ** (k - t)
+            for t in range(k + 1)
+        }
+
+    def column_ratio(self, q, exponent: Sequence[int], lead: Sequence[int]) -> ExactScalar:
+        """q f(exponent) / f(lead) for an int or Fraction q and the column
+        factor f(a, b, c) = sqrt(root)^b den^(c div 2) that normal_form
+        carries.  root is 1 or 5, and an odd power of s5 is s5 times a
+        rational, so no inverse is taken."""
+        b, k = exponent[1] - lead[1], exponent[2] // 2 - lead[2] // 2
+        up = self.root ** max(b // 2, 0) * self.den ** max(k, 0)
+        down = self.root ** max(-(b // 2), 0) * self.den ** max(-k, 0)
+        ratio = ExactScalar.rational(Fraction(q.numerator * up, q.denominator * down))
+        return ratio * SQRT5 if b % 2 and self.root != 1 else ratio
 
     def leading_exponent(self, exponent: Sequence[int]) -> Tuple[int, int]:
         """Graded-lex leading (u, v) exponent of the expansion: leading
@@ -283,10 +316,10 @@ def _verified_klein_basis(tag: GroupFamily, n: Optional[int]) -> KleinBasis:
     outside {2, 4, 8} the diagonal generator is checked through the
     exponent congruence instead of an explicit root of unity.
     """
-    x, y, c, square = _klein_forms(tag, n)
+    x, y, c, (square, den, root) = _klein_forms(tag, n)
     polys = [x, y, _jacobian(x, y).scale(c)]
     plain = InvariantBasis.from_polys(polys)
-    basis = KleinBasis(plain.generators, plain.degrees, square=BivariatePoly.from_terms(square))
+    basis = KleinBasis(plain.generators, plain.degrees, tuple(square), den, root)
     gens = generator_matrices(binary_group(tag, n))
     if gens is None:
         # D* with an inexact root of unity: u^a v^b is fixed by

@@ -38,6 +38,9 @@ class LensData:
     q: int
 
     def __post_init__(self):
+        # a float or a string is a TypeError here, not deep in lcm or gcd
+        object.__setattr__(self, "p", index(self.p))
+        object.__setattr__(self, "q", index(self.q))
         if self.p < 1:
             raise LinkError(f"lens p must be positive, got {self.p}")
         if self.p == 1:
@@ -57,6 +60,8 @@ class SeifertData:
     fibers: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "b", index(self.b))
+        object.__setattr__(self, "fibers", tuple((index(p), index(q)) for p, q in self.fibers))
         for p, q in self.fibers:
             if p < 2 or not (1 <= q < p):
                 raise LinkError(f"fiber ({p}, {q}) is not in normal form")

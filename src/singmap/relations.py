@@ -10,8 +10,8 @@ relations sit there and nowhere else, and each image's binomials join its
 quadratic factorizations and the least of the others to the least
 quadratic one.  Maps by monomials in a Klein triple (binary polyhedral
 quotients and their cyclic products) get bounded-degree relations: per
-weighted degree w_i + w_j of a pair of generators, two exact eliminations
-over Q(i, sqrt2, sqrt5) of the candidate monomials' Klein normal forms pick
+weighted degree w_i + w_j of a pair of generators, two fraction-free
+integer eliminations of the candidate monomials' Klein normal forms pick
 out the columns of the new relations; each relation leaves that echelon
 form monic at its leading monomial and in output order, so it is only
 cleared of denominators, never sorted.  verify_relation substitutes the
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -230,10 +231,11 @@ def bounded_degree_relations(
 
     Per degree the columns are the candidate monomials x^alpha in the
     generators in ascending graded-lex order, so the low ones, of total
-    degree <= 2, come first; column p holds the Klein normal form of x^alpha,
-    one sparse row per Klein monomial.  The normal form is injective, so the
-    matrix's kernel K is that of the (u, v) substitution, and the new
-    relations are the vectors of K with independent low parts.  At column p
+    degree <= 2, come first; column p holds the integer normal form of
+    x^alpha, one sparse row per Klein monomial.  The normal form is
+    injective, so the matrix's kernel K is that of the (u, v) substitution
+    up to the column factors, and the new relations are the vectors of K,
+    times those factors, with independent low parts.  At column p
     the span of K's low parts grows by dim K<=p - dim K^high<=p, K^high being
     the vectors of K with no low part; so p gives a relation exactly when it
     is not a pivot of the matrix and is low or a pivot of the high columns
@@ -241,7 +243,8 @@ def bounded_degree_relations(
     equals it, so it is neither, and the first rref, for the high pivots,
     skips it.  The second runs over the low columns and the high pivots,
     which hold every pivot of the matrix; the relation at p is
-    e_p - sum_c form[c][p] e_c.  Each such c is a pivot left of p, so the
+    e_p - sum_c (form[c][p] / form[c][c]) e_c times the column factors over
+    that of p (base.column_ratio).  Each such c is a pivot left of p, so the
     relation is already monic at its graded-lex leading monomial
     x^exponents[p], as _normalize_relation needs.  The degrees ascend, and
     within one p ascends (rref returns its pivots in ascending order), so
@@ -270,10 +273,10 @@ def bounded_degree_relations(
             break
         exponents = weighted_exponents(weights, degree)
         low = sum(1 for alpha in exponents if sum(alpha) <= 2)
-        rows: Dict[Tuple[int, int, int], Dict[int, ExactScalar]] = {}
+        targets = [base.power_product(alpha, gens) for alpha in exponents]
+        rows: Dict[Tuple[int, int, int], Dict[int, int]] = {}
         seen = set()
-        for col, alpha in enumerate(exponents):
-            target = base.power_product(alpha, gens)
+        for col, target in enumerate(targets):
             if col >= low:
                 if target in seen:
                     continue
@@ -288,7 +291,10 @@ def bounded_degree_relations(
         for p in [*range(low), *high]:
             if p in form:
                 continue
-            row = {c: -pivot_row[p] for c, pivot_row in form.items() if p in pivot_row}
+            row = {
+                c: base.column_ratio(Fraction(-pivot_row[p], pivot_row[c]), targets[c], targets[p])
+                for c, pivot_row in form.items() if p in pivot_row
+            }
             row[p] = ONE
             relation = _normalize_relation(row, exponents, nvars, weights)
             if not verify_relation(_in_klein_triple(base, relation, gens), base.powers):

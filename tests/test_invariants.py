@@ -15,7 +15,9 @@ from singmap.cli import main
 from singmap.exactmath import (
     BivariatePoly,
     ExactScalar,
+    ONE,
     Powers,
+    SQRT5,
     format_bivariate,
     grlex_key,
     parse_bivariate,
@@ -373,35 +375,57 @@ def triple_product(powers, exponent):
     return product
 
 
-def normal_form_in_uv(powers, form):
-    """Substitute the Klein triple of powers into a normal form {(i, j, e): c}."""
+def scalar_power(scalar, e):
+    """scalar^e for e >= 0 by repeated products."""
+    power = ONE
+    for _ in range(e):
+        power = power * scalar
+    return power
+
+
+def normal_form_in_uv(powers, form, y_scale=ONE):
+    """Substitute the Klein triple of powers into an integer normal form
+    {(i, j, e): c} over x, y' = y_scale y and z."""
     total = BivariatePoly({})
     for exponent, coeff in form.items():
+        coeff = coeff * scalar_power(y_scale, exponent[1])
         total = total + triple_product(powers, exponent).scale(coeff)
     return total
 
 
 class TestKleinNormalForm:
-    # family, D* index, weighted degree up to which every monomial is checked
+    # family, D* index, weighted degree up to which every monomial is
+    # checked, and the scale of y' = scale * y and the den of
+    # S = S'(x, y') / den: the integer form of x^a y^b z^c is its normal form
+    # times the column factor scale^b den^(c div 2)
     CASES = [
-        (GroupFamily.BINARY_DIHEDRAL, 2, 36),
-        (GroupFamily.BINARY_DIHEDRAL, 3, 40),
-        (GroupFamily.BINARY_DIHEDRAL, 5, 52),
-        (GroupFamily.BINARY_TETRAHEDRAL, None, 60),
-        (GroupFamily.BINARY_OCTAHEDRAL, None, 72),
-        (GroupFamily.BINARY_ICOSAHEDRAL, None, 120),
+        (GroupFamily.BINARY_DIHEDRAL, 2, 36, ONE, 1),
+        (GroupFamily.BINARY_DIHEDRAL, 3, 40, ONE, 1),
+        (GroupFamily.BINARY_DIHEDRAL, 5, 52, ONE, 1),
+        (GroupFamily.BINARY_TETRAHEDRAL, None, 60, ONE, 1),
+        (GroupFamily.BINARY_OCTAHEDRAL, None, 72, ONE, 1),
+        (GroupFamily.BINARY_ICOSAHEDRAL, None, 120, SQRT5, 4),
     ]
 
-    @pytest.mark.parametrize("family,n,top", CASES)
-    def test_normal_form_is_the_product(self, family, n, top):
+    @pytest.mark.parametrize("family,n,top,y_scale,den", CASES)
+    def test_normal_form_is_the_product(self, family, n, top, y_scale, den):
         base = klein_invariants(family, n)
         powers = Powers(base.generators)
+
+        def factor(t):
+            return scalar_power(y_scale, t[1]) * den ** (t[2] // 2)
+
         z_powers = set()
         for degree in range(1, top + 1):
-            for t in weighted_exponents(base.degrees, degree):
+            monomials = weighted_exponents(base.degrees, degree)
+            for t in monomials:
                 form = base.normal_form(t)
                 assert all(e in (0, 1) for _, _, e in form)
-                assert normal_form_in_uv(powers, form) == triple_product(powers, t), t
+                assert all(type(c) is int for c in form.values())
+                expanded = normal_form_in_uv(powers, form, y_scale)
+                assert expanded == triple_product(powers, t).scale(factor(t)), t
+                # the ratio a kernel vector's entries are scaled by
+                assert base.column_ratio(1, t, monomials[0]) * factor(monomials[0]) == factor(t)
                 z_powers.add(t[2])
         assert {0, 1, 2, 3, 4} <= z_powers
 
@@ -409,8 +433,8 @@ class TestKleinNormalForm:
         base = klein_invariants(GroupFamily.BINARY_OCTAHEDRAL)
         assert base.relation().substitute(list(base.generators)).is_zero()
         assert base.relation() == parse_multi("108*x1^3 - x1*x2^3 + x3^2", base.degrees)
-        flipped = {exp: (-c if exp == (3, 0) else c) for exp, c in base.square.terms.items()}
-        wrong = KleinBasis(base.generators, base.degrees, square=BivariatePoly(flipped))
+        flipped = tuple((-c if (i, j) == (3, 0) else c, i, j) for c, i, j in base.square)
+        wrong = KleinBasis(base.generators, base.degrees, square=flipped)
         assert not wrong.relation().substitute(list(base.generators)).is_zero()
         z = base.generators[2]
         assert normal_form_in_uv(Powers(wrong.generators), wrong.normal_form((0, 0, 2))) != z * z

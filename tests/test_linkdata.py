@@ -109,6 +109,28 @@ class TestSeifertToPlumbing:
         with pytest.raises(TypeError):
             SeifertData.normalized(b, fibers)
 
+    @pytest.mark.parametrize("b, fibers", [
+        (2.0, ((2, 1), (3, 1), (5, 4))),
+        (2, ((2, 1), (3.0, 1), (5, 4))),
+        (2, ((2, 1), (3, 1), (5, "4"))),
+    ])
+    def test_constructor_refuses_non_integers(self, b, fibers):
+        # refused where it is built, not later in PlumbingGraph.build
+        with pytest.raises(TypeError):
+            SeifertData(b, fibers)
+
+    @pytest.mark.parametrize("p, q", [(1.0, 0), (5.0, 2.0), (5, 2.0), ("5", 2)])
+    def test_lens_refuses_non_integers(self, p, q):
+        # refused where it is built, not later in lcm or gcd
+        with pytest.raises(TypeError):
+            LensData(p, q)
+
+    def test_constructors_keep_integers(self):
+        assert LensData(5, 2) == LensData(5, 2) and LensData(1, 0).p == 1
+        data = SeifertData(2, [[2, 1], [3, 1], [5, 4]])
+        assert data.fibers == ((2, 1), (3, 1), (5, 4))
+        assert data == SeifertData.normalized(2, [(5, 4), (3, 1), (2, 1)])
+
     @pytest.mark.parametrize("weights, edges", [
         ([-2.7, -3.2], [(0, 1)]),
         ([-2, -3], [(0, 1.9)]),

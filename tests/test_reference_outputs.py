@@ -92,6 +92,37 @@ PINNED_OUTPUTS = {
     # found by a union-find over the earlier relations as rewriting moves
     "map --lens 101,3": (0, "02222b45f455f1b9", "e3b0c44298fc1c14"),
     "map --lens 120,1": (0, "760ea2dc55a8efd9", "e3b0c44298fc1c14"),
+    # the rest of b;(2,1)(3,q)(5,r) for 1 <= b <= 5 that exits 0 (b = 1 is
+    # not a singularity link): Z/m x I*, E8 among them, recorded while I*
+    # was still eliminated over Q(i, sqrt2, sqrt5)
+    "map --seifert 2;(2,1)(3,1)(5,1)": (0, "a3d64b18bdec22d9", "e3b0c44298fc1c14"),
+    "map --seifert 2;(2,1)(3,1)(5,2)": (0, "c866e993f022a70e", "e3b0c44298fc1c14"),
+    "map --seifert 2;(2,1)(3,1)(5,3)": (0, "6edcfe8130f9d6c0", "e3b0c44298fc1c14"),
+    "map --seifert 2;(2,1)(3,1)(5,4)": (0, "d7dc1ae2a5de1cd7", "e3b0c44298fc1c14"),
+    "map --seifert 2;(2,1)(3,2)(5,1)": (0, "1d63f5c15ec3f1fa", "e3b0c44298fc1c14"),
+    "map --seifert 2;(2,1)(3,2)(5,4)": (0, "21783ab901e2d366", "e3b0c44298fc1c14"),
+    "map --seifert 3;(2,1)(3,1)(5,2)": (0, "2bdb1b92bfe2acb9", "e3b0c44298fc1c14"),
+    "map --seifert 3;(2,1)(3,1)(5,3)": (0, "c71a1fc59018f9ee", "e3b0c44298fc1c14"),
+    "map --seifert 3;(2,1)(3,1)(5,4)": (0, "8ccf90dfa590bda9", "e3b0c44298fc1c14"),
+    "map --seifert 3;(2,1)(3,2)(5,1)": (0, "7b5544b042ae5265", "e3b0c44298fc1c14"),
+    "map --seifert 3;(2,1)(3,2)(5,2)": (0, "eeb2b0c47d28a813", "e3b0c44298fc1c14"),
+    "map --seifert 3;(2,1)(3,2)(5,3)": (0, "a12f2d8b41e94500", "e3b0c44298fc1c14"),
+    "map --seifert 3;(2,1)(3,2)(5,4)": (0, "0cd94453e7343eac", "e3b0c44298fc1c14"),
+    "map --seifert 4;(2,1)(3,1)(5,2)": (0, "4df2802a3f39d7b3", "e3b0c44298fc1c14"),
+    "map --seifert 4;(2,1)(3,1)(5,3)": (0, "7a2c1c772a8748a8", "e3b0c44298fc1c14"),
+    "map --seifert 4;(2,1)(3,1)(5,4)": (0, "f299bad8dc80ea2d", "e3b0c44298fc1c14"),
+    "map --seifert 4;(2,1)(3,2)(5,1)": (0, "7c8a2dd06599b8e2", "e3b0c44298fc1c14"),
+    "map --seifert 4;(2,1)(3,2)(5,2)": (0, "f3f134c7c05f927f", "e3b0c44298fc1c14"),
+    "map --seifert 4;(2,1)(3,2)(5,3)": (0, "f1a56a995de20b66", "e3b0c44298fc1c14"),
+    "map --seifert 4;(2,1)(3,2)(5,4)": (0, "bc7eabaef374a98f", "e3b0c44298fc1c14"),
+    "map --seifert 5;(2,1)(3,1)(5,1)": (0, "ea41c05d1d61653f", "e3b0c44298fc1c14"),
+    "map --seifert 5;(2,1)(3,1)(5,2)": (0, "eff94d050110d76c", "e3b0c44298fc1c14"),
+    "map --seifert 5;(2,1)(3,1)(5,3)": (0, "09528ad65016abb7", "e3b0c44298fc1c14"),
+    "map --seifert 5;(2,1)(3,1)(5,4)": (0, "e977de64bc92f367", "e3b0c44298fc1c14"),
+    "map --seifert 5;(2,1)(3,2)(5,1)": (0, "a95bb9bebfc76fa5", "e3b0c44298fc1c14"),
+    "map --seifert 5;(2,1)(3,2)(5,2)": (0, "276390ed57b0f24d", "e3b0c44298fc1c14"),
+    "map --seifert 5;(2,1)(3,2)(5,3)": (0, "729e37beb010b513", "e3b0c44298fc1c14"),
+    "map --seifert 5;(2,1)(3,2)(5,4)": (0, "6bd7ad2e05b0417d", "e3b0c44298fc1c14"),
     # --text reports
     "map --seifert 3;(2,1)(2,1)(2,1) --text": (0, "588d3168d1a05bff", "e3b0c44298fc1c14"),
     "map --seifert 2;(2,1)(3,1)(4,3) --text": (0, "a524d909b4e8c3ac", "e3b0c44298fc1c14"),
@@ -205,4 +236,6 @@ def test_z35_times_dihedral_36_is_complete_and_fast():
     body = data["relations"]
     assert body["complete"] is True
     assert len(body["relations"]) == body["expected_relation_count"] == 66
-    assert elapsed < 20.0
+    # 0.45 to 0.8 s on a shared 2-vCPU x86 host; an elimination over
+    # Q(i, sqrt2, sqrt5) took 2.6 to 3.4 s there and fails the bound
+    assert elapsed < 5.0

@@ -405,8 +405,7 @@ class TestKleinTripleCheck:
     )
     def test_wrong_klein_relation_is_caught(self, family, n, gens, flipped):
         true_base = klein_invariants(family, n)
-        wrong = KleinBasis(true_base.generators, true_base.degrees,
-                           square=BivariatePoly.from_terms(flipped))
+        wrong = KleinBasis(true_base.generators, true_base.degrees, square=tuple(flipped))
         with pytest.raises(RuntimeError, match="unsound relation"):
             bounded_degree_relations(wrong, gens, 24)
 
@@ -467,7 +466,15 @@ class TestKleinTripleCheck:
 def reference_bounded_degree_relations(base, gens, degree_bound=None, expected_count=None):
     """The multiples-and-quotient scan: per weighted degree, the kernel over
     the descending exponents, reduced modulo every multiple of every earlier
-    relation, then the reduced echelon form of the nonzero residues."""
+    relation, then the reduced echelon form of the nonzero residues.
+
+    It runs on the integer normal forms, so a kernel vector w stands for
+    the relation with coefficients w times the column factors, monic at its
+    leading column through base.column_ratio.  Each relation is kept with
+    its integer vector, whose shifts stand for its multiples: the column
+    factor of a product of Klein monomials exceeds that of the relation's
+    own monomial by a factor common to all its terms, since at one weighted
+    degree the power of z has one parity."""
     gens = [tuple(g) for g in gens]
     weights = tuple(base.degree(g) for g in gens)
     if degree_bound is None:
@@ -487,17 +494,24 @@ def reference_bounded_degree_relations(base, gens, degree_bound=None, expected_c
                 rows.setdefault(monomial, {})[col] = coeff
         kernel = nullspace_basis([rows[m] for m in sorted(rows, reverse=True)], len(exponents))
         form = {}
-        for relation in relations:
+        for relation, vector in relations:
             for gamma in weighted_exponents(weights, degree - relation.weighted_degree()):
                 insert_row(form, {
-                    index[tuple(a + g for a, g in zip(alpha, gamma))]: coeff
-                    for alpha, coeff in relation.terms.items()
+                    index[tuple(a + g for a, g in zip(alpha, gamma))]: x
+                    for alpha, x in vector.items()
                 })
         residues = [residue for residue in (reduce_row(form, row) for row in kernel) if residue]
-        for row in rref(residues).values():
-            relation = _normalize_relation(row, exponents, nvars, weights)
+        for lead, row in rref(residues).items():
+            target = base.power_product(exponents[lead], gens)
+            monic = {
+                k: base.column_ratio(
+                    Fraction(x, row[lead]), base.power_product(exponents[k], gens), target)
+                for k, x in row.items()
+            }
+            relation = _normalize_relation(monic, exponents, nvars, weights)
             assert verify_relation(_in_klein_triple(base, relation, gens), base.powers)
-            relations.append(relation)
+            relations.append((relation, {exponents[k]: x for k, x in row.items()}))
+    relations = [relation for relation, _ in relations]
     relations.sort(key=lambda r: (r.weighted_degree(), grlex_key(r.leading_exponent())))
     return RelationSet(tuple(relations), degree_bound, expected_count)
 
@@ -587,9 +601,10 @@ def _scaled(poly, c):
 
 
 def _three_step_normalization(row, exponents, nvars, weights):
-    """Reference: build the relation, then scale it three times."""
+    """Reference: build the relation, check that it is monic, then scale it
+    twice."""
     poly = MultiPoly(nvars, weights, {exponents[k]: coeff for k, coeff in row.items()})
-    poly = _scaled(poly, poly.terms[poly.leading_exponent()].inverse())
+    assert poly.terms[poly.leading_exponent()] == 1
     poly = _scaled(poly, lcm(*(coeff.den for coeff in poly.terms.values())))
     content = gcd(*(n for coeff in poly.terms.values() for n in coeff.num))
     if content > 1:
@@ -612,13 +627,12 @@ class TestNormalizeRelation:
                 row[k] = ExactScalar(coords) * rng.choice([1, 6, 35, Fraction(1, 14)])
             # monic at the graded-lex leading column, as every row of both
             # relation scans is
-            inverse = row[max(row, key=lambda k: grlex_key(exponents[k]))].inverse()
-            row = {k: coeff * inverse for k, coeff in row.items()}
+            row[max(row, key=lambda k: grlex_key(exponents[k]))] = ExactScalar.rational(1)
             got = _normalize_relation(row, exponents, nvars, weights)
             want = _three_step_normalization(row, exponents, nvars, weights)
             assert list(got.terms.items()) == list(want.terms.items())
             lead = got.terms[got.leading_exponent()]
-            assert lead.is_rational() and lead.as_fraction().denominator == 1 and lead.num[0] > 0
+            assert not any(lead.num[1:]) and lead.den == 1 and lead.num[0] > 0
             assert {coeff.den for coeff in got.terms.values()} == {1}
             assert gcd(*(n for coeff in got.terms.values() for n in coeff.num)) == 1
 
