@@ -3,7 +3,7 @@ polynomials, sparse integer elimination, and the polynomial text format."""
 
 from .ring import ExactScalar, HALF, I, ONE, SQRT2, SQRT5, SQRT10, ZERO
 from .poly import BivariatePoly, MultiPoly, Powers, grlex_key, weighted_exponents
-from .linalg import in_span, insert_row, nullspace_basis, rref
+from .linalg import in_span, insert_row, kernel_vector, nullspace_basis, rref
 from .textform import (
     format_bivariate,
     format_multi,
@@ -27,6 +27,7 @@ __all__ = [
     "HALF",
     "grlex_key",
     "weighted_exponents",
+    "kernel_vector",
     "nullspace_basis",
     "rref",
     "insert_row",

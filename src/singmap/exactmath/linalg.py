@@ -11,9 +11,11 @@ row's entry at c and p the pivot entry, and a', p' the two divided by their
 gcd, row = p' row - a' form[c] (Bareiss, Math. Comp. 22, 1968, without the
 determinant bookkeeping).  That scales the row by p' != 0 modulo the span
 and divides by nothing; what is left is made primitive.  insert_row stores
-the reduction of a row under its pivot; rref, nullspace_basis and in_span
-run on these two, and rref returns the reduced form itself, {pivot: row}
-in ascending pivot order.
+the reduction of a row under its pivot; rref and in_span run on these two,
+and rref returns the reduced form itself, {pivot: row} in ascending pivot
+order.  kernel_vector reads off a reduced form its kernel vector on one
+column that is not a pivot and the pivots; nullspace_basis is one such
+vector per free column, and the relation scan reads each relation as one.
 
 No result depends on the order of the rows.  For a fixed column order the
 pivots of any semi-echelon basis of a span S are the leading columns of the
@@ -88,26 +90,25 @@ def rref(rows: Iterable[Row]) -> Dict[object, Row]:
     return {col: form[col] for col in sorted(form)}
 
 
-def nullspace_basis(rows: Iterable[Row], ncols: int) -> List[Row]:
-    """Right nullspace basis of rows over the columns 0..ncols-1.
+def kernel_vector(form: Dict[object, Row], free) -> Row:
+    """The kernel vector of the reduced echelon form at a column free that
+    is not a pivot: the integer vector with content 1, positive at free,
+    zero at every other column that is not a pivot, and with its pivot
+    entries solved from form.  Every pivot it meets lies left of free, so
+    free is its last column; the pivot entries come first, in form's order."""
+    solved = [(col, row[free], row[col]) for col, row in form.items() if free in row]
+    scale = lcm(*(p for _, _, p in solved))
+    vec = {col: -a * (scale // p) for col, a, p in solved}
+    vec[free] = scale
+    g = gcd(*vec.values())
+    return {j: x // g for j, x in vec.items()}
 
-    There is one basis vector per free column f, ordered by f: the
-    integer vector with content 1, positive at f, whose pivot entries are
-    solved from the reduced echelon form.  Every pivot it meets lies left
-    of f, so f is its last column.
-    """
+
+def nullspace_basis(rows: Iterable[Row], ncols: int) -> List[Row]:
+    """Right nullspace basis of rows over the columns 0..ncols-1: one
+    kernel_vector per free column, ordered by that column."""
     form = rref(rows)
-    basis = []
-    for free in range(ncols):
-        if free in form:
-            continue
-        solved = [(col, row[free], row[col]) for col, row in form.items() if free in row]
-        scale = lcm(*(p for _, _, p in solved))
-        vec = {col: -a * (scale // p) for col, a, p in solved}
-        vec[free] = scale
-        g = gcd(*vec.values())
-        basis.append({j: x // g for j, x in vec.items()})
-    return basis
+    return [kernel_vector(form, free) for free in range(ncols) if free not in form]
 
 
 def in_span(span_rows: Iterable[Row], vector: Row) -> bool:

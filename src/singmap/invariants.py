@@ -27,7 +27,6 @@ from .exactmath import (
     BivariatePoly,
     ExactScalar,
     MultiPoly,
-    ONE,
     Powers,
     SQRT5,
     grlex_key,
@@ -82,12 +81,14 @@ def cyclic_invariant_generators(p: int, q: int) -> List[Tuple[int, int]]:
 
     Riemenschneider's closed form: from (p, 0), (p - q, 1), each entry c of
     the Hirzebruch-Jung expansion of p/(p - q) appends c*e1 - e0, where
-    e0, e1 are the last two pairs.  For the smooth action p = 1 the basis
-    is {(1, 0), (0, 1)}.
+    e0, e1 are the last two pairs.  For the smooth action (1, 0) the basis
+    is {(1, 0), (0, 1)}; p = 1 with any other q is refused, as L(1, q) is.
     """
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
     if p == 1:
+        if q != 0:
+            raise ValueError(f"p = 1 requires q = 0, got (1, {q})")
         return [(1, 0), (0, 1)]
     if not (1 <= q < p) or gcd(p, q) != 1:
         raise ValueError(f"need gcd(p, q) = 1 and 1 <= q < p, got ({p}, {q})")
@@ -204,7 +205,7 @@ class KleinBasis(InvariantBasis):
     the (u, v) expansions have hundreds.  Scaling a column or a monomial
     moves no pivot, so ranks and spans are read off the integer forms, and
     a kernel vector w of them is the relation with coefficients w times the
-    column factors (column_ratio).
+    column factors, which relation_coefficients computes in integers.
 
     powers is the one Powers over the triple: it expands Klein monomials in
     u, v, for the printed map, for the tie-break of minimalize_generators
@@ -226,13 +227,13 @@ class KleinBasis(InvariantBasis):
         object.__setattr__(self, "_leads", [g.leading_exponent() for g in self.generators])
 
     def relation(self) -> MultiPoly:
-        """z^2 - S(x, y) in the variables x1, x2, x3: the coefficient of
-        x^i y^j in S is that of x^i y'^j in S' times the column factor of
-        x^i y^j over that of z^2, which is den."""
-        terms = {(i, j, 0): self.column_ratio(-coeff, (i, j, 0), (0, 0, 2))
-                 for coeff, i, j in self.square}
-        terms[(0, 0, 2)] = ONE
-        return MultiPoly._of(3, self.degrees, terms)
+        """z^2 - S(x, y) in the variables x1, x2, x3, up to the positive
+        factor that relation_coefficients gives it: its integer kernel
+        vector is 1 at z^2 and minus each coefficient of S' at x^i y^j."""
+        monomials = [(0, 0, 2), *((i, j, 0) for _, i, j in self.square)]
+        vector = {0: 1, **{k: -coeff for k, (coeff, _, _) in enumerate(self.square, 1)}}
+        coeffs = self.relation_coefficients(vector, monomials, 0)
+        return MultiPoly._of(3, self.degrees, {monomials[k]: c for k, c in coeffs.items()})
 
     def degree(self, exponent: Sequence[int]) -> int:
         return sum(e * d for e, d in zip(exponent, self.degrees))
@@ -257,16 +258,29 @@ class KleinBasis(InvariantBasis):
             for t in range(k + 1)
         }
 
-    def column_ratio(self, q, exponent: Sequence[int], lead: Sequence[int]) -> ExactScalar:
-        """q f(exponent) / f(lead) for an int or Fraction q and the column
-        factor f(a, b, c) = sqrt(root)^b den^(c div 2) that normal_form
-        carries.  root is 1 or 5, and an odd power of s5 is s5 times a
-        rational, so no inverse is taken."""
-        b, k = exponent[1] - lead[1], exponent[2] // 2 - lead[2] // 2
-        up = self.root ** max(b // 2, 0) * self.den ** max(k, 0)
-        down = self.root ** max(-(b // 2), 0) * self.den ** max(-k, 0)
-        ratio = ExactScalar.rational(Fraction(q.numerator * up, q.denominator * down))
-        return ratio * SQRT5 if b % 2 and self.root != 1 else ratio
+    def relation_coefficients(self, vector, monomials, lead) -> Dict[object, ExactScalar]:
+        """The relation that an integer kernel vector w of normal forms
+        stands for, as {k: coefficient of the Klein monomial monomials[k]}:
+        w_k times the column factor f(a, b, c) = sqrt(root)^b den^(c div 2)
+        of monomials[k], times sqrt(root)^t for t the parity of lead's b.
+
+        That is w_k root^((b + t) div 2) den^(c div 2) on the ring symbol
+        sqrt(root)^((b + t) mod 2), which is 1 or s5 (root is 1 or 5): one
+        integer per coefficient, on 1 at lead.  They are divided by their
+        gcd, so the coefficients have content 1, and the one at lead has
+        the sign of w there."""
+        t = monomials[lead][1] % 2
+        scaled = {}
+        for k, w in vector.items():
+            _, b, c = monomials[k]
+            # s5 is symbol 3 of the ring's basis
+            scaled[k] = (w * self.root ** ((b + t) // 2) * self.den ** (c // 2),
+                         3 if self.root != 1 and (b + t) % 2 else 0)
+        g = gcd(*(x for x, _ in scaled.values()))
+        return {
+            k: ExactScalar._of(tuple(x // g if i == symbol else 0 for i in range(8)), 1)
+            for k, (x, symbol) in scaled.items()
+        }
 
     def leading_exponent(self, exponent: Sequence[int]) -> Tuple[int, int]:
         """Graded-lex leading (u, v) exponent of the expansion: leading

@@ -12,29 +12,29 @@ quadratic one.  Maps by monomials in a Klein triple (binary polyhedral
 quotients and their cyclic products) get bounded-degree relations: per
 weighted degree w_i + w_j of a pair of generators, two fraction-free
 integer eliminations of the candidate monomials' Klein normal forms pick
-out the columns of the new relations; each relation leaves that echelon
-form monic at its leading monomial and in output order, so it is only
-cleared of denominators, never sorted.  verify_relation substitutes the
-generators and demands the identically zero polynomial; every Klein
-relation is checked so before it is returned, rewritten in the Klein triple
-itself, whose powers the map's KleinBasis already holds.  Binomials are not
-substituted: they hold by construction, both sides factoring one monomial.
+out the columns of the new relations; each relation is the second
+form's integer kernel vector at its leading monomial times the normal
+forms' column factors, already in output order, so it needs no fraction
+and no sort.  verify_relation substitutes the generators and demands the
+identically zero polynomial; every Klein relation is checked so before it
+is returned, rewritten in the Klein triple itself, whose powers the map's
+KleinBasis already holds.  Binomials are not substituted: they hold by
+construction, both sides factoring one monomial.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import (
     ExactScalar,
     MultiPoly,
-    ONE,
     ZERO,
     format_multi,
+    kernel_vector,
     rref,
     weighted_exponents,
 )
@@ -43,7 +43,9 @@ from .linkdata import _NUMBER
 
 
 def check_degree_bound(bound: int, source: str = "degree bound") -> int:
-    """The bound itself, or ValueError when it is below 1."""
+    """The bound as an int; TypeError when it is not an integer (2.5, 24.0,
+    "24"), ValueError when it is below 1."""
+    bound = index(bound)
     if bound < 1:
         raise ValueError(f"{source} must be at least 1, got {bound}")
     return bound
@@ -159,12 +161,11 @@ def monomial_relations(
     never meets Q, and by the count it joins all of H to min(H).
     """
     gens = cyclic_invariant_generators(p, q)
+    weights = tuple(a + b for a, b in gens)
+    degree_bound = check_degree_bound(
+        2 * p * max(weights) if degree_bound is None else degree_bound)
     if p == 1:
         return RelationSet((), 0, wahl_relation_count(len(gens)))
-    weights = tuple(a + b for a, b in gens)
-    if degree_bound is None:
-        degree_bound = 2 * p * max(weights)
-    check_degree_bound(degree_bound)
     nvars = len(gens)
     images = {
         (gens[k - 1][0] + gens[l + 1][0], gens[k - 1][1] + gens[l + 1][1])
@@ -193,24 +194,6 @@ def monomial_relations(
 
 
 # -- bounded-degree relations of polynomial maps ---------------------------------
-
-
-def _normalize_relation(row, exponents, nvars, weights) -> MultiPoly:
-    """The sparse row {k: c_k} as sum c_k x^exponents[k], scaled so the
-    graded-lex leading coefficient is a positive integer and the rational
-    content over the 8-basis coordinates is 1.
-
-    The row must be monic at its graded-lex leading column, as every row
-    that a relation scan builds is: a pivot row of an echelon form, or
-    e_p minus pivots left of p.  Scaling by the lcm den of the denominators
-    then makes the leading coefficient den, so a prime p of the content
-    divides den.  There is none: if p^k exactly divides den, it exactly
-    divides the denominator d of some coefficient, which in lowest terms
-    has a numerator coordinate prime to p, and den * coefficient multiplies
-    that coordinate by den / d, also prime to p.
-    """
-    den = lcm(*(coeff.den for coeff in row.values()))
-    return MultiPoly._of(nvars, weights, {exponents[k]: coeff * den for k, coeff in row.items()})
 
 
 def bounded_degree_relations(
@@ -243,10 +226,11 @@ def bounded_degree_relations(
     equals it, so it is neither, and the first rref, for the high pivots,
     skips it.  The second runs over the low columns and the high pivots,
     which hold every pivot of the matrix; the relation at p is
-    e_p - sum_c (form[c][p] / form[c][c]) e_c times the column factors over
-    that of p (base.column_ratio).  Each such c is a pivot left of p, so the
-    relation is already monic at its graded-lex leading monomial
-    x^exponents[p], as _normalize_relation needs.  The degrees ascend, and
+    kernel_vector(form, p), positive at p and solved at each pivot c with
+    form[c][p] != 0, times the column factors, scaled to content 1
+    (base.relation_coefficients).  Each such c is a pivot left of p, so the
+    relation's graded-lex leading monomial is x^exponents[p], with a
+    positive integer coefficient.  The degrees ascend, and
     within one p ascends (rref returns its pivots in ascending order), so
     the relations come out in (weighted degree, leading exponent) order,
     the output order, with no sort.
@@ -262,9 +246,8 @@ def bounded_degree_relations(
     weights = tuple(base.degree(g) for g in gens)
     if not all(w > 0 for w in weights):
         raise ValueError("every generator needs a positive degree")
-    if degree_bound is None:
-        degree_bound = 2 * sum(sorted(weights)[-2:])
-    check_degree_bound(degree_bound)
+    degree_bound = check_degree_bound(
+        2 * sum(sorted(weights)[-2:]) if degree_bound is None else degree_bound)
     nvars = len(gens)
     relations: List[MultiPoly] = []
     pair_sums = {w + v for k, w in enumerate(weights) for v in weights[k:]}
@@ -291,12 +274,8 @@ def bounded_degree_relations(
         for p in [*range(low), *high]:
             if p in form:
                 continue
-            row = {
-                c: base.column_ratio(Fraction(-pivot_row[p], pivot_row[c]), targets[c], targets[p])
-                for c, pivot_row in form.items() if p in pivot_row
-            }
-            row[p] = ONE
-            relation = _normalize_relation(row, exponents, nvars, weights)
+            coeffs = base.relation_coefficients(kernel_vector(form, p), targets, p)
+            relation = MultiPoly._of(nvars, weights, {exponents[c]: x for c, x in coeffs.items()})
             if not verify_relation(_in_klein_triple(base, relation, gens), base.powers):
                 raise RuntimeError(f"unsound relation {relation}; kernel logic broken")
             relations.append(relation)

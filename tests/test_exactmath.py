@@ -23,6 +23,7 @@ from singmap.exactmath import (
     format_multi,
     format_terms,
     in_span,
+    kernel_vector,
     nullspace_basis,
     parse_bivariate,
     parse_multi,
@@ -631,6 +632,26 @@ class TestNullspace:
             sum(row.get(k, 0) * x for k, x in target.items()) == 0 for row in matrix.values()
         )
         assert in_span(basis, target)
+
+    def test_kernel_vector_matches_gauss_jordan(self):
+        # at every free column of the reduced form: the reference's vector
+        # for that column, as ints with content 1, positive at the free
+        # column, which comes last, after the pivots in ascending order
+        rng = random.Random(25)
+        for entry in (small_entry, wide_entry):
+            for _ in range(30):
+                matrix = rank_deficient(rng, entry)
+                form = rref([sparse(row) for row in matrix])
+                _, pivots = reference_rref(matrix)
+                frees = [c for c in range(len(matrix[0])) if c not in pivots]
+                expected = reference_nullspace(matrix)
+                assert len(frees) == len(expected)
+                for free, reference in zip(frees, expected):
+                    vec = kernel_vector(form, free)
+                    assert monic(vec, free) == sparse(reference)
+                    assert list(vec) == sorted(vec) and max(vec) == free and vec[free] > 0
+                    assert all(type(x) is int and x for x in vec.values())
+                    assert gcd(*vec.values()) == 1
 
     def test_basis_vectors_have_content_one(self):
         # free column 1 solves to (-2, 2) and free column 2 to (-1, 2)

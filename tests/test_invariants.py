@@ -424,8 +424,10 @@ class TestKleinNormalForm:
                 assert all(type(c) is int for c in form.values())
                 expanded = normal_form_in_uv(powers, form, y_scale)
                 assert expanded == triple_product(powers, t).scale(factor(t)), t
-                # the ratio a kernel vector's entries are scaled by
-                assert base.column_ratio(1, t, monomials[0]) * factor(monomials[0]) == factor(t)
+                # a kernel vector's entries are scaled by their column factors
+                coeffs = base.relation_coefficients({0: 1, 1: 1}, [monomials[0], t], 0)
+                lead, other = coeffs.values()
+                assert other * factor(monomials[0]) == lead * factor(t)
                 z_powers.add(t[2])
         assert {0, 1, 2, 3, 4} <= z_powers
 
@@ -433,6 +435,10 @@ class TestKleinNormalForm:
         base = klein_invariants(GroupFamily.BINARY_OCTAHEDRAL)
         assert base.relation().substitute(list(base.generators)).is_zero()
         assert base.relation() == parse_multi("108*x1^3 - x1*x2^3 + x3^2", base.degrees)
+        # I*: integer coefficients with content 1, y^3 on s5
+        icosahedral = klein_invariants(GroupFamily.BINARY_ICOSAHEDRAL)
+        assert icosahedral.relation() == parse_multi(
+            "27*x1^5 + 25*s5*x2^3 + 4*x3^2", icosahedral.degrees)
         flipped = tuple((-c if (i, j) == (3, 0) else c, i, j) for c, i, j in base.square)
         wrong = KleinBasis(base.generators, base.degrees, square=flipped)
         assert not wrong.relation().substitute(list(base.generators)).is_zero()

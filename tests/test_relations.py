@@ -4,14 +4,12 @@ substitution verifier."""
 import json
 import random
 import time
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
 from singmap.exactmath import (
     BivariatePoly,
-    ExactScalar,
     MultiPoly,
     format_multi,
     grlex_key,
@@ -22,6 +20,7 @@ from singmap.exactmath import (
     weighted_exponents,
 )
 from singmap.exactmath.linalg import insert_row, reduce_row
+from singmap.exactmath.ring import BASIS_SYMBOLS
 from singmap.groups import (
     GroupDescriptor,
     GroupFamily,
@@ -38,7 +37,6 @@ from singmap.invariants import (
 from singmap.relations import (
     RelationSet,
     _in_klein_triple,
-    _normalize_relation,
     bounded_degree_relations,
     check_degree_bound,
     monomial_relations,
@@ -229,6 +227,12 @@ class TestRiemenschneiderImagesAgainstScan:
         assert result.degree_bound == 0
         assert result.complete
 
+    @pytest.mark.parametrize("q", [1, 7, -1])
+    def test_smooth_point_needs_q_zero(self, q):
+        # refused as L(1, q) and hj_expand(1, q) refuse it, not read as (1, 0)
+        with pytest.raises(ValueError):
+            monomial_relations(1, q)
+
 
 KLEIN_TRIPLE = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
@@ -309,6 +313,16 @@ class TestBoundedDegreeRelations:
             bounded_degree_relations(base, KLEIN_TRIPLE, 0)
         with pytest.raises(ValueError):
             monomial_relations(5, 2, -1)
+
+    @pytest.mark.parametrize("bound", [2.5, 24.0, "24"])
+    def test_degree_bound_must_be_an_integer(self, bound):
+        # refused where it enters, not written to the JSON as 2.5
+        base = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
+        with pytest.raises(TypeError):
+            bounded_degree_relations(base, KLEIN_TRIPLE, bound)
+        for p, q in [(5, 2), (1, 0)]:
+            with pytest.raises(TypeError):
+                monomial_relations(p, q, bound)
 
     def test_filtration_consistency(self):
         base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2)
@@ -469,8 +483,8 @@ def reference_bounded_degree_relations(base, gens, degree_bound=None, expected_c
     relation, then the reduced echelon form of the nonzero residues.
 
     It runs on the integer normal forms, so a kernel vector w stands for
-    the relation with coefficients w times the column factors, monic at its
-    leading column through base.column_ratio.  Each relation is kept with
+    the relation with coefficients w times the column factors, which
+    base.relation_coefficients applies.  Each relation is kept with
     its integer vector, whose shifts stand for its multiples: the column
     factor of a product of Klein monomials exceeds that of the relation's
     own monomial by a factor common to all its terms, since at one weighted
@@ -501,14 +515,10 @@ def reference_bounded_degree_relations(base, gens, degree_bound=None, expected_c
                     for alpha, x in vector.items()
                 })
         residues = [residue for residue in (reduce_row(form, row) for row in kernel) if residue]
+        targets = [base.power_product(alpha, gens) for alpha in exponents]
         for lead, row in rref(residues).items():
-            target = base.power_product(exponents[lead], gens)
-            monic = {
-                k: base.column_ratio(
-                    Fraction(x, row[lead]), base.power_product(exponents[k], gens), target)
-                for k, x in row.items()
-            }
-            relation = _normalize_relation(monic, exponents, nvars, weights)
+            coeffs = base.relation_coefficients(row, targets, lead)
+            relation = MultiPoly(nvars, weights, {exponents[k]: x for k, x in coeffs.items()})
             assert verify_relation(_in_klein_triple(base, relation, gens), base.powers)
             relations.append((relation, {exponents[k]: x for k, x in row.items()}))
     relations = [relation for relation, _ in relations]
@@ -587,54 +597,28 @@ class TestQuadraticPartCriterion:
             assert result.to_dict() == expected.to_dict(), gens
             assert result.complete
 
+    def test_every_relation_is_a_primitive_integer_vector(self, pipeline_relation_calls):
+        # each coefficient an integer on the symbol 1 or s5, the integer
+        # coordinates with gcd 1, and the graded-lex leading coefficient a
+        # positive integer
+        on_one_or_s5 = {BASIS_SYMBOLS.index(""), BASIS_SYMBOLS.index("s5")}
+        for _, gens, _, result in pipeline_relation_calls:
+            for relation in result.relations:
+                coeffs = relation.terms.values()
+                for coeff in coeffs:
+                    symbols = {k for k, x in enumerate(coeff.num) if x}
+                    assert coeff.den == 1 and len(symbols) == 1, (gens, relation)
+                    assert symbols <= on_one_or_s5, (gens, relation)
+                assert gcd(*(x for coeff in coeffs for x in coeff.num)) == 1, (gens, relation)
+                lead = relation.terms[relation.leading_exponent()]
+                assert lead.num[0] > 0 and not any(lead.num[1:]), (gens, relation)
+
     def test_every_relation_has_a_quadratic_term(self, pipeline_relation_calls):
         # the criterion rests on this: a minimal relation of a rational
         # singularity is never in m^3
         for _, gens, _, result in pipeline_relation_calls:
             for relation in result.relations:
                 assert any(sum(alpha) == 2 for alpha in relation.terms), (gens, relation)
-
-
-def _scaled(poly, c):
-    """poly with every coefficient multiplied by c."""
-    return MultiPoly(poly.nvars, poly.weights, {e: coeff * c for e, coeff in poly.terms.items()})
-
-
-def _three_step_normalization(row, exponents, nvars, weights):
-    """Reference: build the relation, check that it is monic, then scale it
-    twice."""
-    poly = MultiPoly(nvars, weights, {exponents[k]: coeff for k, coeff in row.items()})
-    assert poly.terms[poly.leading_exponent()] == 1
-    poly = _scaled(poly, lcm(*(coeff.den for coeff in poly.terms.values())))
-    content = gcd(*(n for coeff in poly.terms.values() for n in coeff.num))
-    if content > 1:
-        poly = _scaled(poly, Fraction(1, content))
-    return poly
-
-
-class TestNormalizeRelation:
-    def test_matches_three_step_normalization(self):
-        rng = random.Random(20261018)
-        nvars, weights = 4, [2, 3, 3, 5]
-        exponents = sorted({tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(40)})
-        for _ in range(300):
-            row = {}
-            for k in rng.sample(range(len(exponents)), rng.randint(1, 6)):
-                coords = [Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-                          if rng.random() < 0.4 else 0 for _ in range(8)]
-                coords[rng.randrange(8)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 50),
-                                                    rng.randint(1, 9))
-                row[k] = ExactScalar(coords) * rng.choice([1, 6, 35, Fraction(1, 14)])
-            # monic at the graded-lex leading column, as every row of both
-            # relation scans is
-            row[max(row, key=lambda k: grlex_key(exponents[k]))] = ExactScalar.rational(1)
-            got = _normalize_relation(row, exponents, nvars, weights)
-            want = _three_step_normalization(row, exponents, nvars, weights)
-            assert list(got.terms.items()) == list(want.terms.items())
-            lead = got.terms[got.leading_exponent()]
-            assert not any(lead.num[1:]) and lead.den == 1 and lead.num[0] > 0
-            assert {coeff.den for coeff in got.terms.values()} == {1}
-            assert gcd(*(n for coeff in got.terms.values() for n in coeff.num)) == 1
 
 
 class TestVerifyRelation:
