@@ -258,6 +258,17 @@ class KleinBasis(InvariantBasis):
             for t in range(k + 1)
         }
 
+    def degree_matrix(self, columns) -> List[Dict[object, int]]:
+        """The sparse integer matrix whose column c holds the normal form of
+        the Klein monomial columns[c], for a mapping columns: one row per
+        monomial of the normal forms, in descending order.  The row order
+        moves no pivot; it sets the elimination's work."""
+        rows: Dict[Tuple[int, int, int], Dict[object, int]] = {}
+        for col, target in columns.items():
+            for monomial, coeff in self.normal_form(target).items():
+                rows.setdefault(monomial, {})[col] = coeff
+        return [rows[monomial] for monomial in sorted(rows, reverse=True)]
+
     def relation_coefficients(self, vector, monomials, lead) -> Dict[object, ExactScalar]:
         """The relation that an integer kernel vector w of normal forms
         stands for, as {k: coefficient of the Klein monomial monomials[k]}:
@@ -400,8 +411,6 @@ def expressible_in(
     not call it; it is the membership predicate the tests check it against.
     """
     products = sorted(_products_of_degree(base, others, base.degree(candidate)), reverse=True)
-    if not products:
-        return False
     return in_span([base.normal_form(t) for t in products], base.normal_form(candidate))
 
 
@@ -419,17 +428,18 @@ def minimalize_generators(
 ) -> List[Tuple[int, int, int]]:
     """A minimal generating set among the Klein monomials candidates.
 
-    One ascending pass over the degrees with one semi-echelon form each: the
-    normal forms of the products of the generators kept below, which span
-    the decomposables, go in first, then the degree's candidates, and a
-    candidate is kept exactly when it grows the rank.  Candidates go in the
-    reverse of a greedy deletion's order: descending graded-lex order of the
-    leading (u, v) monomial, ties by sorted (u, v) support (so only ties are
-    expanded).  Deletion from the top and insertion from the bottom keep the
-    same basis of the matroid contracted by the decomposables, and a dropped
-    candidate adds nothing to the products of the kept ones.  The pass stops
-    before a degree once target_count generators, when given, are kept.  The
-    survivors keep their input order.
+    One ascending pass over the degrees with one degree matrix each
+    (base.degree_matrix): its first columns are the products of the
+    generators kept below, which span the decomposables, then come the
+    degree's candidates, and a candidate is kept exactly when its column is
+    a pivot, that is, not in the span of the columns before it.  Candidates
+    come in the reverse of a greedy deletion's order: descending graded-lex
+    order of the leading (u, v) monomial, ties by sorted (u, v) support (so
+    only ties are expanded).  Deletion from the top and insertion from the
+    bottom keep the same basis of the matroid contracted by the
+    decomposables, and a dropped candidate adds nothing to the products of
+    the kept ones.  The pass stops before a degree once target_count
+    generators, when given, are kept.  The survivors keep their input order.
     """
     candidates = [tuple(c) for c in candidates]
     leads = [base.leading_exponent(c) for c in candidates]
@@ -445,14 +455,12 @@ def minimalize_generators(
     for degree in sorted(set(degrees)):
         if target_count is not None and len(kept) >= target_count:
             break
-        form = {}
         products = _products_of_degree(base, [candidates[j] for j in kept], degree)
-        for t in sorted(products, reverse=True):
-            insert_row(form, base.normal_form(t))
-        tier = [k for k, d in enumerate(degrees) if d == degree]
-        for k in sorted(tier, key=scan_key, reverse=True)[::-1]:
-            rank = len(form)
-            insert_row(form, base.normal_form(candidates[k]))
-            if len(form) > rank:
-                kept.append(k)
+        tier = sorted((k for k, d in enumerate(degrees) if d == degree),
+                      key=scan_key, reverse=True)[::-1]
+        columns = [*sorted(products, reverse=True), *(candidates[k] for k in tier)]
+        form = {}
+        for row in base.degree_matrix(dict(enumerate(columns))):
+            insert_row(form, row)
+        kept += [tier[c - len(products)] for c in form if c >= len(products)]
     return [candidates[j] for j in sorted(kept)]

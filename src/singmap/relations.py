@@ -10,16 +10,17 @@ relations sit there and nowhere else, and each image's binomials join its
 quadratic factorizations and the least of the others to the least
 quadratic one.  Maps by monomials in a Klein triple (binary polyhedral
 quotients and their cyclic products) get bounded-degree relations: per
-weighted degree w_i + w_j of a pair of generators, two fraction-free
-integer eliminations of the candidate monomials' Klein normal forms pick
-out the columns of the new relations; each relation is the second
-form's integer kernel vector at its leading monomial times the normal
-forms' column factors, already in output order, so it needs no fraction
-and no sort.  verify_relation substitutes the generators and demands the
-identically zero polynomial; every Klein relation is checked so before it
-is returned, rewritten in the Klein triple itself, whose powers the map's
-KleinBasis already holds.  Binomials are not substituted: they hold by
-construction, both sides factoring one monomial.
+weighted degree w_i + w_j of a pair of generators, one fraction-free integer
+elimination of the degree matrix, the candidate monomials' Klein normal
+forms as columns; each column that is not a pivot gives its integer kernel
+vector, and the vector is a new relation exactly when its quadratic part is
+independent of the earlier ones'.  The relation is that vector times the
+normal forms' column factors, already in output order, so it needs no
+fraction and no sort.  verify_relation substitutes the generators and
+demands the identically zero polynomial; every Klein relation is checked so
+before it is returned, rewritten in the Klein triple itself, whose powers
+the map's KleinBasis already holds.  Binomials are not substituted: they
+hold by construction, both sides factoring one monomial.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .exactmath import (
     MultiPoly,
     ZERO,
     format_multi,
+    insert_row,
     kernel_vector,
     rref,
     weighted_exponents,
@@ -214,26 +216,26 @@ def bounded_degree_relations(
 
     Per degree the columns are the candidate monomials x^alpha in the
     generators in ascending graded-lex order, so the low ones, of total
-    degree <= 2, come first; column p holds the integer normal form of
-    x^alpha, one sparse row per Klein monomial.  The normal form is
-    injective, so the matrix's kernel K is that of the (u, v) substitution
-    up to the column factors, and the new relations are the vectors of K,
-    times those factors, with independent low parts.  At column p
-    the span of K's low parts grows by dim K<=p - dim K^high<=p, K^high being
-    the vectors of K with no low part; so p gives a relation exactly when it
-    is not a pivot of the matrix and is low or a pivot of the high columns
-    alone.  A high column with the Klein monomial of an earlier high column
-    equals it, so it is neither, and the first rref, for the high pivots,
-    skips it.  The second runs over the low columns and the high pivots,
-    which hold every pivot of the matrix; the relation at p is
-    kernel_vector(form, p), positive at p and solved at each pivot c with
-    form[c][p] != 0, times the column factors, scaled to content 1
-    (base.relation_coefficients).  Each such c is a pivot left of p, so the
-    relation's graded-lex leading monomial is x^exponents[p], with a
-    positive integer coefficient.  The degrees ascend, and
-    within one p ascends (rref returns its pivots in ascending order), so
-    the relations come out in (weighted degree, leading exponent) order,
-    the output order, with no sort.
+    degree <= 2, come first; base.degree_matrix puts the integer normal form
+    of x^alpha in column p, one sparse row per Klein monomial.  The normal
+    form is injective, so the matrix's kernel K is that of the (u, v)
+    substitution up to the column factors, and the new relations are the
+    vectors of K, times those factors, with independent low parts.  One rref
+    gives the reduced form, and each column p that is not a pivot, in
+    ascending order, its kernel vector kernel_vector(form, p): positive at p
+    and solved at each pivot c with form[c][p] != 0.  These vectors for the
+    columns up to p span K<=p, so the span of K's low parts grows at p
+    exactly when the low part of p's vector is independent of the earlier
+    ones' (Wahl's criterion, read directly): one insert_row into the small
+    form of those low parts tests it.  A high column with the Klein monomial
+    of an earlier high column equals it, so its kernel vector, the
+    difference of the two, has no low part: it is left out of the matrix.
+    The relation at p is p's vector times the column factors, scaled to
+    content 1 (base.relation_coefficients).  Each pivot it meets lies left of
+    p, so the relation's graded-lex leading monomial is x^exponents[p], with
+    a positive integer coefficient.  The degrees ascend, and within one p
+    ascends, so the relations come out in (weighted degree, leading
+    exponent) order, the output order, with no sort.
 
     Each emitted relation is re-verified by exact substitution before it is
     returned: rewritten in the triple by _in_klein_triple, it is evaluated
@@ -256,25 +258,19 @@ def bounded_degree_relations(
             break
         exponents = weighted_exponents(weights, degree)
         low = sum(1 for alpha in exponents if sum(alpha) <= 2)
-        targets = [base.power_product(alpha, gens) for alpha in exponents]
-        rows: Dict[Tuple[int, int, int], Dict[int, int]] = {}
-        seen = set()
-        for col, target in enumerate(targets):
-            if col >= low:
-                if target in seen:
-                    continue
-                seen.add(target)
-            for monomial, coeff in base.normal_form(target).items():
-                rows.setdefault(monomial, {})[col] = coeff
-        # rows in descending Klein-monomial order: the pivots do not depend
-        # on it, the elimination's work does
-        matrix = [rows[monomial] for monomial in sorted(rows, reverse=True)]
-        high = rref([{c: x for c, x in row.items() if c >= low} for row in matrix])
-        form = rref([{c: x for c, x in row.items() if c < low or c in high} for row in matrix])
-        for p in [*range(low), *high]:
-            if p in form:
+        columns, high = {}, {}
+        for col, alpha in enumerate(exponents):
+            target = base.power_product(alpha, gens)
+            # a high column repeating an earlier high column's monomial is left out
+            if col < low or high.setdefault(target, col) == col:
+                columns[col] = target
+        form = rref(base.degree_matrix(columns))
+        quadratic = {}  # the low parts of the kernel vectors read so far
+        for p in [col for col in columns if col not in form]:
+            vector = kernel_vector(form, p)
+            if not insert_row(quadratic, {c: x for c, x in vector.items() if c < low}):
                 continue
-            coeffs = base.relation_coefficients(kernel_vector(form, p), targets, p)
+            coeffs = base.relation_coefficients(vector, columns, p)
             relation = MultiPoly._of(nvars, weights, {exponents[c]: x for c, x in coeffs.items()})
             if not verify_relation(_in_klein_triple(base, relation, gens), base.powers):
                 raise RuntimeError(f"unsound relation {relation}; kernel logic broken")

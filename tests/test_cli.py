@@ -333,6 +333,16 @@ class TestMap:
         assert (code, err) == (0, "")
         assert json.loads(out)["relations"]["degree_bound"] == 12
 
+    @pytest.mark.xfail(strict=True, raises=RecursionError,
+                       reason="weighted_exponents recurses once per generator; a large "
+                              "cyclic map needs a refusal before the relation scan")
+    def test_large_lens_map_is_refused(self, capsys):
+        # L(1001, 1) has 1002 generators; until the budget refusal of the
+        # roadmap lands, the scan raises RecursionError instead of exiting 2
+        code, out, err = run_cli(capsys, "map", "--lens", "1001,1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerify:
     @pytest.mark.parametrize(

@@ -652,6 +652,9 @@ class TestMinimalizeAgainstDeletion:
         for tag in (GroupFamily.BINARY_TETRAHEDRAL, GroupFamily.BINARY_OCTAHEDRAL,
                     GroupFamily.BINARY_ICOSAHEDRAL)
         for m in (1, 5, 7)
+    ] + [
+        # Z/35 x D*_36: the largest modulus of the pinned maps
+        (GroupFamily.BINARY_DIHEDRAL, 9, 35),
     ]
 
     @pytest.mark.parametrize("tag,n,m", CASES)

@@ -620,6 +620,23 @@ class TestQuadraticPartCriterion:
             for relation in result.relations:
                 assert any(sum(alpha) == 2 for alpha in relation.terms), (gens, relation)
 
+    def test_one_elimination_per_scanned_degree(self, monkeypatch):
+        # the E8 triple has weights 12, 20, 30 and default bound 100, so the
+        # pair sums 24, 32, 40, 42, 50, 60 are its six scanned degrees
+        from singmap import relations
+
+        calls = []
+
+        def counting(rows):
+            calls.append(1)
+            return rref(rows)
+
+        monkeypatch.setattr(relations, "rref", counting)
+        base = klein_invariants(GroupFamily.BINARY_ICOSAHEDRAL)
+        found = bounded_degree_relations(base, KLEIN_TRIPLE)
+        assert len(found.relations) == 1
+        assert len(calls) == 6
+
 
 class TestVerifyRelation:
     def test_e8_relation(self):
