@@ -62,6 +62,17 @@ def _add_link_arguments(parser: argparse.ArgumentParser):
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; LinkError when it repeats a key, where
+    json.load would keep the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise LinkError(f"descriptor repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _resolve_link(args) -> object:
     chosen = [x for x in (args.lens, args.seifert, args.graph) if x]
     if len(chosen) != 1:
@@ -72,7 +83,7 @@ def _resolve_link(args) -> object:
         return parse_seifert_shorthand(args.seifert)
     with open(args.graph) as handle:
         try:
-            descriptor = json.load(handle)
+            descriptor = json.load(handle, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise LinkError(f"{args.graph}: JSON nested too deeply") from None
     return parse_link_descriptor(descriptor)

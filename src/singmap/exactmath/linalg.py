@@ -11,12 +11,12 @@ row's entry at c and p the pivot entry, and a', p' the two divided by their
 gcd, row = p' row - a' form[c] (Bareiss, Math. Comp. 22, 1968, without the
 determinant bookkeeping).  That scales the row by p' != 0 modulo the span
 and divides by nothing; what is left is made primitive.  insert_row stores
-the reduction of a row under its pivot and says whether it was new; rref
-and in_span run on these two, and rref returns the reduced form itself,
+the reduction of a row under its pivot, if anything is left; rref and
+in_span run on these two, and rref returns the reduced form itself,
 {pivot: row} in ascending pivot order.  kernel_vector reads off a reduced
 form its kernel vector on one column that is not a pivot and the pivots;
 nullspace_basis is one such vector per free column, and the relation scan
-reads each relation as one.
+reads each relation as one, at the columns that its reduced form names.
 
 No result depends on the order of the rows.  For a fixed column order the
 pivots of any semi-echelon basis of a span S are the leading columns of the
@@ -68,14 +68,14 @@ def reduce_row(form: Dict[object, Row], row: Row) -> Row:
     return {j: x // g for j, x in row.items()} if g != 1 else row
 
 
-def insert_row(form: Dict[object, Row], row: Row) -> bool:
-    """Add row to the span of form: what is left of it after reduce_row is
-    stored under its leading column.  True when something is left, that
-    is, when row was not in the span."""
+def insert_row(form: Dict[object, Row], row: Row) -> None:
+    """Add row to the span of form: what is left of it after reduce_row, if
+    anything, is stored under its leading column.  Once every row of a
+    matrix is in, the pivots are its columns that are not combinations of
+    the columns left of them."""
     row = reduce_row(form, row)
     if row:
         form[min(row)] = row
-    return bool(row)
 
 
 def rref(rows: Iterable[Row]) -> Dict[object, Row]:

@@ -156,18 +156,31 @@ def _pairs(value, what: str) -> List[Tuple[int, int]]:
     return [tuple(_integers(pair, what, 2)) for pair in value]
 
 
-def _body(descriptor: dict, key: str) -> dict:
-    body = descriptor[key]
+def _check_keys(obj: dict, what: str, keys: Tuple[str, ...]) -> None:
+    """LinkError naming the first key of obj that is not one of keys."""
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise LinkError(f"{what} has the unknown key {unknown[0]!r}; its keys are {', '.join(keys)}")
+
+
+def _body(descriptor: dict, kind: str, required: str, optional: str) -> dict:
+    """descriptor[kind]: an object with the key required and at most the
+    key optional besides."""
+    body = descriptor[kind]
     if not isinstance(body, dict):
-        raise LinkError(f"{key} descriptor must be a JSON object, got {body!r}")
+        raise LinkError(f"{kind} descriptor must be a JSON object, got {body!r}")
+    _check_keys(body, f"{kind} descriptor", (required, optional))
+    if required not in body:
+        raise LinkError(f"{kind} descriptor needs the key {required}")
     return body
 
 
 def parse_link_descriptor(descriptor: dict):
-    """JSON link descriptor: {'lens': [p, q]} or {'seifert': {...}} or
-    {'graph': {'weights': [...], 'edges': [...]}}, with exactly one of the
-    three keys.  Every number must be a JSON integer; anything else raises
-    LinkError."""
+    """JSON link descriptor: {'lens': [p, q]} or {'seifert': {'b': b,
+    'fibers': [...]}} or {'graph': {'weights': [...], 'edges': [...]}},
+    with exactly one of the three keys and no other key, at the top or in
+    the body (fibers and edges may be left out).  Every number must be a
+    JSON integer; anything else raises LinkError."""
     if not isinstance(descriptor, dict):
         raise LinkError("link descriptor must be a JSON object")
     kinds = [key for key in ("lens", "seifert", "graph") if key in descriptor]
@@ -176,18 +189,15 @@ def parse_link_descriptor(descriptor: dict):
     if len(kinds) > 1:
         raise LinkError(f"descriptor needs exactly one of the keys lens, seifert, graph, "
                         f"got {', '.join(kinds)}")
+    _check_keys(descriptor, "descriptor", ("lens", "seifert", "graph"))
     if "lens" in descriptor:
         p, q = _integers(descriptor["lens"], "lens", 2)
         return LensData(p, q)
     if "seifert" in descriptor:
-        body = _body(descriptor, "seifert")
-        if "b" not in body:
-            raise LinkError("seifert descriptor needs the key b")
+        body = _body(descriptor, "seifert", "b", "fibers")
         fibers = _pairs(body.get("fibers", []), "seifert fibers")
         return SeifertData.normalized(_integer(body["b"], "seifert b"), fibers)
-    body = _body(descriptor, "graph")
-    if "weights" not in body:
-        raise LinkError("graph descriptor needs the key weights")
+    body = _body(descriptor, "graph", "weights", "edges")
     weights = _integers(body["weights"], "graph weights")
     graph = PlumbingGraph.build(weights, _pairs(body.get("edges", []), "graph edges"))
     return graph_to_link(graph)

@@ -12,15 +12,16 @@ quadratic one.  Maps by monomials in a Klein triple (binary polyhedral
 quotients and their cyclic products) get bounded-degree relations: per
 weighted degree w_i + w_j of a pair of generators, one fraction-free integer
 elimination of the degree matrix, the candidate monomials' Klein normal
-forms as columns; each column that is not a pivot gives its integer kernel
-vector, and the vector is a new relation exactly when its quadratic part is
-independent of the earlier ones'.  The relation is that vector times the
-normal forms' column factors, already in output order, so it needs no
-fraction and no sort.  verify_relation substitutes the generators and
-demands the identically zero polynomial; every Klein relation is checked so
-before it is returned, rewritten in the Klein triple itself, whose powers
-the map's KleinBasis already holds.  Binomials are not substituted: they
-hold by construction, both sides factoring one monomial.
+forms as columns.  Its reduced form names the relations' columns: the free
+columns of total degree <= 2, and the higher free columns that are pivots
+of the low pivot rows cut down to the high columns.  Each relation is the
+integer kernel vector at its column times the normal forms' column factors,
+already in output order, so it needs no fraction and no sort.
+verify_relation substitutes the generators and demands the identically
+zero polynomial; every Klein relation is checked so before it is returned,
+rewritten in the Klein triple itself, whose powers the map's KleinBasis
+already holds.  Binomials are not substituted: they hold by construction,
+both sides factoring one monomial.
 """
 
 from __future__ import annotations
@@ -145,22 +146,15 @@ def monomial_relations(
     point p = 1 has no relation: degree_bound 0 and Wahl's count 0.
 
     Each image's relations are read off its own fiber F, its factorizations
-    in ascending graded-lex order.  F splits into Q, those of total degree
-    2 (the image itself is one), and H, the rest; none has total degree 1,
-    since the generators are irreducible, so Q comes first.  With anchor
-    the least of Q, the relations are x^q - x^anchor for the other q in Q,
-    then x^min(H) - x^anchor when H is not empty.  The ideal I meets F in
-    the span of the binomials among F, and L(p, q) is rational, so by Wahl
-    I meets m^3 in m I (see bounded_degree_relations):
-    the new relations on F number the dimension of that span's projection
-    onto the quadrics x^Q, which is |Q| when H is not empty and |Q| - 1
-    when it is, and any that many with independent quadratic parts will
-    do.  Those above have the quadratic parts x^q - x^anchor and -x^anchor.
-    They are also the binomials that rewriting by the earlier relations
-    leaves (the standard monomials of F other than its least): a lower
-    image's rewrite turns a proper multiple of one of its factorizations
-    into a proper multiple of its anchor, both of total degree >= 3, so it
-    never meets Q, and by the count it joins all of H to min(H).
+    in ascending graded-lex order, by the rule of bounded_degree_relations
+    (L(p, q) is rational).  F splits into Q, those of total degree 2 (the
+    image itself is one), and H, the rest; none has total degree 1, since
+    the generators are irreducible, so Q comes first.  F's block of the
+    0/1 degree matrix is one row of ones, reduced already, with its pivot
+    at the anchor, the least of Q.  Its low free columns are the other q in
+    Q, with kernel vectors x^q - x^anchor, and cut down to H it is a row of
+    ones whose pivot is min(H), giving x^min(H) - x^anchor when H is not
+    empty.
     """
     gens = cyclic_invariant_generators(p, q)
     weights = tuple(a + b for a, b in gens)
@@ -220,16 +214,29 @@ def bounded_degree_relations(
     of x^alpha in column p, one sparse row per Klein monomial.  The normal
     form is injective, so the matrix's kernel K is that of the (u, v)
     substitution up to the column factors, and the new relations are the
-    vectors of K, times those factors, with independent low parts.  One rref
-    gives the reduced form, and each column p that is not a pivot, in
-    ascending order, its kernel vector kernel_vector(form, p): positive at p
-    and solved at each pivot c with form[c][p] != 0.  These vectors for the
-    columns up to p span K<=p, so the span of K's low parts grows at p
-    exactly when the low part of p's vector is independent of the earlier
-    ones' (Wahl's criterion, read directly): one insert_row into the small
-    form of those low parts tests it.  A high column with the Klein monomial
-    of an earlier high column equals it, so its kernel vector, the
-    difference of the two, has no low part: it is left out of the matrix.
+    vectors of K, times those factors, with independent low parts (on the
+    columns p < low).  One rref gives the reduced form, and each free
+    column p, one that is not a pivot, its kernel vector
+    kernel_vector(form, p): positive at p, zero at every other free column,
+    and solved at each pivot c with form[c][p] != 0.  In ascending p these
+    vectors span K<=p, so p gives a relation exactly when the low part of
+    its vector is independent of the earlier ones' (Wahl's criterion), and
+    the reduced form answers that without a vector:
+
+    - a free column p < low always gives one, since its vector is the only
+      one that is nonzero at p, a low column;
+    - a free column p >= low has its vector's low part on the low pivots
+      c, -form[c][p] / form[c][c] there up to a positive factor of p's own.
+      The high pivot columns are 0 in the low pivot rows, and the low free
+      columns' vectors are the only ones nonzero at those columns, so p's
+      low part is new exactly when p's column of the low pivot rows, cut
+      down to the high columns, is independent of the earlier columns:
+      when p is a pivot of the cut rows.  insert_row finds those pivots,
+      so each degree still has one rref.
+
+    A high column with the Klein monomial of an earlier high column has the
+    same column of the cut rows, so it is never a pivot there: leaving it
+    out of the matrix only keeps the matrix small.
     The relation at p is p's vector times the column factors, scaled to
     content 1 (base.relation_coefficients).  Each pivot it meets lies left of
     p, so the relation's graded-lex leading monomial is x^exponents[p], with
@@ -261,15 +268,16 @@ def bounded_degree_relations(
         columns, high = {}, {}
         for col, alpha in enumerate(exponents):
             target = base.power_product(alpha, gens)
-            # a high column repeating an earlier high column's monomial is left out
+            # a high column repeating an earlier high column's monomial would
+            # repeat its cut column too, never a pivot: left out to keep the matrix small
             if col < low or high.setdefault(target, col) == col:
                 columns[col] = target
         form = rref(base.degree_matrix(columns))
-        quadratic = {}  # the low parts of the kernel vectors read so far
-        for p in [col for col in columns if col not in form]:
+        cut = {}  # the low pivot rows on the high columns
+        for c in [c for c in form if c < low]:
+            insert_row(cut, {j: x for j, x in form[c].items() if j >= low})
+        for p in [*(p for p in range(low) if p not in form), *sorted(cut)]:
             vector = kernel_vector(form, p)
-            if not insert_row(quadratic, {c: x for c, x in vector.items() if c < low}):
-                continue
             coeffs = base.relation_coefficients(vector, columns, p)
             relation = MultiPoly._of(nvars, weights, {exponents[c]: x for c, x in coeffs.items()})
             if not verify_relation(_in_klein_triple(base, relation, gens), base.powers):

@@ -143,7 +143,7 @@ def closed_form_multiplicity(family: Family, b: int = None) -> int:
     """Family multiplicity tables, independent of Laufer's algorithm.
 
     Lens: -2(k-1) + sum a_i over the expansion of (p, q); smooth gives 1.
-    Dihedral with b = 2 splits on l, the number of leading 2s in the leg.
+    Dihedral: b - 2k + sum a_i over the k entries of the leg's expansion.
     The polyhedral families add a constant to b per (q1, q2).
     """
     if family.tag is FamilyTag.LENS:
@@ -157,19 +157,9 @@ def closed_form_multiplicity(family: Family, b: int = None) -> int:
     if family.tag is FamilyTag.DIHEDRAL:
         p, q = family.params
         chain = hj_expand(p, q)
-        k = len(chain)
-        if b > 2:
-            return -2 * k + b + sum(chain)
-        if b != 2:
+        if b < 2:
             raise ValueError(f"b = {b} is outside the table (need b >= 2)")
-        leading_twos = 0
-        for a in chain:
-            if a != 2:
-                break
-            leading_twos += 1
-        if leading_twos > 0:
-            return -2 * (k - 1) + 2 * leading_twos + sum(chain[leading_twos:])
-        return -2 * (k - 1) + sum(chain)
+        return b - 2 * len(chain) + sum(chain)
     tables = {
         FamilyTag.TETRAHEDRAL: _TETRAHEDRAL_MULT,
         FamilyTag.OCTAHEDRAL: _OCTAHEDRAL_MULT,

@@ -144,6 +144,10 @@ class TestClassify:
             {"lens": [5, 2], "seifert": {}},
             {"seifert": {"b": 2, "fibers": [[2, 1], [3, 1], [5, 1]]}, "graph": {"weights": [-2]}},
             {"unknown": 1},
+            # E8 with fibers misspelled, and keys that no descriptor has
+            {"seifert": {"b": 2, "fiber": [[2, 1], [3, 2], [5, 4]]}},
+            {"lens": [5, 2], "extra": 1},
+            {"graph": {"weights": [-2], "edge": []}},
         ],
     )
     def test_malformed_descriptor(self, capsys, tmp_path, descriptor):
@@ -153,6 +157,18 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"lens": [5, 2], "lens": [7, 2]}', "lens"),
+        ('{"seifert": {"b": 2, "b": 3, "fibers": [[2, 1], [3, 2], [5, 4]]}}', "b"),
+    ])
+    def test_repeated_key_rejected(self, capsys, tmp_path, text, key):
+        # json.load alone would keep the last value without a word
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "classify", "--graph", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: descriptor repeats the key {key!r}\n"
 
     @pytest.mark.parametrize("fiber", [(1, 3), (1, 1)])
     def test_nontrivial_p1_fiber_rejected(self, capsys, tmp_path, fiber):

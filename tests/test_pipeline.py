@@ -51,6 +51,22 @@ class TestParsing:
         with pytest.raises(LinkError, match="needs one of the keys: lens, seifert, graph"):
             parse_link_descriptor({"unknown": 1})
 
+    @pytest.mark.parametrize("descriptor, message", [
+        ({"seifert": {"b": 2, "fiber": [[2, 1], [3, 2], [5, 4]]}},
+         "seifert descriptor has the unknown key 'fiber'; its keys are b, fibers"),
+        ({"lens": [5, 2], "extra": 1},
+         "descriptor has the unknown key 'extra'; its keys are lens, seifert, graph"),
+        ({"graph": {"weights": [-2], "edge": []}},
+         "graph descriptor has the unknown key 'edge'; its keys are weights, edges"),
+        # an unknown key is named before a missing one
+        ({"graph": {"weight": [-2]}},
+         "graph descriptor has the unknown key 'weight'; its keys are weights, edges"),
+    ])
+    def test_descriptor_with_unknown_key_rejected(self, descriptor, message):
+        with pytest.raises(LinkError) as raised:
+            parse_link_descriptor(descriptor)
+        assert str(raised.value) == message
+
     @pytest.mark.parametrize("descriptor, kinds", [
         ({"lens": [5, 2], "seifert": {}}, "lens, seifert"),
         ({"graph": {"weights": [-2]}, "lens": [5, 2]}, "lens, graph"),

@@ -13,6 +13,7 @@ from singmap.exactmath import (
     MultiPoly,
     format_multi,
     grlex_key,
+    kernel_vector,
     nullspace_basis,
     parse_bivariate,
     parse_multi,
@@ -636,6 +637,23 @@ class TestQuadraticPartCriterion:
         found = bounded_degree_relations(base, KLEIN_TRIPLE)
         assert len(found.relations) == 1
         assert len(calls) == 6
+
+    def test_one_kernel_vector_per_relation(self, monkeypatch):
+        # the reduced form names the relations' columns, so no kernel vector
+        # is read and then dropped: Z/5 x O* has Wahl's count 3
+        from singmap import pipeline, relations
+
+        calls = []
+
+        def counting(form, free):
+            calls.append(free)
+            return kernel_vector(form, free)
+
+        monkeypatch.setattr(relations, "kernel_vector", counting)
+        link = pipeline.parse_seifert_shorthand("2;(2,1)(3,1)(4,3)")
+        found = pipeline.synthesize_map(link).relations
+        assert found.complete and len(found.relations) == 3
+        assert len(calls) == 3
 
 
 class TestVerifyRelation:
