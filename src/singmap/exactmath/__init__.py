@@ -2,7 +2,7 @@
 polynomials, sparse integer elimination, and the polynomial text format."""
 
 from .ring import ExactScalar, HALF, I, ONE, SQRT2, SQRT5, SQRT10, ZERO
-from .poly import BivariatePoly, MultiPoly, Powers, grlex_key, weighted_exponents
+from .poly import BivariatePoly, Factorizations, MultiPoly, Powers, grlex_key
 from .linalg import in_span, insert_row, kernel_vector, nullspace_basis, rref
 from .textform import (
     format_bivariate,
@@ -17,6 +17,7 @@ __all__ = [
     "ExactScalar",
     "BivariatePoly",
     "MultiPoly",
+    "Factorizations",
     "Powers",
     "ZERO",
     "ONE",
@@ -26,7 +27,6 @@ __all__ = [
     "SQRT10",
     "HALF",
     "grlex_key",
-    "weighted_exponents",
     "kernel_vector",
     "nullspace_basis",
     "rref",

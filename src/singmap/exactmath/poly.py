@@ -10,8 +10,8 @@ earlier variable larger) wherever a deterministic order is needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import index
+from math import gcd, lcm
+from operator import add, index
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ring import _MUL, ExactScalar, ONE, ZERO, _reduced
@@ -32,27 +32,68 @@ def grlex_key(exponent: Sequence[int]):
     return (sum(exponent), tuple(exponent))
 
 
-def weighted_exponents(weights: Sequence[int], degree: int) -> List[Tuple[int, ...]]:
-    """Exponent vectors alpha with sum alpha_i * weights_i = degree, in
-    ascending graded-lex order.  With no weights only degree 0 has one,
-    the empty vector."""
-    if not weights:
-        return [()] if degree == 0 else []
-    out: List[Tuple[int, ...]] = []
-    last = len(weights) - 1
+class Factorizations:
+    """The exponent vectors that a relation scan keeps at a weighted degree.
 
-    def scan(position: int, prefix: List[int], remaining: int):
-        w = weights[position]
-        if position == last:
-            if remaining % w == 0:
-                out.append(tuple(prefix + [remaining // w]))
-            return
-        for count in range(remaining // w + 1):
-            scan(position + 1, prefix + [count], remaining - count * w)
+    factors are vectors v_1..v_n of one length (Klein triples or (u, v)
+    pairs) with positive weights w_1..w_n.  An exponent vector alpha has
+    weighted degree sum alpha_j w_j and target sum alpha_j v_j.  At a
+    degree, columns lists every alpha of total degree <= 2 and, for each
+    target reached at total degree >= 3, only the graded-lex least alpha
+    of total degree >= 3 there, each with its target, in ascending
+    graded-lex order of alpha.
 
-    if degree >= 0:
-        scan(0, [], degree)
-    return sorted(out, key=grlex_key)
+    The least alpha of total degree k at a target T is beta + e_j, where
+    beta is the least of total degree k - 1 at T - v_j, for any j with
+    alpha_j > 0: a smaller beta would give the smaller beta + e_j at T.
+    So one table holds the least alpha per weighted degree, total degree
+    k >= 2 and target: for k = 2 the first pair listed at the target, and
+    for each higher k the least beta + e_j over the j.  The table is kept
+    for the life of the instance and grown one weighted degree at a time,
+    only as far as columns was asked.  Only these least vectors and those of
+    total degree <= 2 are built, never the full listing of a degree, and
+    nothing recurses.
+    """
+
+    def __init__(self, factors: Sequence[Sequence[int]], weights: Sequence[int]):
+        f, w, n = [tuple(v) for v in factors], tuple(weights), len(factors)
+        units = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
+        # {weighted degree: [(alpha, target)] of total degree <= 2}, each list
+        # ascending: 0, e_j for j descending, then e_i + e_j for i, then j descending
+        self._low = {0: [((0,) * n, tuple(0 for _ in zip(*f)))]}
+        for j in range(n - 1, -1, -1):
+            self._low.setdefault(w[j], []).append((units[j], f[j]))
+        # _least has {(k, target): least alpha of total degree k there} for
+        # k >= 2 at each degree reached: k = 2 is the first pair at its target
+        self._least: Dict[int, Dict[tuple, tuple]] = {}
+        for i in range(n - 1, -1, -1):
+            for j in range(n - 1, i - 1, -1):
+                alpha, target = tuple(map(add, units[i], units[j])), tuple(map(add, f[i], f[j]))
+                self._low.setdefault(w[i] + w[j], []).append((alpha, target))
+                self._least.setdefault(w[i] + w[j], {}).setdefault((2, target), alpha)
+        self._moves = list(zip(w, f, units))
+        # only multiples of the weights' gcd are reached; _top is the last
+        # degree that k >= 3 is tabled for
+        self._step, self._top = gcd(*w) or 1, 0
+
+    def columns(self, degree: int) -> List[Tuple[tuple, tuple]]:
+        """[(alpha, target)] at the weighted degree, as the class says."""
+        least, step = self._least, self._step
+        for top in range(self._top + step, degree + 1, step):
+            level = least.get(top, {})
+            for w, v, unit in self._moves:
+                for (k, target), beta in least.get(top - w, {}).items():
+                    key, alpha = (k + 1, tuple(map(add, target, v))), tuple(map(add, beta, unit))
+                    if alpha < level.setdefault(key, alpha):
+                        level[key] = alpha
+            if level:
+                least[top] = level
+        self._top = max(self._top, degree - degree % step)
+        # in descending (k, target) order the least k > 2 at a target comes last
+        high = {t: alpha for (k, t), alpha in sorted(least.get(degree, {}).items(), reverse=True)
+                if k > 2}
+        return self._low.get(degree, []) + [
+            (alpha, t) for _, alpha, t in sorted((sum(alpha), alpha, t) for t, alpha in high.items())]
 
 
 def _components(terms: Dict[Exponent2, ExactScalar]):

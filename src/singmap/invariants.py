@@ -21,18 +21,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
+from operator import le
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import (
     BivariatePoly,
     ExactScalar,
+    Factorizations,
     MultiPoly,
     Powers,
     SQRT5,
     grlex_key,
     in_span,
     insert_row,
-    weighted_exponents,
 )
 from .groups import (
     _J,
@@ -238,6 +239,13 @@ class KleinBasis(InvariantBasis):
     def degree(self, exponent: Sequence[int]) -> int:
         return sum(e * d for e, d in zip(exponent, self.degrees))
 
+    def monomials(self, degree: int) -> List[Tuple[int, int, int]]:
+        """The Klein monomials x^a y^b z^c of the weighted degree, each c
+        and b in turn with a solved from them."""
+        x, y, z = self.degrees
+        return [(a, b, c) for c in range(degree // z + 1) for b in range((degree - c * z) // y + 1)
+                for a, r in [divmod(degree - c * z - b * y, x)] if not r]
+
     @staticmethod
     def power_product(alpha: Sequence[int], monomials: Sequence[Sequence[int]]) -> Tuple[int, ...]:
         """The Klein monomial prod monomials[i]^alpha[i]."""
@@ -260,11 +268,11 @@ class KleinBasis(InvariantBasis):
 
     def degree_matrix(self, columns) -> List[Dict[object, int]]:
         """The sparse integer matrix whose column c holds the normal form of
-        the Klein monomial columns[c], for a mapping columns: one row per
+        the Klein monomial columns[c], for a sequence columns: one row per
         monomial of the normal forms, in descending order.  The row order
         moves no pivot; it sets the elimination's work."""
         rows: Dict[Tuple[int, int, int], Dict[object, int]] = {}
-        for col, target in columns.items():
+        for col, target in enumerate(columns):
             for monomial, coeff in self.normal_form(target).items():
                 rows.setdefault(monomial, {})[col] = coeff
         return [rows[monomial] for monomial in sorted(rows, reverse=True)]
@@ -416,9 +424,8 @@ def expressible_in(
 
 def _products_of_degree(base: KleinBasis, factors, degree: int):
     """The distinct Klein monomials prod factors^alpha of the given weighted
-    degree."""
-    weights = [base.degree(f) for f in factors]
-    return {base.power_product(alpha, factors) for alpha in weighted_exponents(weights, degree)}
+    degree: the targets of Factorizations.columns, which reaches each."""
+    return {t for _, t in Factorizations(factors, [base.degree(f) for f in factors]).columns(degree)}
 
 
 def minimalize_generators(
@@ -426,13 +433,22 @@ def minimalize_generators(
     candidates: Sequence[Sequence[int]],
     target_count: int = None,
 ) -> List[Tuple[int, int, int]]:
-    """A minimal generating set among the Klein monomials candidates.
+    """A minimal generating set among the Klein monomials candidates, the
+    Hilbert basis of a semigroup of invariant Klein monomials, as
+    product_invariant_monomials gives it.
 
     One ascending pass over the degrees with one degree matrix each
-    (base.degree_matrix): its first columns are the products of the
-    generators kept below, which span the decomposables, then come the
-    degree's candidates, and a candidate is kept exactly when its column is
-    a pivot, that is, not in the span of the columns before it.  Candidates
+    (base.degree_matrix): its first columns are the Klein monomials t of the
+    degree with a candidate c != t below them (c <= t in each exponent),
+    which span the decomposables, then come the degree's candidates, and a
+    candidate is kept exactly when its column is a pivot, that is, not in
+    the span of the columns before it.  Such a t is c times t - c, which is
+    again in the semigroup, so t is a product of two invariants; and every
+    product of two invariant monomials of positive degree has a candidate
+    strictly below it.  So these monomials span the products of invariants
+    at the degree.  The generators kept below generate every lower degree,
+    so their products span the same: the pivots are those that multiplying
+    out the kept generators would give, and no product is listed.  Candidates
     come in the reverse of a greedy deletion's order: descending graded-lex
     order of the leading (u, v) monomial, ties by sorted (u, v) support (so
     only ties are expanded).  Deletion from the top and insertion from the
@@ -446,21 +462,20 @@ def minimalize_generators(
     shared = Counter(leads)
 
     def scan_key(k):
-        lead = leads[k]
-        support = tuple(sorted(base.expand(candidates[k]).terms)) if shared[lead] > 1 else ()
-        return grlex_key(lead), support
+        support = tuple(sorted(base.expand(candidates[k]).terms)) if shared[leads[k]] > 1 else ()
+        return grlex_key(leads[k]), support
 
     degrees = [base.degree(c) for c in candidates]
     kept: List[int] = []
     for degree in sorted(set(degrees)):
         if target_count is not None and len(kept) >= target_count:
             break
-        products = _products_of_degree(base, [candidates[j] for j in kept], degree)
+        products = [t for t in base.monomials(degree)
+                    if any(c != t and all(map(le, c, t)) for c in candidates)]
         tier = sorted((k for k, d in enumerate(degrees) if d == degree),
                       key=scan_key, reverse=True)[::-1]
-        columns = [*sorted(products, reverse=True), *(candidates[k] for k in tier)]
         form = {}
-        for row in base.degree_matrix(dict(enumerate(columns))):
+        for row in base.degree_matrix([*products, *(candidates[k] for k in tier)]):
             insert_row(form, row)
         kept += [tier[c - len(products)] for c in form if c >= len(products)]
     return [candidates[j] for j in sorted(kept)]

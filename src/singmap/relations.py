@@ -8,11 +8,17 @@ give x^alpha - x^beta.  Only Riemenschneider's images g_(k-1) + g_(l+1) of
 the Hirzebruch-Jung ordered generators are read, since the minimal
 relations sit there and nowhere else, and each image's binomials join its
 quadratic factorizations and the least of the others to the least
-quadratic one.  Maps by monomials in a Klein triple (binary polyhedral
-quotients and their cyclic products) get bounded-degree relations: per
-weighted degree w_i + w_j of a pair of generators, one fraction-free integer
-elimination of the degree matrix, the candidate monomials' Klein normal
-forms as columns.  Its reduced form names the relations' columns: the free
+quadratic one.  A map with more minimal relations than
+MAX_CYCLIC_RELATIONS, which Wahl's count gives from (p, q), is refused
+before anything is listed.  Maps by monomials in a Klein triple (binary
+polyhedral quotients and their cyclic products) get bounded-degree
+relations: per weighted degree w_i + w_j of a pair of generators, one
+fraction-free integer elimination of the degree matrix, the candidate
+monomials' Klein normal forms as columns.  Both routes list their
+candidates through one Factorizations over the generators: every exponent
+vector of total degree <= 2, and only the least one of higher total degree
+per target monomial, the only one of those that can matter.  The
+elimination's reduced form names the relations' columns: the free
 columns of total degree <= 2, and the higher free columns that are pivots
 of the low pivot rows cut down to the high columns.  Each relation is the
 integer kernel vector at its column times the normal forms' column factors,
@@ -28,18 +34,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import index
+from operator import add, index
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import (
     ExactScalar,
+    Factorizations,
     MultiPoly,
     ZERO,
     format_multi,
     insert_row,
     kernel_vector,
     rref,
-    weighted_exponents,
 )
 from .invariants import cyclic_invariant_generators
 from .linkdata import _NUMBER
@@ -74,6 +80,17 @@ def wahl_relation_count(embedding_dimension: int) -> int:
     point e = 2."""
     e = embedding_dimension
     return (e - 1) * (e - 2) // 2
+
+
+# the most minimal relations a cyclic quotient map is built with.  The work
+# grows with the cube of e: L(200, 1), with 19,900 relations, takes about
+# 0.6 s and 60 MB on a 2-vCPU x86 host, and L(1001, 1), with 500,500, would
+# take minutes and gigabytes
+MAX_CYCLIC_RELATIONS = 20_000
+
+
+class RelationBudgetError(ValueError):
+    """A map with more minimal relations than the library builds."""
 
 
 @dataclass(frozen=True)
@@ -154,38 +171,37 @@ def monomial_relations(
     at the anchor, the least of Q.  Its low free columns are the other q in
     Q, with kernel vectors x^q - x^anchor, and cut down to H it is a row of
     ones whose pivot is min(H), giving x^min(H) - x^anchor when H is not
-    empty.
+    empty.  So only Q and min(H) are listed: the columns of
+    Factorizations over the generators at the image are exactly those.
+
+    Wahl's count (e - 1)(e - 2)/2 is known from (p, q) before any listing;
+    above MAX_CYCLIC_RELATIONS the map is refused with RelationBudgetError,
+    a ValueError.
     """
     gens = cyclic_invariant_generators(p, q)
     weights = tuple(a + b for a, b in gens)
     degree_bound = check_degree_bound(
         2 * p * max(weights) if degree_bound is None else degree_bound)
+    if wahl_relation_count(len(gens)) > MAX_CYCLIC_RELATIONS:
+        raise RelationBudgetError(
+            f"L({p},{q}) has {wahl_relation_count(len(gens))} minimal relations, more than "
+            f"the {MAX_CYCLIC_RELATIONS} a map is built with")
     if p == 1:
         return RelationSet((), 0, wahl_relation_count(len(gens)))
     nvars = len(gens)
-    images = {
-        (gens[k - 1][0] + gens[l + 1][0], gens[k - 1][1] + gens[l + 1][1])
-        for k in range(1, nvars - 1)
-        for l in range(k, nvars - 1)
-    }
-    relations: List[MultiPoly] = []
-    degree = None
-    for a_part, b_part in sorted(
-        (image for image in images if sum(image) <= degree_bound),
-        key=lambda image: (sum(image), image[0]),
-    ):
-        if a_part + b_part != degree:
-            degree = a_part + b_part
-            fibers: Dict[int, List[Tuple[int, ...]]] = {}
-            for alpha in weighted_exponents(weights, degree):
-                u_part = sum(e * g[0] for e, g in zip(alpha, gens))
-                fibers.setdefault(u_part, []).append(alpha)
-        fiber = fibers[a_part]  # ascending graded-lex: Q, then H
-        quadrics = sum(1 for alpha in fiber if sum(alpha) == 2)
-        anchor, *others = fiber[:quadrics + 1]
-        for other in others:
-            # other > anchor in graded-lex, so the leading sign is +1
-            relations.append(MultiPoly.binomial(nvars, weights, other, anchor))
+    images = sorted({tuple(map(add, gens[k - 1], gens[l + 1]))
+                     for k in range(1, nvars - 1) for l in range(k, nvars - 1)
+                     if weights[k - 1] + weights[l + 1] <= degree_bound},
+                    key=lambda image: (sum(image), image[0]))
+    factorizations = Factorizations(gens, weights)
+    fibers: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
+    for degree in sorted({sum(image) for image in images}):
+        for alpha, target in factorizations.columns(degree):
+            fibers.setdefault(target, []).append(alpha)
+    # a fiber is Q, then min(H); each later entry exceeds the first, the
+    # anchor, in graded-lex, so the leading sign is +1
+    relations = [MultiPoly.binomial(nvars, weights, other, fibers[image][0])
+                 for image in images for other in fibers[image][1:]]
     return RelationSet(tuple(relations), degree_bound, expected_count)
 
 
@@ -210,8 +226,13 @@ def bounded_degree_relations(
 
     Per degree the columns are the candidate monomials x^alpha in the
     generators in ascending graded-lex order, so the low ones, of total
-    degree <= 2, come first; base.degree_matrix puts the integer normal form
-    of x^alpha in column p, one sparse row per Klein monomial.  The normal
+    degree <= 2, come first.  They are Factorizations.columns: every low
+    alpha, and of the high ones only the least at each Klein monomial.  Any
+    other high alpha repeats the normal form of that least one, an earlier
+    column, so it moves no pivot, and its kernel vector, x^alpha minus the
+    earlier monomial, has no low part: it never gives a relation, and only
+    the matrix would grow with it.  base.degree_matrix puts the integer
+    normal form of x^alpha in column p, one sparse row per Klein monomial.  The normal
     form is injective, so the matrix's kernel K is that of the (u, v)
     substitution up to the column factors, and the new relations are the
     vectors of K, times those factors, with independent low parts (on the
@@ -234,9 +255,6 @@ def bounded_degree_relations(
       when p is a pivot of the cut rows.  insert_row finds those pivots,
       so each degree still has one rref.
 
-    A high column with the Klein monomial of an earlier high column has the
-    same column of the cut rows, so it is never a pivot there: leaving it
-    out of the matrix only keeps the matrix small.
     The relation at p is p's vector times the column factors, scaled to
     content 1 (base.relation_coefficients).  Each pivot it meets lies left of
     p, so the relation's graded-lex leading monomial is x^exponents[p], with
@@ -251,35 +269,26 @@ def bounded_degree_relations(
     fails it.  With expected_count (Wahl's count), the scan stops after the
     degree at which that many relations have been found.
     """
-    gens = [tuple(g) for g in gens]
     weights = tuple(base.degree(g) for g in gens)
     if not all(w > 0 for w in weights):
         raise ValueError("every generator needs a positive degree")
     degree_bound = check_degree_bound(
         2 * sum(sorted(weights)[-2:]) if degree_bound is None else degree_bound)
-    nvars = len(gens)
+    factorizations = Factorizations(gens, weights)
     relations: List[MultiPoly] = []
     pair_sums = {w + v for k, w in enumerate(weights) for v in weights[k:]}
     for degree in sorted(d for d in pair_sums if d <= degree_bound):
         if expected_count is not None and len(relations) >= expected_count:
             break
-        exponents = weighted_exponents(weights, degree)
+        exponents, targets = zip(*factorizations.columns(degree))
         low = sum(1 for alpha in exponents if sum(alpha) <= 2)
-        columns, high = {}, {}
-        for col, alpha in enumerate(exponents):
-            target = base.power_product(alpha, gens)
-            # a high column repeating an earlier high column's monomial would
-            # repeat its cut column too, never a pivot: left out to keep the matrix small
-            if col < low or high.setdefault(target, col) == col:
-                columns[col] = target
-        form = rref(base.degree_matrix(columns))
+        form = rref(base.degree_matrix(targets))
         cut = {}  # the low pivot rows on the high columns
         for c in [c for c in form if c < low]:
             insert_row(cut, {j: x for j, x in form[c].items() if j >= low})
         for p in [*(p for p in range(low) if p not in form), *sorted(cut)]:
-            vector = kernel_vector(form, p)
-            coeffs = base.relation_coefficients(vector, columns, p)
-            relation = MultiPoly._of(nvars, weights, {exponents[c]: x for c, x in coeffs.items()})
+            coeffs = base.relation_coefficients(kernel_vector(form, p), targets, p)
+            relation = MultiPoly._of(len(gens), weights, {exponents[c]: x for c, x in coeffs.items()})
             if not verify_relation(_in_klein_triple(base, relation, gens), base.powers):
                 raise RuntimeError(f"unsound relation {relation}; kernel logic broken")
             relations.append(relation)

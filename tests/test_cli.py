@@ -349,15 +349,15 @@ class TestMap:
         assert (code, err) == (0, "")
         assert json.loads(out)["relations"]["degree_bound"] == 12
 
-    @pytest.mark.xfail(strict=True, raises=RecursionError,
-                       reason="weighted_exponents recurses once per generator; a large "
-                              "cyclic map needs a refusal before the relation scan")
     def test_large_lens_map_is_refused(self, capsys):
-        # L(1001, 1) has 1002 generators; until the budget refusal of the
-        # roadmap lands, the scan raises RecursionError instead of exiting 2
+        # L(1001, 1) has 1002 generators and Wahl's count 500,500, which is
+        # refused from (p, q) before any listing
+        start = time.perf_counter()
         code, out, err = run_cli(capsys, "map", "--lens", "1001,1")
+        elapsed = time.perf_counter() - start
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert elapsed < 1.0, f"map --lens 1001,1 took {elapsed:.2f} s"
 
 
 class TestVerify:

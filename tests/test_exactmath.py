@@ -10,6 +10,7 @@ import pytest
 from singmap.exactmath import (
     BivariatePoly,
     ExactScalar,
+    Factorizations,
     HALF,
     I,
     MultiPoly,
@@ -22,16 +23,55 @@ from singmap.exactmath import (
     format_bivariate,
     format_multi,
     format_terms,
+    grlex_key,
     in_span,
     kernel_vector,
     nullspace_basis,
     parse_bivariate,
     parse_multi,
     rref,
-    weighted_exponents,
 )
 from singmap.exactmath.linalg import insert_row, reduce_row
 from singmap.exactmath.ring import BASIS_SYMBOLS
+
+
+def weighted_exponents(weights, degree):
+    """Exponent vectors alpha with sum alpha_i * weights_i = degree, in
+    ascending graded-lex order, by listing every one: the brute-force
+    reference for Factorizations.  With no weights only degree 0 has one,
+    the empty vector."""
+    if not weights:
+        return [()] if degree == 0 else []
+    out = []
+    last = len(weights) - 1
+
+    def scan(position, prefix, remaining):
+        w = weights[position]
+        if position == last:
+            if remaining % w == 0:
+                out.append(tuple(prefix + [remaining // w]))
+            return
+        for count in range(remaining // w + 1):
+            scan(position + 1, prefix + [count], remaining - count * w)
+
+    if degree >= 0:
+        scan(0, [], degree)
+    return sorted(out, key=grlex_key)
+
+
+def kept_columns(factors, weights, degree):
+    """The columns Factorizations keeps, read off the full listing: every
+    vector of total degree <= 2, and each later vector whose target no
+    earlier vector of total degree >= 3 reached."""
+    columns, high = [], set()
+    for alpha in weighted_exponents(weights, degree):
+        target = tuple(sum(a * v[i] for a, v in zip(alpha, factors))
+                       for i in range(len(factors[0]))) if factors else ()
+        if sum(alpha) <= 2 or target not in high:
+            columns.append((alpha, target))
+        if sum(alpha) > 2:
+            high.add(target)
+    return columns
 
 
 def is_rational(scalar):
@@ -547,6 +587,36 @@ class TestHelpers:
     def test_weighted_exponents_of_no_weights(self):
         assert weighted_exponents((), 0) == [()]
         assert weighted_exponents((), 3) == []
+
+    def test_factorizations_keep_the_least_high_vector_per_target(self):
+        # weights 1, 1, 2 on the pairs (1, 0), (0, 1), (1, 1): at degree 4,
+        # the one vector of total degree <= 2, then the least vector of total
+        # degree >= 3 at each target; (1, 3, 0), (2, 2, 0) and (3, 1, 0) repeat
+        # the targets of (0, 2, 1), (1, 1, 1) and (2, 0, 1) at total degree 4
+        columns = Factorizations([(1, 0), (0, 1), (1, 1)], (1, 1, 2)).columns(4)
+        assert columns == [
+            ((0, 0, 2), (2, 2)), ((0, 2, 1), (1, 3)), ((1, 1, 1), (2, 2)),
+            ((2, 0, 1), (3, 1)), ((0, 4, 0), (0, 4)), ((4, 0, 0), (4, 0)),
+        ]
+        assert columns == kept_columns([(1, 0), (0, 1), (1, 1)], (1, 1, 2), 4)
+
+    def test_factorizations_of_no_factors(self):
+        assert Factorizations([], ()).columns(0) == [((), ())]
+        assert Factorizations([], ()).columns(3) == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_factorizations_match_the_full_listing(self, seed):
+        # random factors (repeats allowed) and weights; each instance is asked
+        # for its degrees in random order, so its table grows and is read again
+        rng = random.Random(seed)
+        for _ in range(12):
+            n, length = rng.randint(0, 5), rng.randint(1, 3)
+            factors = [tuple(rng.randint(0, 3) for _ in range(length)) for _ in range(n)]
+            weights = [rng.choice((1, 2, 3, 4, 6)) * rng.choice((1, 2)) for _ in range(n)]
+            factorizations = Factorizations(factors, weights)
+            for degree in rng.sample(range(-1, 30), 12) + [0]:
+                assert factorizations.columns(degree) == kept_columns(factors, weights, degree), (
+                    factors, weights, degree)
 
     def test_powers_match_repeated_products(self):
         p = parse_bivariate("u*v^5 - u^5*v")

@@ -22,7 +22,7 @@ from singmap.exactmath import (
     grlex_key,
     parse_bivariate,
     parse_multi,
-    weighted_exponents,
+    rref,
 )
 from singmap.groups import GroupDescriptor, GroupFamily, check_invariance, generator_matrices
 from singmap.invariants import (
@@ -40,6 +40,8 @@ from singmap.linkdata import LensData, seifert_to_plumbing
 from singmap.resolution import multiplicity_and_embdim
 from itertools import product
 from math import gcd
+
+from test_exactmath import weighted_exponents
 
 
 class TestSemigroupMember:
@@ -445,6 +447,12 @@ class TestKleinNormalForm:
         z = base.generators[2]
         assert normal_form_in_uv(Powers(wrong.generators), wrong.normal_form((0, 0, 2))) != z * z
 
+    @pytest.mark.parametrize("family,n,top,y_scale,den", CASES)
+    def test_monomials_of_a_degree(self, family, n, top, y_scale, den):
+        base = klein_invariants(family, n)
+        for degree in range(top + 1):
+            assert sorted(base.monomials(degree)) == sorted(weighted_exponents(base.degrees, degree))
+
     def test_leading_exponent_adds_up(self):
         base = klein_invariants(GroupFamily.BINARY_ICOSAHEDRAL)
         for t in [(5, 0, 0), (0, 3, 0), (2, 1, 3), (0, 0, 2)]:
@@ -670,6 +678,24 @@ class TestMinimalizeAgainstDeletion:
             assert not expressible_in(base, survivor, kept[:k] + kept[k + 1:]), survivor
         for dropped in set(candidates) - set(kept):
             assert expressible_in(base, dropped, kept), dropped
+
+    @pytest.mark.parametrize("tag,n,m", CASES)
+    def test_monomials_over_a_candidate_span_the_products_below(self, tag, n, m):
+        # at each candidate degree d, the Klein monomials with a candidate
+        # strictly below them span what the kept generators of degree < d
+        # span with their products: the two column sets have one rank, and
+        # together no more
+        base = klein_invariants(tag, n)
+        candidates = product_invariant_monomials(base.degrees, m)
+        kept = minimalize_generators(base, candidates)
+        for degree in sorted({base.degree(c) for c in candidates}):
+            over = [t for t in base.monomials(degree)
+                    if any(c != t and all(a <= b for a, b in zip(c, t)) for c in candidates)]
+            below = [k for k in kept if base.degree(k) < degree]
+            products = sorted(reference_products_of_degree(base, below, degree))
+            ranks = [len(rref(base.degree_matrix(columns)))
+                     for columns in (over, products, over + products)]
+            assert ranks[0] == ranks[1] == ranks[2], (degree, ranks)
 
     @pytest.mark.parametrize("tag,n,m", CASES)
     def test_products_of_degree_match_the_knapsack(self, tag, n, m):

@@ -18,7 +18,6 @@ from singmap.exactmath import (
     parse_bivariate,
     parse_multi,
     rref,
-    weighted_exponents,
 )
 from singmap.exactmath.linalg import insert_row, reduce_row
 from singmap.exactmath.ring import BASIS_SYMBOLS
@@ -36,6 +35,8 @@ from singmap.invariants import (
     monomials_from_exponents,
 )
 from singmap.relations import (
+    MAX_CYCLIC_RELATIONS,
+    RelationBudgetError,
     RelationSet,
     _in_klein_triple,
     bounded_degree_relations,
@@ -45,8 +46,19 @@ from singmap.relations import (
     wahl_relation_count,
 )
 
+from test_exactmath import weighted_exponents
+
 
 class TestMonomialRelations:
+    def test_a_map_over_the_relation_budget_is_refused(self):
+        # Wahl's count is read off (p, q) before any listing: L(200, 1) is
+        # within the budget and L(201, 1) is not
+        assert wahl_relation_count(len(cyclic_invariant_generators(200, 1))) == 19900
+        assert 19900 <= MAX_CYCLIC_RELATIONS < 20100
+        with pytest.raises(RelationBudgetError, match="L\\(201,1\\) has 20100 minimal relations"):
+            monomial_relations(201, 1)
+        assert issubclass(RelationBudgetError, ValueError)
+
     def test_5_2_contains_oracle_binomial(self):
         result = monomial_relations(5, 2)
         # z w^2 - x y in the variables x1..x4 = (u^5, u^3 v, u v^2, v^5)
