@@ -14,7 +14,7 @@ from math import gcd, lcm
 from operator import add, index
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .ring import _MUL, ExactScalar, ONE, ZERO, _reduced
+from .ring import _MUL, ExactScalar, ZERO, _reduced
 
 Exponent2 = Tuple[int, int]
 
@@ -228,10 +228,7 @@ class BivariatePoly:
         return BivariatePoly(acc)
 
     def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
-        acc = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc[exp] = acc.get(exp, ZERO) - coeff
-        return BivariatePoly(acc)
+        return self + -other
 
     def __neg__(self) -> "BivariatePoly":
         return BivariatePoly({e: -c for e, c in self.terms.items()})
@@ -448,14 +445,6 @@ class MultiPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
-
-    @staticmethod
-    def binomial(nvars, weights, alpha, beta) -> "MultiPoly":
-        """x^alpha - x^beta."""
-        terms = {tuple(alpha): ONE}
-        beta = tuple(beta)
-        terms[beta] = terms.get(beta, ZERO) - ONE
-        return MultiPoly._of(nvars, tuple(weights), terms)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):

@@ -15,13 +15,16 @@ anything else is a TypeError.
 
 The ring is in fact the degree-8 number field Q(i, sqrt2, sqrt5), but no
 caller divides by anything but a rational: the group matrices and the Klein
-forms only multiply, and elimination runs on integers (linalg).
+forms only multiply, and elimination runs on integers (linalg).  Of its
+eight automorphisms only complex conjugation is kept: the group matrices
+use it for zeta^-1 = conj(zeta) and to check |det| = 1.  Subtraction is
+addition of the negative, so the common-denominator code is written once,
+in __add__.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 
 # Basis symbol k is i^e1 * s2^e2 * s5^e5 for (e1, e2, e5) = _BASIS[k].
@@ -129,21 +132,10 @@ class ExactScalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if other.__class__ is not ExactScalar:
-            other = ExactScalar._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        x, y = self.num, other.num
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return _reduced(tuple(a - b for a, b in zip(x, y)), d1)
-        return _reduced(tuple(a * d2 - b * d1 for a, b in zip(x, y)), d1 * d2)
+        return self + -other
 
     def __rsub__(self, other):
-        other = ExactScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return -self + other
 
     def __neg__(self):
         return ExactScalar._of(tuple(-a for a in self.num), self.den)
@@ -189,16 +181,10 @@ class ExactScalar:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    # -- Galois conjugations -----------------------------------------------
-
-    def galois(self, flip_i=False, flip_sqrt2=False, flip_sqrt5=False) -> "ExactScalar":
-        """Apply the field automorphism flipping the chosen square roots."""
-        signs = _GALOIS_SIGNS[bool(flip_i), bool(flip_sqrt2), bool(flip_sqrt5)]
-        return ExactScalar._of(tuple(s * a for s, a in zip(signs, self.num)), self.den)
-
     def conjugate(self) -> "ExactScalar":
-        """Complex conjugation i -> -i."""
-        return self.galois(flip_i=True)
+        """Complex conjugation i -> -i: the sign of each symbol with a
+        factor i flips.  It is the only automorphism of the ring in use."""
+        return ExactScalar._of(tuple(-a if b[0] else a for b, a in zip(_BASIS, self.num)), self.den)
 
     # -- printing ------------------------------------------------------------
 
@@ -215,12 +201,6 @@ _NEW = object.__new__
 # slot setters: they bypass the __setattr__ that keeps instances immutable
 _SET_NUM = ExactScalar.num.__set__
 _SET_DEN = ExactScalar.den.__set__
-
-# sign of each basis symbol under the automorphism, per (flip_i, flip_s2, flip_s5)
-_GALOIS_SIGNS = {
-    flips: tuple(-1 if sum(e for e, f in zip(b, flips) if f) % 2 else 1 for b in _BASIS)
-    for flips in product((False, True), repeat=3)
-}
 
 
 def _fraction(value) -> Fraction:

@@ -249,12 +249,13 @@ def has_unit_determinant(m: Matrix) -> bool:
     return det * det.conjugate() == ONE
 
 
-def group_closure_order(generators, cap: int = 500) -> int:
+def group_closure_order(generators) -> int:
     """Size of the multiplicative closure of exact 2x2 matrices.
 
     Work-queue closure under products with everything seen so far; raises
-    if the closure exceeds cap, which signals wrong generators rather than
-    a big group.
+    if the closure exceeds 500 elements, which signals wrong generators
+    rather than a big group: I*, the largest binary polyhedral group, has
+    120.
     """
     gens = list(generators)
     if not gens:
@@ -268,8 +269,6 @@ def group_closure_order(generators, cap: int = 500) -> int:
                 if product not in seen:
                     seen.add(product)
                     queue.append(product)
-                    if len(seen) > cap:
-                        raise GroupError(
-                            f"closure exceeded cap {cap}: generators look wrong"
-                        )
+                    if len(seen) > 500:
+                        raise GroupError("closure exceeded cap 500: generators look wrong")
     return len(seen)

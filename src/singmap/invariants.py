@@ -309,10 +309,6 @@ class KleinBasis(InvariantBasis):
             sum(e * lead[1] for e, lead in zip(exponent, self._leads)),
         )
 
-    def expand(self, exponent: Sequence[int]) -> BivariatePoly:
-        """The Klein monomial as a polynomial in u, v."""
-        return self.powers.monomial(exponent)
-
 
 _KLEIN_BASES: Dict[object, KleinBasis] = {}
 
@@ -415,17 +411,13 @@ def expressible_in(
 ) -> bool:
     """Whether the Klein monomial candidate is a polynomial in others: by
     homogeneity, whether its normal form lies in the span of those of the
-    products of others of its weighted degree.  minimalize_generators does
+    distinct products of others of its weighted degree, the targets of
+    Factorizations.columns, which reaches each.  minimalize_generators does
     not call it; it is the membership predicate the tests check it against.
     """
-    products = sorted(_products_of_degree(base, others, base.degree(candidate)), reverse=True)
+    factorizations = Factorizations(others, [base.degree(f) for f in others])
+    products = sorted({t for _, t in factorizations.columns(base.degree(candidate))}, reverse=True)
     return in_span([base.normal_form(t) for t in products], base.normal_form(candidate))
-
-
-def _products_of_degree(base: KleinBasis, factors, degree: int):
-    """The distinct Klein monomials prod factors^alpha of the given weighted
-    degree: the targets of Factorizations.columns, which reaches each."""
-    return {t for _, t in Factorizations(factors, [base.degree(f) for f in factors]).columns(degree)}
 
 
 def minimalize_generators(
@@ -462,7 +454,8 @@ def minimalize_generators(
     shared = Counter(leads)
 
     def scan_key(k):
-        support = tuple(sorted(base.expand(candidates[k]).terms)) if shared[leads[k]] > 1 else ()
+        tied = shared[leads[k]] > 1
+        support = tuple(sorted(base.powers.monomial(candidates[k]).terms)) if tied else ()
         return grlex_key(leads[k]), support
 
     degrees = [base.degree(c) for c in candidates]

@@ -257,7 +257,7 @@ def _product_map(
     base = klein_invariants(group.family, *group.params)
     candidates = product_invariant_monomials(base.degrees, group.cyclic_factor)
     exponents = minimalize_generators(base, candidates, target_count=report.embedding_dimension)
-    basis = InvariantBasis.from_polys([base.expand(e) for e in exponents])
+    basis = InvariantBasis.from_polys([base.powers.monomial(e) for e in exponents])
     relations = bounded_degree_relations(
         base, exponents, max_degree, _expected_relation_count(report, len(exponents))
     )

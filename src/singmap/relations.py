@@ -41,6 +41,7 @@ from .exactmath import (
     ExactScalar,
     Factorizations,
     MultiPoly,
+    ONE,
     ZERO,
     format_multi,
     insert_row,
@@ -200,7 +201,7 @@ def monomial_relations(
             fibers.setdefault(target, []).append(alpha)
     # a fiber is Q, then min(H); each later entry exceeds the first, the
     # anchor, in graded-lex, so the leading sign is +1
-    relations = [MultiPoly.binomial(nvars, weights, other, fibers[image][0])
+    relations = [MultiPoly._of(nvars, weights, {other: ONE, fibers[image][0]: -ONE})
                  for image in images for other in fibers[image][1:]]
     return RelationSet(tuple(relations), degree_bound, expected_count)
 

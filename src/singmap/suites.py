@@ -170,10 +170,11 @@ def family_sweep(b_max: int = 5, p_max: int = 7):
     return instances
 
 
-def suite_multiplicity_crosscheck(b_max: int = 5, p_max: int = 7) -> List[Check]:
+def suite_multiplicity_crosscheck() -> List[Check]:
     """-Z_min^2 equals the closed-form table, p_a(Z_min) = 0, and negative
-    definiteness agrees with the sign of e(L), across the family sweep."""
-    instances = family_sweep(b_max, p_max)
+    definiteness agrees with the sign of e(L), across the family sweep with
+    b <= 5 and leg parameters <= 7."""
+    instances = family_sweep(5, 7)
     failures = []
     count = 0
     for link, family, b in instances:
@@ -199,7 +200,7 @@ def suite_multiplicity_crosscheck(b_max: int = 5, p_max: int = 7) -> List[Check]
             )
     ok = not failures
     detail = f"{count} instances" + ("" if ok else "; first failure: " + failures[0])
-    return [(f"sweep b<={b_max}, p<={p_max}", ok, detail)]
+    return [("sweep b<=5, p<=7", ok, detail)]
 
 
 SUITES: Dict[str, Callable[[], List[Check]]] = {

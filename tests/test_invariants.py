@@ -15,6 +15,7 @@ from singmap.cli import main
 from singmap.exactmath import (
     BivariatePoly,
     ExactScalar,
+    Factorizations,
     ONE,
     Powers,
     SQRT5,
@@ -456,7 +457,7 @@ class TestKleinNormalForm:
     def test_leading_exponent_adds_up(self):
         base = klein_invariants(GroupFamily.BINARY_ICOSAHEDRAL)
         for t in [(5, 0, 0), (0, 3, 0), (2, 1, 3), (0, 0, 2)]:
-            assert base.leading_exponent(t) == base.expand(t).leading_exponent()
+            assert base.leading_exponent(t) == base.powers.monomial(t).leading_exponent()
 
 
 class TestKeptExpansions:
@@ -486,9 +487,9 @@ class TestKeptExpansions:
             first = base.powers.combination(terms)
             fresh = BivariatePoly({})
             for t in monomials:
-                kept = base.expand(t)
+                kept = base.powers.monomial(t)
                 assert kept == triple_product(powers, t), t
-                assert base.expand(t) is kept and base.powers.monomial(list(t)) is kept
+                assert base.powers.monomial(t) is kept and base.powers.monomial(list(t)) is kept
                 fresh = fresh + kept.scale(terms[t])
             assert first == fresh == base.powers.combination(terms)
 
@@ -579,7 +580,7 @@ class TestMinimalize:
             parse_bivariate("u^12 + 3*u^8*v^4 + 3*u^4*v^8 + v^12"),
             parse_bivariate("u^5*v - u*v^5"),
         ]
-        assert [base.expand(t) for t in kept] == expected
+        assert [base.powers.monomial(t) for t in kept] == expected
 
     def test_cyclic_monomials_already_minimal(self):
         # the degree-3 monomials in x, y alone: without z no relation applies
@@ -627,7 +628,7 @@ def reference_minimalize(base, candidates):
 
     def scan_key(k):
         lead = leads[k]
-        support = tuple(sorted(base.expand(candidates[k]).terms)) if shared[lead] > 1 else ()
+        support = tuple(sorted(base.powers.monomial(candidates[k]).terms)) if shared[lead] > 1 else ()
         return grlex_key(lead), support
 
     kept = list(range(len(candidates)))
@@ -637,19 +638,26 @@ def reference_minimalize(base, candidates):
     return [candidates[j] for j in kept]
 
 
-def reference_products_of_degree(base, factors, degree):
-    """The distinct Klein monomials prod factors^alpha of the given weighted
-    degree, by an unbounded knapsack over degrees."""
+def reference_products_up_to(base, factors, top):
+    """{weighted degree: the distinct Klein monomials prod factors^alpha of
+    that degree} for every degree up to top, by an unbounded knapsack over
+    degrees; a degree with none is absent."""
     reach = {0: {(0, 0, 0)}}
     for x, y, z in factors:
         weight = base.degree((x, y, z))
-        for total in range(weight, degree + 1):  # ascending, so a factor may repeat
+        for total in range(weight, top + 1):  # ascending, so a factor may repeat
             below = reach.get(total - weight)
             if below:
                 reach.setdefault(total, set()).update(
                     (a + x, b + y, c + z) for a, b, c in below
                 )
-    return reach.get(degree, set())
+    return reach
+
+
+def reference_products_of_degree(base, factors, degree):
+    """The distinct Klein monomials prod factors^alpha of the given weighted
+    degree."""
+    return reference_products_up_to(base, factors, degree).get(degree, set())
 
 
 class TestMinimalizeAgainstDeletion:
@@ -699,12 +707,17 @@ class TestMinimalizeAgainstDeletion:
 
     @pytest.mark.parametrize("tag,n,m", CASES)
     def test_products_of_degree_match_the_knapsack(self, tag, n, m):
+        # the targets of Factorizations.columns, which expressible_in spans
+        # with, are every product of the candidates at each degree, asked of
+        # one instance in ascending degree as a relation scan asks
         base = klein_invariants(tag, n)
         candidates = product_invariant_monomials(base.degrees, m)
-        for degree in range(max(base.degree(c) for c in candidates) + 1):
-            assert invariants._products_of_degree(base, candidates, degree) == (
-                reference_products_of_degree(base, candidates, degree)
-            ), degree
+        top = max(base.degree(c) for c in candidates)
+        factorizations = Factorizations(candidates, [base.degree(c) for c in candidates])
+        reach = reference_products_up_to(base, candidates, top)
+        for degree in range(top + 1):
+            assert {t for _, t in factorizations.columns(degree)} == (
+                reach.get(degree, set())), degree
 
 
 def test_formatted_generators():
