@@ -90,18 +90,10 @@ def _resolve_link(args) -> object:
 
 
 def _graph_as_tree(graph: PlumbingGraph) -> str:
-    """The tree drawn depth first from vertex 0, neighbours in ascending
-    order, each vertex indented two spaces below its parent; an explicit
-    stack, so that long chains draw too."""
-    lines = []
-    seen = set()
-    stack = [(0, 0)]
-    while stack:
-        vertex, depth = stack.pop()
-        seen.add(vertex)
-        lines.append("  " * depth + f"o weight {graph.weights[vertex]}")
-        stack.extend((n, depth + 1) for n in reversed(graph.neighbors(vertex)) if n not in seen)
-    return "\n".join(lines)
+    """The tree drawn as its walk from vertex 0 (PlumbingGraph.walk), each
+    vertex indented two spaces per step of depth, so one line below its
+    parent."""
+    return "\n".join("  " * depth + f"o weight {graph.weights[v]}" for v, _, depth in graph.walk())
 
 
 def _render_text(output: ClassificationOutput) -> str:
@@ -141,7 +133,9 @@ def _emit(output: ClassificationOutput, args) -> int:
     if args.text and not args.json:
         print(_render_text(output))
     else:
-        print(json.dumps(output.to_dict(), sort_keys=True, indent=2))
+        # streamed: a long plumbing graph is never held as one string
+        json.dump(output.to_dict(), sys.stdout, sort_keys=True, indent=2)
+        print()
     return 0
 
 
@@ -156,7 +150,8 @@ def _emit_not_finite(link, error: InfinitePi1Error, args) -> int:
         print(error)
         print("is image of a finite map: False")
     else:
-        print(json.dumps(verdict, sort_keys=True, indent=2))
+        json.dump(verdict, sys.stdout, sort_keys=True, indent=2)
+        print()
     print(f"error: {error}", file=sys.stderr)
     return EXIT_INFINITE
 

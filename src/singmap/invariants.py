@@ -420,6 +420,20 @@ def expressible_in(
     return in_span([base.normal_form(t) for t in products], base.normal_form(candidate))
 
 
+def certify_rank(base, degree: int, rank: int, stage: str) -> None:
+    """The Hilbert-count certificate of one scanned degree: RuntimeError
+    unless rank, that of the degree's reduced form, is H(degree), the number
+    of Klein monomials x^a y^b z^c of the degree with c <= 1.  They are a
+    basis of the degree's invariants, since the ring is free over C[x, y]
+    on 1 and z, so the columns span every invariant of the degree exactly
+    when the count holds.  The cyclic factor of Z/m x G needs no test of
+    its own: every scanned degree is a sum of generator degrees, so
+    invariant."""
+    count = sum(1 for *_, c in base.monomials(degree) if c < 2)
+    if rank != count:
+        raise RuntimeError(f"{stage}: rank {rank} at degree {degree}, Hilbert count {count}")
+
+
 def minimalize_generators(
     base: KleinBasis,
     candidates: Sequence[Sequence[int]],
@@ -448,6 +462,9 @@ def minimalize_generators(
     decomposables, and a dropped candidate adds nothing to the products of
     the kept ones.  The pass stops before a degree once target_count
     generators, when given, are kept.  The survivors keep their input order.
+    Each degree's form must have H(d) rows (certify_rank): the products and
+    the candidates together span every invariant of the degree, or a
+    candidate is missing and RuntimeError is raised.
     """
     candidates = [tuple(c) for c in candidates]
     leads = [base.leading_exponent(c) for c in candidates]
@@ -470,5 +487,6 @@ def minimalize_generators(
         form = {}
         for row in base.degree_matrix([*products, *(candidates[k] for k in tier)]):
             insert_row(form, row)
+        certify_rank(base, degree, len(form), "minimalize_generators")
         kept += [tier[c - len(products)] for c in form if c >= len(products)]
     return [candidates[j] for j in sorted(kept)]

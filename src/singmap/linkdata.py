@@ -85,7 +85,11 @@ class SeifertData:
 
 @dataclass(frozen=True)
 class PlumbingGraph:
-    """Weighted tree: vertex self-intersections and unordered edges."""
+    """Weighted tree: vertex self-intersections and unordered edges.
+
+    Every question about the tree's shape reads one walk: is_tree, the
+    leaves-first elimination of negdef_check, graph_to_link's bamboo and
+    legs, and the CLI's text drawing."""
 
     weights: Tuple[int, ...]
     edges: Tuple[Tuple[int, int], ...]
@@ -123,21 +127,28 @@ class PlumbingGraph:
     def valences(self) -> List[int]:
         return [len(row) for row in self._adjacency]
 
-    def is_connected(self) -> bool:
-        if self.size == 0:
-            return False
-        seen = {0}
-        stack = [0]
+    def walk(self, root: int = 0) -> List[Tuple[int, int, int]]:
+        """(vertex, parent, depth) for each vertex reached from root, in
+        depth-first preorder with neighbours in ascending order; the root's
+        parent is -1, and the empty graph reaches nothing.  Each vertex is
+        taken once, so a cycle or a second component cannot make it loop,
+        and an explicit stack lets long chains walk too."""
+        seen = [False] * self.size
+        order = []
+        stack = [(root, -1, 0)] if self.size else []
         while stack:
-            i = stack.pop()
-            for j in self.neighbors(i):
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == self.size
+            vertex, parent, depth = stack.pop()
+            if seen[vertex]:
+                continue
+            seen[vertex] = True
+            order.append((vertex, parent, depth))
+            stack.extend((j, vertex, depth + 1) for j in reversed(self._adjacency[vertex]) if not seen[j])
+        return order
 
     def is_tree(self) -> bool:
-        return self.is_connected() and len(self.edges) == self.size - 1
+        """Connected, read off the walk's length, with one edge fewer than
+        vertices."""
+        return len(self.edges) == self.size - 1 and len(self.walk()) == self.size
 
 
 # -- Hirzebruch-Jung continued fractions ------------------------------------
@@ -207,7 +218,8 @@ def negdef_check(graph: PlumbingGraph) -> bool:
     Gaussian elimination on -M that takes leaves first, which on a tree
     creates no fill-in (Neumann's plumbing calculus): each vertex's pivot is
     -w_v minus 1/pivot of each of its children, and -M is positive definite
-    iff every pivot is positive.  Linear in the number of vertices, and run
+    iff every pivot is positive.  The reversed walk from vertex 0 puts every
+    child before its parent.  Linear in the number of vertices, and run
     once per graph: the answer is kept on the graph, so classify_link and
     fundamental_cycle share one elimination.  LinkError when the graph is
     not a tree.
@@ -216,23 +228,17 @@ def negdef_check(graph: PlumbingGraph) -> bool:
 
 
 def _leaves_first_elimination(graph: PlumbingGraph) -> bool:
-    if not graph.is_connected():
+    walk = graph.walk()
+    if not graph.size or len(walk) != graph.size:
         raise LinkError("graph must be connected")
     if len(graph.edges) != graph.size - 1:
         raise LinkError("graph must be a tree")
-    # BFS from vertex 0; on a tree the parent is the only neighbor seen before
-    order, parent = [0], [-1] * graph.size
-    for v in order:
-        for u in graph.neighbors(v):
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
     pivots = [Fraction(-w) for w in graph.weights]
-    for v in reversed(order):
+    for v, parent, _ in reversed(walk):
         if pivots[v] <= 0:
             return False
-        if parent[v] >= 0:
-            pivots[parent[v]] -= 1 / pivots[v]
+        if parent >= 0:
+            pivots[parent] -= 1 / pivots[v]
     return True
 
 
@@ -285,13 +291,12 @@ class Family:
 
 
 def _chain_to_lens(chain: Sequence[int]) -> Tuple[int, int]:
-    """Canonical (p, q) of a bamboo, reading from the end giving smaller q."""
+    """Canonical (p, q) of a bamboo, reading from the end giving smaller q:
+    read from the other end, the chain gives q^-1 mod p."""
     if not chain:
         return (1, 0)
-    p1, q1 = hj_value(list(chain))
-    p2, q2 = hj_value(list(reversed(chain)))
-    assert p1 == p2
-    return (p1, min(q1, q2))
+    p, q = hj_value(chain)
+    return (p, min(q, pow(q, -1, p)))
 
 
 def seifert_to_lens(link: SeifertData) -> LensData:
@@ -337,25 +342,12 @@ def _family_of(link, chi: Fraction, e: Fraction) -> Tuple[FamilyTag, Tuple[int, 
 # -- plumbing graph -> link ----------------------------------------------------
 
 
-def _walk_chain(graph: PlumbingGraph, start: int, forbidden: int) -> List[int]:
-    """Vertex indices along a leg, starting at `start`, away from `forbidden`."""
-    chain = [start]
-    previous, current = forbidden, start
-    while True:
-        nxt = [j for j in graph.neighbors(current) if j != previous]
-        if not nxt:
-            return chain
-        if len(nxt) > 1:
-            raise LinkError("branching inside a leg")
-        previous, current = current, nxt[0]
-        chain.append(current)
-
-
 def graph_to_link(graph: PlumbingGraph):
     """Recognize a normal-form bamboo or 3-legged star; reject anything else.
 
-    Bamboos give LensData (q canonicalized to the smaller of the two
-    orientations); stars give SeifertData.
+    Bamboos give LensData, read as the walk from one end (q canonicalized to
+    the smaller of the two orientations); stars give SeifertData, each leg
+    the part of the walk from the centre that starts at depth 1.
     """
     if not graph.is_tree():
         raise LinkError("plumbing graph must be a connected tree")
@@ -370,19 +362,18 @@ def graph_to_link(graph: PlumbingGraph):
     if not centers:
         if any(w > -2 for w in graph.weights):
             raise LinkError("bamboo weight above -2: not in normal form")
-        ends = [i for i, v in enumerate(valences) if v <= 1]
-        order = _walk_chain(graph, ends[0], -1) if graph.size > 1 else [0]
-        chain = [-graph.weights[i] for i in order]
-        return LensData(*_chain_to_lens(chain))
+        # the least valence is that of an end, or of the lone vertex
+        end = valences.index(min(valences))
+        return LensData(*_chain_to_lens([-graph.weights[v] for v, _, _ in graph.walk(end)]))
     center = centers[0]
     b = -graph.weights[center]
     if b < 2:
         raise LinkError(f"central weight {graph.weights[center]} is not in normal form")
-    fibers = []
-    for first in graph.neighbors(center):
-        leg = _walk_chain(graph, first, center)
-        weights = [-graph.weights[i] for i in leg]
-        if any(a < 2 for a in weights):
+    legs: List[List[int]] = []
+    for v, _, depth in graph.walk(center)[1:]:
+        if graph.weights[v] > -2:
             raise LinkError("leg weight above -2: not in normal form")
-        fibers.append(hj_value(weights))
-    return SeifertData.normalized(b, fibers)
+        if depth == 1:
+            legs.append([])
+        legs[-1].append(-graph.weights[v])
+    return SeifertData.normalized(b, [hj_value(leg) for leg in legs])

@@ -48,7 +48,7 @@ from .exactmath import (
     kernel_vector,
     rref,
 )
-from .invariants import cyclic_invariant_generators
+from .invariants import certify_rank, cyclic_invariant_generators
 from .linkdata import _NUMBER
 
 
@@ -268,7 +268,10 @@ def bounded_degree_relations(
     at the (u, v) expansions of x, y, z through base.powers.  That check
     uses neither the normal form nor S, so a wrong Klein relation still
     fails it.  With expected_count (Wahl's count), the scan stops after the
-    degree at which that many relations have been found.
+    degree at which that many relations have been found.  Each scanned
+    degree's reduced form must have H(d) rows (certify_rank), so
+    generators that miss an invariant of a scanned degree raise
+    RuntimeError instead of yielding a short relation list.
     """
     weights = tuple(base.degree(g) for g in gens)
     if not all(w > 0 for w in weights):
@@ -284,6 +287,7 @@ def bounded_degree_relations(
         exponents, targets = zip(*factorizations.columns(degree))
         low = sum(1 for alpha in exponents if sum(alpha) <= 2)
         form = rref(base.degree_matrix(targets))
+        certify_rank(base, degree, len(form), "bounded_degree_relations")
         cut = {}  # the low pivot rows on the high columns
         for c in [c for c in form if c < low]:
             insert_row(cut, {j: x for j, x in form[c].items() if j >= low})

@@ -373,3 +373,38 @@ class TestVerify:
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "nonsense"])
+
+
+class TestRepeatedCalls:
+    # one process, one mixed sequence of calls run twice: no call may leave
+    # state (argparse defaults, a degree bound, an error) for a later one
+    SEQUENCE = [
+        ["classify", "--lens", "5,2"],
+        ["map", "--lens", "7,3", "--max-degree", "20"],
+        ["map", "--seifert", "2;(2,1)(3,2)(5,4)"],
+        ["classify", "--seifert", "2;(2,1)(3,1)(5,1)", "--text"],
+        ["verify", "--suite", "cyclic-table"],
+        ["map", "--lens", "5,2", "--max-degree", "0"],
+        ["map", "--lens", "5,2"],
+        ["classify", "--lens", "5,2", "--max-degree", "3"],
+        ["classify", "--seifert", "2;(2,1)(3,1)(7,1)"],
+    ]
+
+    def run_sequence(self, capsys):
+        results = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as stop:
+                code = stop.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_same_answers_the_second_time(self, capsys):
+        first = self.run_sequence(capsys)
+        assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, 2, 0, 2, 4]
+        # the bound of the earlier map call is not kept by this one
+        assert json.loads(first[6][1])["relations"]["degree_bound"] != 20
+        assert "unrecognized arguments: --max-degree 3" in first[7][2]
+        assert self.run_sequence(capsys) == first

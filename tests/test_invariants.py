@@ -589,9 +589,10 @@ class TestMinimalize:
         assert minimalize_generators(base, triples, target_count=3) == triples
 
     def test_power_eliminated(self):
+        # x, y, z generate the whole ring, so x^2 is dropped at degree 8
         base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2)
-        kept = minimalize_generators(base, [(1, 0, 0), (2, 0, 0)], target_count=1)
-        assert kept == [(1, 0, 0)]
+        kept = minimalize_generators(base, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0)])
+        assert kept == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
     @pytest.mark.parametrize("n,m,kept", [
         # Z/13 x D*_28 (3;(2,1)(2,1)(7,1)) and Z/15 x D*_32 (3;(2,1)(2,1)(8,1))
@@ -608,6 +609,15 @@ class TestMinimalize:
         leads = [base.leading_exponent(c) for c in candidates]
         assert len(set(leads)) < len(leads)
         assert minimalize_generators(base, candidates, target_count=len(kept)) == kept
+
+    def test_dropped_candidate_fails_the_hilbert_count(self):
+        # Z/5 x T*: x^2 y is the only candidate that reaches x^2 y at degree
+        # 20, so without it the degree has rank 1 of the 2 that H(20) counts
+        base = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
+        candidates = product_invariant_monomials(base.degrees, 5)
+        assert (2, 1, 0) in minimalize_generators(base, candidates)
+        with pytest.raises(RuntimeError, match="rank 1 at degree 20, Hilbert count 2"):
+            minimalize_generators(base, [c for c in candidates if c != (2, 1, 0)])
 
     def test_z_squared_is_rewritten(self):
         # x*y^2 = z^2 + 4*x^3 in the D*_8 ring: expressible in z and x^3 only

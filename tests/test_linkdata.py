@@ -14,6 +14,7 @@ from singmap.linkdata import (
     LinkError,
     PlumbingGraph,
     SeifertData,
+    _chain_to_lens,
     euler_invariants,
     finite_pi1_family,
     graph_to_link,
@@ -267,6 +268,98 @@ class TestNegativeDefiniteAgainstReference:
             link = SeifertData.normalized(rng.randint(1, 4), fibers)
             graph = seifert_to_plumbing(link)
             assert negdef_check(graph) == reference_negdef(graph), link
+
+
+def reference_preorder(graph: PlumbingGraph, root: int):
+    """(vertex, parent, depth) of a tree by recursion: each vertex, then the
+    subtrees of its children in ascending order."""
+    out = []
+
+    def visit(vertex, parent, depth):
+        out.append((vertex, parent, depth))
+        for child in graph.neighbors(vertex):
+            if child != parent:
+                visit(child, vertex, depth + 1)
+
+    visit(root, -1, 0)
+    return out
+
+
+class TestWalk:
+    def test_parents_first_and_one_step_deeper(self):
+        rng = random.Random(20261020)
+        for _ in range(1500):
+            graph = random_tree(rng)
+            root = rng.randrange(graph.size)
+            walk = graph.walk(root)
+            assert walk[0] == (root, -1, 0)
+            assert sorted(v for v, _, _ in walk) == list(range(graph.size))
+            position = {v: k for k, (v, _, _) in enumerate(walk)}
+            depth = {v: d for v, _, d in walk}
+            for vertex, parent, d in walk[1:]:
+                assert parent in graph.neighbors(vertex), graph
+                assert position[parent] < position[vertex], graph
+                assert d == depth[parent] + 1, graph
+            assert walk == reference_preorder(graph, root), graph
+
+    def test_cycles_and_components_end(self):
+        triangle = PlumbingGraph.build([-2, -2, -2], [(0, 1), (1, 2), (0, 2)])
+        assert triangle.walk() == [(0, -1, 0), (1, 0, 1), (2, 1, 2)]
+        assert not triangle.is_tree()
+        # a triangle and a lone vertex have a tree's edge count, so is_tree walks
+        apart = PlumbingGraph.build([-2] * 4, [(0, 1), (1, 2), (0, 2)])
+        assert [v for v, _, _ in apart.walk(2)] == [2, 0, 1]
+        assert not apart.is_tree()
+        with pytest.raises(LinkError, match="connected tree"):
+            graph_to_link(apart)
+        square = PlumbingGraph.build([-2] * 4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert [v for v, _, _ in square.walk(2)] == [2, 1, 0, 3]
+        assert not square.is_tree()
+        # two components, the second with as many edges as the tree count allows
+        for graph in (PlumbingGraph.build([-2] * 4, [(0, 1), (2, 3)]),
+                      PlumbingGraph.build([-2] * 4, [(0, 1), (0, 1), (2, 3)])):
+            assert [v for v, _, _ in graph.walk()] == [0, 1]
+            assert [v for v, _, _ in graph.walk(3)] == [3, 2]
+            assert not graph.is_tree()
+        empty = PlumbingGraph.build([], [])
+        assert empty.walk() == [] and not empty.is_tree()
+
+    def test_shuffled_plumbing_reads_back_as_the_normalized_link(self):
+        # a lens reads back with the smaller of q and q^-1 mod p, the
+        # reversed chain's q
+        rng = random.Random(1981)
+        for link, _, _ in family_sweep(5, 7):
+            graph = seifert_to_plumbing(link)
+            order = rng.sample(range(graph.size), graph.size)
+            new = {old: k for k, old in enumerate(order)}
+            shuffled = PlumbingGraph.build(
+                [graph.weights[old] for old in order],
+                [(new[i], new[j]) for i, j in graph.edges],
+            )
+            if isinstance(link, LensData):
+                _, reversed_q = hj_value(hj_expand(link.p, link.q)[::-1])
+                link = LensData(link.p, min(link.q, reversed_q))
+            assert graph_to_link(shuffled) == link
+
+
+def reference_chain_to_lens(chain):
+    """The bamboo read from both ends, keeping the smaller q."""
+    p1, q1 = hj_value(chain)
+    p2, q2 = hj_value(chain[::-1])
+    assert p1 == p2
+    return p1, min(q1, q2)
+
+
+def test_chain_to_lens_reads_the_other_end_as_the_inverse():
+    count = 0
+    for p in range(2, 400):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                chain = hj_expand(p, q)
+                assert _chain_to_lens(chain) == reference_chain_to_lens(chain), (p, q)
+                count += 1
+    assert count == 48517
+    assert _chain_to_lens([]) == (1, 0)
 
 
 class TestAdjacency:

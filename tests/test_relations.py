@@ -251,18 +251,25 @@ class TestRiemenschneiderImagesAgainstScan:
 
 
 class CyclicDegreeMatrix:
-    """The cyclic map of L(p, q) behind the four methods that
+    """The cyclic map of L(p, q) behind the five methods that
     bounded_degree_relations calls on a KleinBasis, so that the Klein
     engine can run on it.  A column target is a (u, v) exponent pair, the
     degree matrix has a 1 in the row of each column's pair, and a kernel
     vector is already the relation.  _in_klein_triple writes a relation in
     three variables, so a target is checked as u^a v^b 1^0 against the
-    bases u, v and 1."""
+    bases u, v and 1.  The Hilbert-count certificate reads monomials: the
+    invariant (u, v) monomials of the degree, written u^a v^b 1^0, so
+    that the rank certified is the number of them."""
 
     degrees = (1, 1, 0)
 
-    def __init__(self):
+    def __init__(self, p, q):
+        self.p, self.q = p, q
         self.powers = Powers([parse_bivariate("u"), parse_bivariate("v"), BivariatePoly.constant(1)])
+
+    def monomials(self, degree):
+        return [(a, degree - a, 0) for a in range(degree + 1)
+                if (a + self.q * (degree - a)) % self.p == 0]
 
     def degree(self, exponent):
         return sum(exponent)
@@ -293,7 +300,7 @@ class TestOneEngineForBothFamilies:
         for p, q in pairs:
             gens = cyclic_invariant_generators(p, q)
             binomials = list(monomial_relations(p, q).relations)
-            found = bounded_degree_relations(CyclicDegreeMatrix(), gens).relations
+            found = bounded_degree_relations(CyclicDegreeMatrix(p, q), gens).relations
 
             def order(relation):
                 lead = relation.leading_exponent()
@@ -545,6 +552,27 @@ class TestKleinTripleCheck:
                 assert by_triple == verify_relation(candidate, expanded)
                 checked += by_triple
         assert checked == len(result.relations) > 0
+
+
+class TestHilbertCountCertificate:
+    """Each scanned degree's reduced form has H(d) rows, the number of
+    Klein monomials of degree d with c <= 1; generators that miss an
+    invariant raise instead of giving a short relation list."""
+
+    def test_every_dropped_generator_is_caught(self):
+        # Z/7 x O*: each of the five generators is needed at some pair sum
+        base = klein_invariants(GroupFamily.BINARY_OCTAHEDRAL)
+        gens = TestKleinTripleCheck.OCTAHEDRAL_PRODUCT
+        for k in range(len(gens)):
+            with pytest.raises(RuntimeError, match="Hilbert count"):
+                bounded_degree_relations(base, gens[:k] + gens[k + 1:])
+
+    def test_dropped_x_cubed_is_caught_at_degree_12(self):
+        # Z/3 x D*_8 without x^3: at degree 12, x^2 y, y^3 and
+        # z^2 = x y^2 - 4 x^3 span 3 of x^3, x^2 y, x y^2 and y^3
+        base = klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2)
+        with pytest.raises(RuntimeError, match="rank 3 at degree 12, Hilbert count 4"):
+            bounded_degree_relations(base, [(2, 1, 0), (0, 3, 0), (0, 0, 1)], 24)
 
 
 def reference_bounded_degree_relations(base, gens, degree_bound=None, expected_count=None):
