@@ -43,7 +43,7 @@ from .groups import (
     check_invariance,
     generator_matrices,
 )
-from .linkdata import hj_expand
+from .linkdata import _check_lens_pair, hj_expand
 
 
 class InvariantError(RuntimeError):
@@ -83,16 +83,13 @@ def cyclic_invariant_generators(p: int, q: int) -> List[Tuple[int, int]]:
     Riemenschneider's closed form: from (p, 0), (p - q, 1), each entry c of
     the Hirzebruch-Jung expansion of p/(p - q) appends c*e1 - e0, where
     e0, e1 are the last two pairs.  For the smooth action (1, 0) the basis
-    is {(1, 0), (0, 1)}; p = 1 with any other q is refused, as L(1, q) is.
+    is {(1, 0), (0, 1)}.  Any other pair breaking the lens-pair rule of
+    LensData (linkdata._check_lens_pair) raises LinkError, a ValueError,
+    with LensData's message.
     """
-    if p < 1:
-        raise ValueError(f"p must be positive, got {p}")
+    _check_lens_pair(p, q)
     if p == 1:
-        if q != 0:
-            raise ValueError(f"p = 1 requires q = 0, got (1, {q})")
         return [(1, 0), (0, 1)]
-    if not (1 <= q < p) or gcd(p, q) != 1:
-        raise ValueError(f"need gcd(p, q) = 1 and 1 <= q < p, got ({p}, {q})")
     basis = [(p, 0), (p - q, 1)]
     for c in hj_expand(p, p - q):
         (i0, j0), (i1, j1) = basis[-2:]
@@ -420,16 +417,17 @@ def expressible_in(
     return in_span([base.normal_form(t) for t in products], base.normal_form(candidate))
 
 
-def certify_rank(base, degree: int, rank: int, stage: str) -> None:
+def certify_rank(monomials, degree: int, rank: int, stage: str) -> None:
     """The Hilbert-count certificate of one scanned degree: RuntimeError
     unless rank, that of the degree's reduced form, is H(degree), the number
-    of Klein monomials x^a y^b z^c of the degree with c <= 1.  They are a
+    of Klein monomials x^a y^b z^c of the degree with c <= 1, counted among
+    monomials, all those of the degree (base.monomials(degree)).  They are a
     basis of the degree's invariants, since the ring is free over C[x, y]
     on 1 and z, so the columns span every invariant of the degree exactly
     when the count holds.  The cyclic factor of Z/m x G needs no test of
     its own: every scanned degree is a sum of generator degrees, so
     invariant."""
-    count = sum(1 for *_, c in base.monomials(degree) if c < 2)
+    count = sum(1 for *_, c in monomials if c < 2)
     if rank != count:
         raise RuntimeError(f"{stage}: rank {rank} at degree {degree}, Hilbert count {count}")
 
@@ -480,13 +478,13 @@ def minimalize_generators(
     for degree in sorted(set(degrees)):
         if target_count is not None and len(kept) >= target_count:
             break
-        products = [t for t in base.monomials(degree)
-                    if any(c != t and all(map(le, c, t)) for c in candidates)]
+        monomials = base.monomials(degree)
+        products = [t for t in monomials if any(c != t and all(map(le, c, t)) for c in candidates)]
         tier = sorted((k for k, d in enumerate(degrees) if d == degree),
                       key=scan_key, reverse=True)[::-1]
         form = {}
         for row in base.degree_matrix([*products, *(candidates[k] for k in tier)]):
             insert_row(form, row)
-        certify_rank(base, degree, len(form), "minimalize_generators")
+        certify_rank(monomials, degree, len(form), "minimalize_generators")
         kept += [tier[c - len(products)] for c in form if c >= len(products)]
     return [candidates[j] for j in sorted(kept)]

@@ -30,6 +30,29 @@ class LinkError(ValueError):
 _NUMBER = r"\s*([0-9]+)\s*"
 
 
+def _index(value) -> int:
+    """operator.index, refusing a bool as it refuses a float: True is not
+    the integer 1 in a link or a bound."""
+    if isinstance(value, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return index(value)
+
+
+def _check_lens_pair(p: int, q: int) -> None:
+    """The lens-pair rule, shared by LensData, hj_expand and
+    invariants.cyclic_invariant_generators: LinkError unless (p, q) is
+    (1, 0) or 1 <= q < p with gcd(p, q) = 1."""
+    if p < 1:
+        raise LinkError(f"lens p must be positive, got {p}")
+    if p == 1:
+        if q != 0:
+            raise LinkError("lens (1, q) requires q = 0")
+    elif not (1 <= q < p):
+        raise LinkError(f"lens q must satisfy 1 <= q < p, got ({p}, {q})")
+    elif gcd(p, q) != 1:
+        raise LinkError(f"lens pair ({p}, {q}) is not coprime")
+
+
 @dataclass(frozen=True)
 class LensData:
     """Lens space L(p, q): cyclic quotient link; (1, 0) is the 3-sphere."""
@@ -38,18 +61,10 @@ class LensData:
     q: int
 
     def __post_init__(self):
-        # a float or a string is a TypeError here, not deep in lcm or gcd
-        object.__setattr__(self, "p", index(self.p))
-        object.__setattr__(self, "q", index(self.q))
-        if self.p < 1:
-            raise LinkError(f"lens p must be positive, got {self.p}")
-        if self.p == 1:
-            if self.q != 0:
-                raise LinkError("lens (1, q) requires q = 0")
-        elif not (1 <= self.q < self.p):
-            raise LinkError(f"lens q must satisfy 1 <= q < p, got ({self.p}, {self.q})")
-        elif gcd(self.p, self.q) != 1:
-            raise LinkError(f"lens pair ({self.p}, {self.q}) is not coprime")
+        # a float, a string or a bool is a TypeError here, not deep in lcm or gcd
+        object.__setattr__(self, "p", _index(self.p))
+        object.__setattr__(self, "q", _index(self.q))
+        _check_lens_pair(self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -60,8 +75,8 @@ class SeifertData:
     fibers: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "b", index(self.b))
-        object.__setattr__(self, "fibers", tuple((index(p), index(q)) for p, q in self.fibers))
+        object.__setattr__(self, "b", _index(self.b))
+        object.__setattr__(self, "fibers", tuple((_index(p), _index(q)) for p, q in self.fibers))
         for p, q in self.fibers:
             if p < 2 or not (1 <= q < p):
                 raise LinkError(f"fiber ({p}, {q}) is not in normal form")
@@ -75,12 +90,12 @@ class SeifertData:
         form, or LinkError is raised."""
         kept = []
         for p, q in fibers:
-            p, q = index(p), index(q)
+            p, q = _index(p), _index(q)
             if p < 1 or q < 0:
                 raise LinkError(f"bad fiber ({p}, {q})")
             if (p, q) != (1, 0):
                 kept.append((p, q))
-        return SeifertData(index(b), tuple(sorted(kept)))
+        return SeifertData(_index(b), tuple(sorted(kept)))
 
 
 @dataclass(frozen=True)
@@ -88,8 +103,8 @@ class PlumbingGraph:
     """Weighted tree: vertex self-intersections and unordered edges.
 
     Every question about the tree's shape reads one walk: is_tree, the
-    leaves-first elimination of negdef_check, graph_to_link's bamboo and
-    legs, and the CLI's text drawing."""
+    leaves-first elimination of negdef_check, graph_to_link's tree test,
+    bamboo and legs, and the CLI's text drawing."""
 
     weights: Tuple[int, ...]
     edges: Tuple[Tuple[int, int], ...]
@@ -102,8 +117,8 @@ class PlumbingGraph:
 
     @staticmethod
     def build(weights: Sequence[int], edges: Sequence[Tuple[int, int]]) -> "PlumbingGraph":
-        canon = tuple(sorted(tuple(sorted((index(i), index(j)))) for i, j in edges))
-        return PlumbingGraph(tuple(index(w) for w in weights), canon)
+        canon = tuple(sorted(tuple(sorted((_index(i), _index(j)))) for i, j in edges))
+        return PlumbingGraph(tuple(_index(w) for w in weights), canon)
 
     @property
     def size(self) -> int:
@@ -157,18 +172,11 @@ class PlumbingGraph:
 def hj_expand(p: int, q: int) -> List[int]:
     """Expansion p/q = a1 - 1/(a2 - 1/(... - 1/ak)) with every a_i >= 2.
 
-    The smooth case p = 1 (with q = 0) yields the empty expansion.
+    The smooth case p = 1 (with q = 0) yields the empty expansion.  Any
+    other pair breaking the lens-pair rule of LensData (_check_lens_pair)
+    raises LinkError with LensData's message.
     """
-    if p < 1:
-        raise LinkError(f"p must be positive, got {p}")
-    if p == 1:
-        if q != 0:
-            raise LinkError("p = 1 requires q = 0")
-        return []
-    if not (1 <= q < p):
-        raise LinkError(f"need 1 <= q < p, got ({p}, {q})")
-    if gcd(p, q) != 1:
-        raise LinkError(f"({p}, {q}) is not coprime")
+    _check_lens_pair(p, q)
     out = []
     while q > 0:
         a = -(-p // q)  # ceil division
@@ -345,32 +353,35 @@ def _family_of(link, chi: Fraction, e: Fraction) -> Tuple[FamilyTag, Tuple[int, 
 def graph_to_link(graph: PlumbingGraph):
     """Recognize a normal-form bamboo or 3-legged star; reject anything else.
 
-    Bamboos give LensData, read as the walk from one end (q canonicalized to
-    the smaller of the two orientations); stars give SeifertData, each leg
-    the part of the walk from the centre that starts at depth 1.
+    One walk answers everything: it starts at the first vertex of valence
+    3, or else at the first of least valence (an end of a bamboo, or the
+    lone vertex), and the graph is a tree when it has one edge fewer than
+    vertices and the walk reaches them all.  Bamboos give LensData, read
+    as the walk (q canonicalized to the smaller of the two orientations);
+    stars give SeifertData, each leg the part of the walk from the centre
+    that starts at depth 1.
     """
-    if not graph.is_tree():
+    valences = graph.valences()
+    centers = [i for i, v in enumerate(valences) if v == 3]
+    root = centers[0] if centers else min(range(graph.size), key=valences.__getitem__, default=0)
+    walk = graph.walk(root)
+    if len(graph.edges) != graph.size - 1 or len(walk) != graph.size:
         raise LinkError("plumbing graph must be a connected tree")
     if graph.size == 1 and graph.weights[0] == -1:
         return LensData(1, 0)
-    valences = graph.valences()
     if any(v > 3 for v in valences):
         raise LinkError("vertex of valence > 3: not a bamboo or 3-legged star")
-    centers = [i for i, v in enumerate(valences) if v == 3]
     if len(centers) > 1:
         raise LinkError("more than one branching vertex")
     if not centers:
         if any(w > -2 for w in graph.weights):
             raise LinkError("bamboo weight above -2: not in normal form")
-        # the least valence is that of an end, or of the lone vertex
-        end = valences.index(min(valences))
-        return LensData(*_chain_to_lens([-graph.weights[v] for v, _, _ in graph.walk(end)]))
-    center = centers[0]
-    b = -graph.weights[center]
+        return LensData(*_chain_to_lens([-graph.weights[v] for v, _, _ in walk]))
+    b = -graph.weights[root]
     if b < 2:
-        raise LinkError(f"central weight {graph.weights[center]} is not in normal form")
+        raise LinkError(f"central weight {graph.weights[root]} is not in normal form")
     legs: List[List[int]] = []
-    for v, _, depth in graph.walk(center)[1:]:
+    for v, _, depth in walk[1:]:
         if graph.weights[v] > -2:
             raise LinkError("leg weight above -2: not in normal form")
         if depth == 1:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import add, index
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import (
@@ -49,13 +49,13 @@ from .exactmath import (
     rref,
 )
 from .invariants import certify_rank, cyclic_invariant_generators
-from .linkdata import _NUMBER
+from .linkdata import _NUMBER, _index
 
 
 def check_degree_bound(bound: int, source: str = "degree bound") -> int:
     """The bound as an int; TypeError when it is not an integer (2.5, 24.0,
-    "24"), ValueError when it is below 1."""
-    bound = index(bound)
+    "24", True), ValueError when it is below 1."""
+    bound = _index(bound)
     if bound < 1:
         raise ValueError(f"{source} must be at least 1, got {bound}")
     return bound
@@ -287,7 +287,7 @@ def bounded_degree_relations(
         exponents, targets = zip(*factorizations.columns(degree))
         low = sum(1 for alpha in exponents if sum(alpha) <= 2)
         form = rref(base.degree_matrix(targets))
-        certify_rank(base, degree, len(form), "bounded_degree_relations")
+        certify_rank(base.monomials(degree), degree, len(form), "bounded_degree_relations")
         cut = {}  # the low pivot rows on the high columns
         for c in [c for c in form if c < low]:
             insert_row(cut, {j: x for j, x in form[c].items() if j >= low})

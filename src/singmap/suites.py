@@ -18,12 +18,7 @@ from .linkdata import (
     negdef_check,
     seifert_to_plumbing,
 )
-from .resolution import (
-    closed_form_multiplicity,
-    fundamental_cycle,
-    multiplicity_and_embdim,
-    rationality_and_genus,
-)
+from .resolution import closed_form_multiplicity, multiplicity_and_embdim
 from .groups import (
     GroupFamily,
     binary_group,
@@ -171,9 +166,10 @@ def family_sweep(b_max: int = 5, p_max: int = 7):
 
 
 def suite_multiplicity_crosscheck() -> List[Check]:
-    """-Z_min^2 equals the closed-form table, p_a(Z_min) = 0, and negative
-    definiteness agrees with the sign of e(L), across the family sweep with
-    b <= 5 and leg parameters <= 7."""
+    """Laufer's report (multiplicity_and_embdim: -Z_min^2, clamped at 1 for
+    the smooth point) equals the closed-form table with p_a(Z_min) = 0, and
+    negative definiteness agrees with the sign of e(L), across the family
+    sweep with b <= 5 and leg parameters <= 7."""
     instances = family_sweep(5, 7)
     failures = []
     count = 0
@@ -186,18 +182,12 @@ def suite_multiplicity_crosscheck() -> List[Check]:
             continue
         if not negdef:
             continue
-        cycle = fundamental_cycle(graph)
-        p_a, rational = rationality_and_genus(graph, cycle)
-        laufer_mult = -cycle.self_intersection(graph)
+        report = multiplicity_and_embdim(graph)
         table_mult = closed_form_multiplicity(family, b)
-        if laufer_mult <= 1:
-            laufer_mult = 1
-        if not rational:
-            failures.append(f"{link}: p_a = {p_a}")
-        elif laufer_mult != table_mult:
-            failures.append(
-                f"{link}: Laufer {laufer_mult} != closed form {table_mult}"
-            )
+        if not report.rational:
+            failures.append(f"{link}: p_a = {report.arithmetic_genus}")
+        elif report.multiplicity != table_mult:
+            failures.append(f"{link}: Laufer {report.multiplicity} != closed form {table_mult}")
     ok = not failures
     detail = f"{count} instances" + ("" if ok else "; first failure: " + failures[0])
     return [("sweep b<=5, p<=7", ok, detail)]

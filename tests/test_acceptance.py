@@ -7,6 +7,7 @@ only tolerances are the wall-clock budgets.
 
 import random
 import time
+from dataclasses import replace
 from math import gcd
 
 from singmap.exactmath import format_multi, parse_multi
@@ -35,12 +36,14 @@ from singmap.invariants import (
 )
 from singmap.relations import monomial_relations, verify_relation
 from singmap.pipeline import synthesize_map
+from singmap import suites
 from singmap.suites import (
     family_sweep,
     suite_ade_equations,
     suite_cyclic_table,
     suite_group_orders,
     suite_invariance,
+    suite_multiplicity_crosscheck,
 )
 
 
@@ -143,6 +146,17 @@ def test_criterion_6_multiplicity_crosscheck():
         elapsed,
         30,
     )
+
+
+def test_multiplicity_crosscheck_reads_laufers_report(monkeypatch):
+    # the suite compares the report's multiplicity with the closed forms, so
+    # a report one too high must fail it
+    assert suite_multiplicity_crosscheck()[0][1]
+    real = suites.multiplicity_and_embdim
+    monkeypatch.setattr(suites, "multiplicity_and_embdim",
+                        lambda graph: replace(real(graph), multiplicity=real(graph).multiplicity + 1))
+    [(_, ok, detail)] = suite_multiplicity_crosscheck()
+    assert not ok and "Laufer" in detail, detail
 
 
 def test_criterion_7_group_formulas():

@@ -24,6 +24,7 @@ from singmap.linkdata import (
     seifert_to_lens,
     seifert_to_plumbing,
 )
+from singmap.invariants import cyclic_invariant_generators
 from singmap.suites import family_sweep
 
 
@@ -53,6 +54,17 @@ class TestHirzebruchJung:
             hj_expand(6, 2)
         with pytest.raises(LinkError):
             hj_expand(1, 1)
+
+    @pytest.mark.parametrize("p, q", [(0, 0), (1, 1), (5, 0), (5, 5), (6, 4)])
+    def test_one_lens_pair_rule(self, p, q):
+        # LensData, hj_expand and the cyclic generators refuse a bad pair
+        # with one exception and one message
+        with pytest.raises(LinkError) as lens:
+            LensData(p, q)
+        for refuse in (hj_expand, cyclic_invariant_generators):
+            with pytest.raises(LinkError) as other:
+                refuse(p, q)
+            assert str(other.value) == str(lens.value)
 
     def test_rejects_entries_below_two(self):
         with pytest.raises(LinkError):
@@ -105,6 +117,8 @@ class TestSeifertToPlumbing:
         (2, [(2.2, 1), (3, 1), (5, 4)]),
         (2, [(2, 1.0), (3, 1), (5, 4)]),
         ("2", [(2, 1), (3, 1), (5, 4)]),
+        # a bool is an int subclass, but True is not the fiber (2, 1)
+        (2, [(2, True), (3, 1), (5, 4)]),
     ])
     def test_normalized_refuses_non_integers(self, b, fibers):
         with pytest.raises(TypeError):
@@ -120,7 +134,7 @@ class TestSeifertToPlumbing:
         with pytest.raises(TypeError):
             SeifertData(b, fibers)
 
-    @pytest.mark.parametrize("p, q", [(1.0, 0), (5.0, 2.0), (5, 2.0), ("5", 2)])
+    @pytest.mark.parametrize("p, q", [(1.0, 0), (5.0, 2.0), (5, 2.0), ("5", 2), (True, False)])
     def test_lens_refuses_non_integers(self, p, q):
         # refused where it is built, not later in lcm or gcd
         with pytest.raises(TypeError):
@@ -136,6 +150,8 @@ class TestSeifertToPlumbing:
         ([-2.7, -3.2], [(0, 1)]),
         ([-2, -3], [(0, 1.9)]),
         (["-2", -3], [(0, 1)]),
+        # not the edge (0, 1)
+        ([-2, -2], [(False, True)]),
     ])
     def test_plumbing_build_refuses_non_integers(self, weights, edges):
         with pytest.raises(TypeError):

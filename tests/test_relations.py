@@ -391,8 +391,11 @@ class TestBoundedDegreeRelations:
         with pytest.raises(ValueError):
             monomial_relations(5, 2, -1)
 
-    @pytest.mark.parametrize("bound", [2.5, 24.0, "24"])
+    # True is not the bound 1
+    @pytest.mark.parametrize("bound", [2.5, 24.0, "24", True])
     def test_degree_bound_must_be_an_integer(self, bound):
+        with pytest.raises(TypeError):
+            check_degree_bound(bound)
         # refused where it enters, not written to the JSON as 2.5
         base = klein_invariants(GroupFamily.BINARY_TETRAHEDRAL)
         with pytest.raises(TypeError):
