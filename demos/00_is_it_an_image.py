@@ -17,11 +17,11 @@ from singmap.pipeline import (
 )
 
 CASES = [
-    ("E8 link", SeifertData.normalized(2, [(2, 1), (3, 2), (5, 4)])),
-    ("Z/29 x I* quotient", SeifertData.normalized(2, [(2, 1), (3, 1), (5, 1)])),
-    ("D' action (even m)", SeifertData.normalized(2, [(2, 1), (2, 1), (3, 1)])),
-    ("hyperbolic-base orbifold", SeifertData.normalized(2, [(2, 1), (3, 1), (7, 1)])),
-    ("not a singularity link", SeifertData.normalized(1, [(2, 1), (2, 1), (2, 1)])),
+    ("E8 link", SeifertData(2, [(2, 1), (3, 2), (5, 4)])),
+    ("Z/29 x I* quotient", SeifertData(2, [(2, 1), (3, 1), (5, 1)])),
+    ("D' action (even m)", SeifertData(2, [(2, 1), (2, 1), (3, 1)])),
+    ("hyperbolic-base orbifold", SeifertData(2, [(2, 1), (3, 1), (7, 1)])),
+    ("not a singularity link", SeifertData(1, [(2, 1), (2, 1), (2, 1)])),
 ]
 
 for label, link in CASES:

@@ -25,7 +25,7 @@ from singmap.suites import family_sweep
 
 print("The E8 germ, step by step")
 print("=" * 50)
-link = SeifertData.normalized(2, [(2, 1), (3, 2), (5, 4)])
+link = SeifertData(2, [(2, 1), (3, 2), (5, 4)])
 graph = seifert_to_plumbing(link)
 print("weights:", graph.weights)
 print("edges:  ", graph.edges)
@@ -57,7 +57,7 @@ print()
 print("Sample of the dihedral b = 2 case (leading 2s in the leg matter)")
 print("=" * 50)
 for p, q in [(5, 3), (8, 5), (7, 4), (4, 1)]:
-    link = SeifertData.normalized(2, [(2, 1), (2, 1), (p, q)])
+    link = SeifertData(2, [(2, 1), (2, 1), (p, q)])
     report = multiplicity_and_embdim(seifert_to_plumbing(link))
     print(f"  leg ({p},{q}): multiplicity {report.multiplicity}, "
           f"embedding dimension {report.embedding_dimension}")

@@ -21,7 +21,7 @@ from singmap.pipeline import synthesize_map
 from singmap.groups import GroupFamily
 from singmap.relations import verify_relation
 
-link = SeifertData.normalized(3, [(2, 1), (2, 1), (2, 1)])
+link = SeifertData(3, [(2, 1), (2, 1), (2, 1)])
 family = finite_pi1_family(link)
 group = group_from_seifert(family)
 print("link: {3; (2,1)(2,1)(2,1)}")

@@ -43,7 +43,7 @@ from .groups import (
     check_invariance,
     generator_matrices,
 )
-from .linkdata import _check_lens_pair, hj_expand
+from .linkdata import _check_lens_pair, _index, hj_expand
 
 
 class InvariantError(RuntimeError):
@@ -87,7 +87,7 @@ def cyclic_invariant_generators(p: int, q: int) -> List[Tuple[int, int]]:
     LensData (linkdata._check_lens_pair) raises LinkError, a ValueError,
     with LensData's message.
     """
-    _check_lens_pair(p, q)
+    p, q = _check_lens_pair(p, q)
     if p == 1:
         return [(1, 0), (0, 1)]
     basis = [(p, 0), (p - q, 1)]
@@ -321,7 +321,9 @@ def klein_invariants(tag: GroupFamily, n: int = None) -> KleinBasis:
     basis that fails verification is not kept.
     """
     if tag is GroupFamily.BINARY_DIHEDRAL:
-        if n is None or n < 1:
+        # read before it keys the cache: True or 2.0 is no index of D*
+        n = 0 if n is None else _index(n)
+        if n < 1:
             raise ValueError("D* needs the index n >= 1 of D*_{4n}")
         key = (tag, n)
     else:

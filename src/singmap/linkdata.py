@@ -38,10 +38,13 @@ def _index(value) -> int:
     return index(value)
 
 
-def _check_lens_pair(p: int, q: int) -> None:
+def _check_lens_pair(p: int, q: int) -> Tuple[int, int]:
     """The lens-pair rule, shared by LensData, hj_expand and
-    invariants.cyclic_invariant_generators: LinkError unless (p, q) is
-    (1, 0) or 1 <= q < p with gcd(p, q) = 1."""
+    invariants.cyclic_invariant_generators: p and q read through _index
+    (TypeError for a float, a string or a bool), then LinkError unless
+    (p, q) is (1, 0) or 1 <= q < p with gcd(p, q) = 1.  Returns the pair
+    as integers."""
+    p, q = _index(p), _index(q)
     if p < 1:
         raise LinkError(f"lens p must be positive, got {p}")
     if p == 1:
@@ -51,6 +54,7 @@ def _check_lens_pair(p: int, q: int) -> None:
         raise LinkError(f"lens q must satisfy 1 <= q < p, got ({p}, {q})")
     elif gcd(p, q) != 1:
         raise LinkError(f"lens pair ({p}, {q}) is not coprime")
+    return p, q
 
 
 @dataclass(frozen=True)
@@ -62,47 +66,52 @@ class LensData:
 
     def __post_init__(self):
         # a float, a string or a bool is a TypeError here, not deep in lcm or gcd
-        object.__setattr__(self, "p", _index(self.p))
-        object.__setattr__(self, "q", _index(self.q))
-        _check_lens_pair(self.p, self.q)
+        p, q = _check_lens_pair(self.p, self.q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
 
 @dataclass(frozen=True)
 class SeifertData:
-    """Normalized Seifert invariants over the sphere: {b; (p_i, q_i)}."""
+    """Seifert invariants over the sphere: {b; (p_i, q_i)}.
+
+    The constructor reads, checks and canonicalizes its integers: each
+    fiber is read through _index (TypeError for a float, a string or a
+    bool), a fiber with p < 1 or q < 0 is a bad fiber, the non-singular
+    fibers (1, 0) are dropped and the rest sorted ascending, and then b is
+    read.  Every kept fiber, (1, q) with q != 0 included, must be in normal
+    form, or LinkError is raised.  So two lists of the same fibers in any
+    order give equal data."""
 
     b: int
     fibers: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _index(self.b))
-        object.__setattr__(self, "fibers", tuple((_index(p), _index(q)) for p, q in self.fibers))
-        for p, q in self.fibers:
-            if p < 2 or not (1 <= q < p):
-                raise LinkError(f"fiber ({p}, {q}) is not in normal form")
-            if gcd(p, q) != 1:
-                raise LinkError(f"fiber ({p}, {q}) is not coprime")
-
-    @staticmethod
-    def normalized(b: int, fibers: Sequence[Tuple[int, int]]) -> "SeifertData":
-        """Drop the non-singular fibers (1, 0) and sort the rest ascending;
-        every other fiber, (1, q) with q != 0 included, must be in normal
-        form, or LinkError is raised."""
         kept = []
-        for p, q in fibers:
+        for p, q in self.fibers:
             p, q = _index(p), _index(q)
             if p < 1 or q < 0:
                 raise LinkError(f"bad fiber ({p}, {q})")
             if (p, q) != (1, 0):
                 kept.append((p, q))
-        return SeifertData(_index(b), tuple(sorted(kept)))
+        object.__setattr__(self, "fibers", tuple(sorted(kept)))
+        object.__setattr__(self, "b", _index(self.b))
+        for p, q in self.fibers:
+            if not 1 <= q < p:
+                raise LinkError(f"fiber ({p}, {q}) is not in normal form")
+            if gcd(p, q) != 1:
+                raise LinkError(f"fiber ({p}, {q}) is not coprime")
 
 
 @dataclass(frozen=True)
 class PlumbingGraph:
     """Weighted tree: vertex self-intersections and unordered edges.
 
-    Every question about the tree's shape reads one walk: is_tree, the
+    The constructor reads weights and edges through _index (TypeError for
+    a float, a string or a bool), writes each edge (i, j) with i < j and
+    sorts the edge list, so the same graph compares equal however its
+    edges were written; an edge that is a loop or names no vertex is a
+    LinkError.  Every question about the tree's shape reads one walk: the
     leaves-first elimination of negdef_check, graph_to_link's tree test,
     bamboo and legs, and the CLI's text drawing."""
 
@@ -110,15 +119,12 @@ class PlumbingGraph:
     edges: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
-        n = len(self.weights)
+        object.__setattr__(self, "weights", tuple(_index(w) for w in self.weights))
+        object.__setattr__(self, "edges", tuple(sorted(
+            tuple(sorted((_index(i), _index(j)))) for i, j in self.edges)))
         for i, j in self.edges:
-            if not (0 <= i < n and 0 <= j < n) or i == j:
+            if not 0 <= i < j < self.size:
                 raise LinkError(f"bad edge ({i}, {j})")
-
-    @staticmethod
-    def build(weights: Sequence[int], edges: Sequence[Tuple[int, int]]) -> "PlumbingGraph":
-        canon = tuple(sorted(tuple(sorted((_index(i), _index(j)))) for i, j in edges))
-        return PlumbingGraph(tuple(_index(w) for w in weights), canon)
 
     @property
     def size(self) -> int:
@@ -160,11 +166,6 @@ class PlumbingGraph:
             stack.extend((j, vertex, depth + 1) for j in reversed(self._adjacency[vertex]) if not seen[j])
         return order
 
-    def is_tree(self) -> bool:
-        """Connected, read off the walk's length, with one edge fewer than
-        vertices."""
-        return len(self.edges) == self.size - 1 and len(self.walk()) == self.size
-
 
 # -- Hirzebruch-Jung continued fractions ------------------------------------
 
@@ -176,7 +177,7 @@ def hj_expand(p: int, q: int) -> List[int]:
     other pair breaking the lens-pair rule of LensData (_check_lens_pair)
     raises LinkError with LensData's message.
     """
-    _check_lens_pair(p, q)
+    p, q = _check_lens_pair(p, q)
     out = []
     while q > 0:
         a = -(-p // q)  # ceil division
@@ -186,7 +187,9 @@ def hj_expand(p: int, q: int) -> List[int]:
 
 
 def hj_value(cf: Sequence[int]) -> Tuple[int, int]:
-    """Evaluate a negative continued fraction back to the pair (p, q)."""
+    """Evaluate a negative continued fraction back to the pair (p, q); each
+    entry is read through _index and must be at least 2."""
+    cf = [_index(a) for a in cf]
     if any(a < 2 for a in cf):
         raise LinkError(f"all entries must be >= 2, got {list(cf)}")
     p, q = 1, 0
@@ -204,10 +207,10 @@ def seifert_to_plumbing(link) -> PlumbingGraph:
         chain = hj_expand(link.p, link.q)
         if not chain:
             # smooth point: the 3-sphere as a single (-1)-vertex
-            return PlumbingGraph.build([-1], [])
+            return PlumbingGraph([-1], [])
         weights = [-a for a in chain]
         edges = [(i, i + 1) for i in range(len(chain) - 1)]
-        return PlumbingGraph.build(weights, edges)
+        return PlumbingGraph(weights, edges)
     weights = [-link.b]
     edges = []
     for p, q in link.fibers:
@@ -217,7 +220,7 @@ def seifert_to_plumbing(link) -> PlumbingGraph:
             weights.append(-a)
             edges.append((previous, len(weights) - 1))
             previous = len(weights) - 1
-    return PlumbingGraph.build(weights, edges)
+    return PlumbingGraph(weights, edges)
 
 
 def negdef_check(graph: PlumbingGraph) -> bool:
@@ -387,4 +390,4 @@ def graph_to_link(graph: PlumbingGraph):
         if depth == 1:
             legs.append([])
         legs[-1].append(-graph.weights[v])
-    return SeifertData.normalized(b, [hj_value(leg) for leg in legs])
+    return SeifertData(b, [hj_value(leg) for leg in legs])

@@ -120,13 +120,13 @@ _SEIFERT_RE = re.compile(rf"{_NUMBER};\s*((?:{_FIBER_RE.pattern})+)\s*", re.ASCI
 
 
 def parse_seifert_shorthand(text: str) -> SeifertData:
-    """Parse 'b;(p1,q1)(p2,q2)...' into normalized Seifert data."""
+    """Parse 'b;(p1,q1)(p2,q2)...' into Seifert data."""
     m = _SEIFERT_RE.fullmatch(text)
     if not m:
         raise LinkError(f"cannot parse Seifert shorthand {text!r}")
     b = int(m.group(1))
     fibers = [(int(p), int(q)) for p, q in _FIBER_RE.findall(m.group(2))]
-    return SeifertData.normalized(b, fibers)
+    return SeifertData(b, fibers)
 
 
 def parse_lens_shorthand(text: str) -> LensData:
@@ -196,10 +196,10 @@ def parse_link_descriptor(descriptor: dict):
     if "seifert" in descriptor:
         body = _body(descriptor, "seifert", "b", "fibers")
         fibers = _pairs(body.get("fibers", []), "seifert fibers")
-        return SeifertData.normalized(_integer(body["b"], "seifert b"), fibers)
+        return SeifertData(_integer(body["b"], "seifert b"), fibers)
     body = _body(descriptor, "graph", "weights", "edges")
     weights = _integers(body["weights"], "graph weights")
-    graph = PlumbingGraph.build(weights, _pairs(body.get("edges", []), "graph edges"))
+    graph = PlumbingGraph(weights, _pairs(body.get("edges", []), "graph edges"))
     return graph_to_link(graph)
 
 
@@ -245,9 +245,11 @@ def _generator_warnings(generator_count: int, report: SingularityReport) -> List
 
 def _cyclic_map(p: int, q: int, report: SingularityReport, max_degree):
     exponents = cyclic_invariant_generators(p, q)
-    basis = InvariantBasis.from_polys(monomials_from_exponents(exponents))
+    # the relations first: a map over the relation budget is refused before
+    # any polynomial is built
     expected = _expected_relation_count(report, len(exponents))
     relations = monomial_relations(p, q, max_degree, expected)
+    basis = InvariantBasis.from_polys(monomials_from_exponents(exponents))
     return basis, relations, _generator_warnings(len(exponents), report)
 
 

@@ -9,8 +9,9 @@ the Hirzebruch-Jung ordered generators are read, since the minimal
 relations sit there and nowhere else, and each image's binomials join its
 quadratic factorizations and the least of the others to the least
 quadratic one.  A map with more minimal relations than
-MAX_CYCLIC_RELATIONS, which Wahl's count gives from (p, q), is refused
-before anything is listed.  Maps by monomials in a Klein triple (binary
+MAX_CYCLIC_RELATIONS, which Wahl's count gives from the number e of
+generators, is refused once those e exponent pairs are listed, before any
+polynomial or relation candidate is.  Maps by monomials in a Klein triple (binary
 polyhedral quotients and their cyclic products) get bounded-degree
 relations: per weighted degree w_i + w_j of a pair of generators, one
 fraction-free integer elimination of the degree matrix, the candidate
@@ -175,9 +176,10 @@ def monomial_relations(
     empty.  So only Q and min(H) are listed: the columns of
     Factorizations over the generators at the image are exactly those.
 
-    Wahl's count (e - 1)(e - 2)/2 is known from (p, q) before any listing;
-    above MAX_CYCLIC_RELATIONS the map is refused with RelationBudgetError,
-    a ValueError.
+    Wahl's count (e - 1)(e - 2)/2 is known once the e generators are
+    listed, before any image or factorization is; above
+    MAX_CYCLIC_RELATIONS the map is refused with RelationBudgetError, a
+    ValueError.
     """
     gens = cyclic_invariant_generators(p, q)
     weights = tuple(a + b for a, b in gens)

@@ -151,16 +151,16 @@ def family_sweep(b_max: int = 5, p_max: int = 7):
         add(LensData(p, q), FamilyTag.LENS, (p, q), None)
     for b in range(2, b_max + 1):
         for p, q in coprime_pairs:
-            add(SeifertData.normalized(b, [(2, 1), (2, 1), (p, q)]), FamilyTag.DIHEDRAL, (p, q), b)
+            add(SeifertData(b, [(2, 1), (2, 1), (p, q)]), FamilyTag.DIHEDRAL, (p, q), b)
         for q1 in (1, 2):
             for q2 in (1, 2):
-                link = SeifertData.normalized(b, [(2, 1), (3, q1), (3, q2)])
+                link = SeifertData(b, [(2, 1), (3, q1), (3, q2)])
                 add(link, FamilyTag.TETRAHEDRAL, tuple(sorted((q1, q2))), b)
             for q2 in (1, 3):
-                link = SeifertData.normalized(b, [(2, 1), (3, q1), (4, q2)])
+                link = SeifertData(b, [(2, 1), (3, q1), (4, q2)])
                 add(link, FamilyTag.OCTAHEDRAL, (q1, q2), b)
             for q2 in (1, 2, 3, 4):
-                link = SeifertData.normalized(b, [(2, 1), (3, q1), (5, q2)])
+                link = SeifertData(b, [(2, 1), (3, q1), (5, q2)])
                 add(link, FamilyTag.ICOSAHEDRAL, (q1, q2), b)
     return instances
 

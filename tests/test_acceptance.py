@@ -135,7 +135,7 @@ def test_criterion_6_multiplicity_crosscheck():
     for b in range(2, 6):
         for f2 in pairs:
             for f3 in pairs:
-                link = SeifertData.normalized(b, [(2, 1), f2, f3])
+                link = SeifertData(b, [(2, 1), f2, f3])
                 _, e = euler_invariants(link)
                 assert negdef_check(seifert_to_plumbing(link)) == (e < 0), link
     elapsed = time.perf_counter() - start
@@ -167,12 +167,12 @@ def test_criterion_7_group_formulas():
         ((2, 4), GroupFamily.BINARY_ICOSAHEDRAL, 5),  # E8 fibers (3, 2), (5, 4)
     ]
     for (q1, q2), family, third_p in expected_simple:
-        link = SeifertData.normalized(2, [(2, 1), (3, q1), (third_p, q2)])
+        link = SeifertData(2, [(2, 1), (3, q1), (third_p, q2)])
         descriptor = group_from_seifert(finite_pi1_family(link))
         assert descriptor.family is family, link
         assert descriptor.cyclic_factor == 1, link
     for k in range(1, 6):
-        link = SeifertData.normalized(2, [(2, 1), (2, 1), (k + 1, k)])
+        link = SeifertData(2, [(2, 1), (2, 1), (k + 1, k)])
         descriptor = group_from_seifert(finite_pi1_family(link))
         assert descriptor.family is GroupFamily.BINARY_DIHEDRAL
         assert descriptor.cyclic_factor == 1
@@ -185,7 +185,7 @@ def test_criterion_7_group_formulas():
 
 def test_criterion_8_dihedral_product_example():
     start = time.perf_counter()
-    output = synthesize_map(SeifertData.normalized(3, [(2, 1), (2, 1), (2, 1)]))
+    output = synthesize_map(SeifertData(3, [(2, 1), (2, 1), (2, 1)]))
     generators = list(output.invariant_map.generators)
     from singmap.exactmath import parse_bivariate
 
@@ -229,7 +229,7 @@ def test_criterion_9_property_suites():
         cycle = fundamental_cycle(graph).multiplicities
         for order in (list(reversed(range(graph.size))), shuffle.sample(range(graph.size), graph.size)):
             new = {old: k for k, old in enumerate(order)}
-            relabelled = PlumbingGraph.build(
+            relabelled = PlumbingGraph(
                 [graph.weights[old] for old in order],
                 [(new[i], new[j]) for i, j in graph.edges],
             )
@@ -264,11 +264,11 @@ def test_documented_inconsistency_tetrahedral_m5():
         (0, 1, 1),
         (0, 0, 5),
     ]
-    b2 = SeifertData.normalized(2, [(2, 1), (3, 1), (3, 1)])
+    b2 = SeifertData(2, [(2, 1), (3, 1), (3, 1)])
     descriptor = group_from_seifert(finite_pi1_family(b2))
     assert descriptor.cyclic_factor == 5
     assert multiplicity_and_embdim(seifert_to_plumbing(b2)).embedding_dimension == 5
-    b3 = SeifertData.normalized(3, [(2, 1), (3, 1), (3, 1)])
+    b3 = SeifertData(3, [(2, 1), (3, 1), (3, 1)])
     descriptor = group_from_seifert(finite_pi1_family(b3))
     assert descriptor.cyclic_factor == 11
     assert multiplicity_and_embdim(seifert_to_plumbing(b3)).embedding_dimension == 6

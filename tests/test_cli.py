@@ -6,7 +6,9 @@ import time
 
 import pytest
 
+from singmap import pipeline
 from singmap.cli import main
+from singmap.relations import MAX_CYCLIC_RELATIONS
 
 
 def run_cli(capsys, *argv):
@@ -358,6 +360,16 @@ class TestMap:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert elapsed < 1.0, f"map --lens 1001,1 took {elapsed:.2f} s"
+
+    def test_large_lens_map_is_refused_before_any_polynomial(self, capsys, monkeypatch):
+        def no_polynomials(exponents):
+            raise AssertionError(f"{len(exponents)} monomials built before the refusal")
+
+        monkeypatch.setattr(pipeline, "monomials_from_exponents", no_polynomials)
+        code, out, err = run_cli(capsys, "map", "--lens", "1001,1")
+        assert (code, out) == (2, "")
+        assert err == ("error: L(1001,1) has 500500 minimal relations, more than the "
+                       f"{MAX_CYCLIC_RELATIONS} a map is built with\n")
 
 
 class TestVerify:

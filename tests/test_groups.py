@@ -24,7 +24,7 @@ from singmap.suites import family_sweep
 
 
 def descriptor_for(b, fibers):
-    link = SeifertData.normalized(b, fibers)
+    link = SeifertData(b, fibers)
     return group_from_seifert(finite_pi1_family(link))
 
 
@@ -96,12 +96,12 @@ class TestGroupFromSeifert:
 
     def test_rejects_non_negative_e(self):
         # b = 1: e = 1/3 > 0, so m = -e/chi = -1 and the data is no singularity link
-        link = SeifertData.normalized(1, [(2, 1), (2, 1), (3, 1)])
+        link = SeifertData(1, [(2, 1), (2, 1), (3, 1)])
         with pytest.raises(GroupError, match="m = -1 is not positive"):
             group_from_seifert(finite_pi1_family(link))
 
     def test_rejects_not_finite(self):
-        link = SeifertData.normalized(2, [(2, 1), (3, 1), (7, 1)])
+        link = SeifertData(2, [(2, 1), (3, 1), (7, 1)])
         with pytest.raises(GroupError):
             group_from_seifert(Family(FamilyTag.NOT_FINITE, (), *euler_invariants(link)))
 

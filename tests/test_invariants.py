@@ -288,6 +288,16 @@ class TestKleinMemo:
         assert klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2) is d2
         assert len(klein_memo) == 3
 
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_dihedral_index_refuses_non_integers(self, klein_memo, n):
+        # read before it keys the memo, so the answer cannot depend on
+        # whether D*_4 or D*_8 was built before
+        klein_invariants(GroupFamily.BINARY_DIHEDRAL, 1)
+        klein_invariants(GroupFamily.BINARY_DIHEDRAL, 2)
+        with pytest.raises(TypeError):
+            klein_invariants(GroupFamily.BINARY_DIHEDRAL, n)
+        assert len(klein_memo) == 2
+
     def test_each_triple_is_verified_once(self, klein_memo, monkeypatch):
         calls = []
         real = invariants.generator_matrices

@@ -70,10 +70,15 @@ class TestHirzebruchJung:
         with pytest.raises(LinkError):
             hj_value([2, 1, 2])
 
+    @pytest.mark.parametrize("cf", [[2.5], [2, True], ["3"]])
+    def test_value_refuses_non_integers(self, cf):
+        with pytest.raises(TypeError):
+            hj_value(cf)
+
 
 class TestSeifertToPlumbing:
     def test_d4_star(self):
-        link = SeifertData.normalized(2, [(2, 1), (2, 1), (2, 1)])
+        link = SeifertData(2, [(2, 1), (2, 1), (2, 1)])
         graph = seifert_to_plumbing(link)
         assert graph.weights == (-2, -2, -2, -2)
         assert sorted(graph.valences()) == [1, 1, 1, 3]
@@ -84,10 +89,10 @@ class TestSeifertToPlumbing:
         assert graph.edges == ((0, 1),)
 
     def test_e8_graph(self):
-        link = SeifertData.normalized(2, [(2, 1), (3, 2), (5, 4)])
+        link = SeifertData(2, [(2, 1), (3, 2), (5, 4)])
         graph = seifert_to_plumbing(link)
         assert graph.weights == (-2,) * 8
-        assert graph.is_tree()
+        assert is_tree(graph)
         assert graph.valences().count(3) == 1  # one central vertex, legs 1/2/4
 
     def test_smooth_point(self):
@@ -96,22 +101,33 @@ class TestSeifertToPlumbing:
         assert graph.edges == ()
 
     def test_fibers_with_p1_dropped(self):
-        link = SeifertData.normalized(3, [(1, 0), (2, 1), (1, 0)])
+        link = SeifertData(3, [(1, 0), (2, 1), (1, 0)])
         assert link.fibers == ((2, 1),)
+
+    def test_equal_links_compare_equal_however_written(self):
+        # fibers in any order, with or without (1, 0); edges either way round
+        assert SeifertData(2, [(5, 4), (1, 0), (3, 1), (2, 1)]) == SeifertData(2, [(2, 1), (3, 1), (5, 4)])
+        assert PlumbingGraph([-2, -3], [(1, 0)]).edges == ((0, 1),)
+
+    @pytest.mark.parametrize("fiber", [(0, 1), (2, -1)])
+    def test_bad_fiber_refused(self, fiber):
+        with pytest.raises(LinkError, match=rf"bad fiber \({fiber[0]}, {fiber[1]}\)"):
+            SeifertData(2, [(2, 1), fiber])
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_p1_fiber_with_nonzero_q_rejected(self, q):
         # (1, q) shifts the Euler number by q, so dropping it would change the link
         with pytest.raises(LinkError, match=rf"fiber \(1, {q}\) is not in normal form"):
-            SeifertData.normalized(2, [(2, 1), (2, 1), (3, 1), (1, q)])
+            SeifertData(2, [(2, 1), (2, 1), (3, 1), (1, q)])
 
     def test_normal_form_enforced(self):
         with pytest.raises(LinkError):
-            SeifertData.normalized(2, [(4, 2)])
+            SeifertData(2, [(4, 2)])
         with pytest.raises(LinkError):
-            SeifertData.normalized(2, [(3, 3)])
+            SeifertData(2, [(3, 3)])
 
-    # int() would truncate 2.9 to 2 and read "3" as 3
+    # int() would truncate 2.9 to 2 and read "3" as 3; refused where it is
+    # built, not later in seifert_to_plumbing
     @pytest.mark.parametrize("b, fibers", [
         (2.9, [(2, 1), (3, 1), (5, 4)]),
         (2, [(2.2, 1), (3, 1), (5, 4)]),
@@ -119,32 +135,27 @@ class TestSeifertToPlumbing:
         ("2", [(2, 1), (3, 1), (5, 4)]),
         # a bool is an int subclass, but True is not the fiber (2, 1)
         (2, [(2, True), (3, 1), (5, 4)]),
-    ])
-    def test_normalized_refuses_non_integers(self, b, fibers):
-        with pytest.raises(TypeError):
-            SeifertData.normalized(b, fibers)
-
-    @pytest.mark.parametrize("b, fibers", [
         (2.0, ((2, 1), (3, 1), (5, 4))),
         (2, ((2, 1), (3.0, 1), (5, 4))),
         (2, ((2, 1), (3, 1), (5, "4"))),
     ])
     def test_constructor_refuses_non_integers(self, b, fibers):
-        # refused where it is built, not later in PlumbingGraph.build
         with pytest.raises(TypeError):
             SeifertData(b, fibers)
 
-    @pytest.mark.parametrize("p, q", [(1.0, 0), (5.0, 2.0), (5, 2.0), ("5", 2), (True, False)])
+    @pytest.mark.parametrize("p, q", [(1.0, 0), (5.0, 2.0), (5, 2.0), ("5", 2), (True, False), (3, True)])
     def test_lens_refuses_non_integers(self, p, q):
-        # refused where it is built, not later in lcm or gcd
-        with pytest.raises(TypeError):
-            LensData(p, q)
+        # refused by the lens-pair rule itself, not later in lcm or gcd, so
+        # by every reader of a lens pair
+        for read in (LensData, hj_expand, cyclic_invariant_generators):
+            with pytest.raises(TypeError):
+                read(p, q)
 
     def test_constructors_keep_integers(self):
         assert LensData(5, 2) == LensData(5, 2) and LensData(1, 0).p == 1
         data = SeifertData(2, [[2, 1], [3, 1], [5, 4]])
         assert data.fibers == ((2, 1), (3, 1), (5, 4))
-        assert data == SeifertData.normalized(2, [(5, 4), (3, 1), (2, 1)])
+        assert data == SeifertData(2, [(5, 4), (3, 1), (2, 1)])
 
     @pytest.mark.parametrize("weights, edges", [
         ([-2.7, -3.2], [(0, 1)]),
@@ -152,31 +163,32 @@ class TestSeifertToPlumbing:
         (["-2", -3], [(0, 1)]),
         # not the edge (0, 1)
         ([-2, -2], [(False, True)]),
+        ((-2.5, True), ((0, 1),)),
     ])
-    def test_plumbing_build_refuses_non_integers(self, weights, edges):
+    def test_plumbing_refuses_non_integers(self, weights, edges):
         with pytest.raises(TypeError):
-            PlumbingGraph.build(weights, edges)
+            PlumbingGraph(weights, edges)
 
     def test_output_always_normal_form(self):
         for b in range(2, 6):
             for p, q in [(2, 1), (5, 2), (7, 6), (5, 3)]:
                 graph = seifert_to_plumbing(
-                    SeifertData.normalized(b, [(2, 1), (2, 1), (p, q)])
+                    SeifertData(b, [(2, 1), (2, 1), (p, q)])
                 )
                 assert all(w <= -2 for w in graph.weights)
 
 
 class TestNegativeDefinite:
     def test_e8_is_negative_definite(self):
-        link = SeifertData.normalized(2, [(2, 1), (3, 2), (5, 4)])
+        link = SeifertData(2, [(2, 1), (3, 2), (5, 4)])
         assert negdef_check(seifert_to_plumbing(link))
 
     def test_zero_vertex(self):
-        assert not negdef_check(PlumbingGraph.build([0], []))
+        assert not negdef_check(PlumbingGraph([0], []))
 
     def test_b1_star_fails(self):
         # e(L) = -1 + 3/2 > 0
-        link = SeifertData.normalized(1, [(2, 1), (2, 1), (2, 1)])
+        link = SeifertData(1, [(2, 1), (2, 1), (2, 1)])
         graph = seifert_to_plumbing(link)
         assert not negdef_check(graph)
         _, e = euler_invariants(link)
@@ -192,7 +204,7 @@ class TestNegativeDefinite:
             for f1 in [(2, 1)]:
                 for f2 in pairs:
                     for f3 in pairs:
-                        link = SeifertData.normalized(b, [f1, f2, f3])
+                        link = SeifertData(b, [f1, f2, f3])
                         _, e = euler_invariants(link)
                         graph = seifert_to_plumbing(link)
                         assert negdef_check(graph) == (e < 0), link
@@ -201,21 +213,27 @@ class TestNegativeDefinite:
 
 
     def test_rejects_connected_non_tree(self):
-        triangle = PlumbingGraph.build([-2, -2, -2], [(0, 1), (1, 2), (0, 2)])
+        triangle = PlumbingGraph([-2, -2, -2], [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(LinkError, match="tree"):
             negdef_check(triangle)
-        doubled = PlumbingGraph.build([-2, -2], [(0, 1), (0, 1)])
+        doubled = PlumbingGraph([-2, -2], [(0, 1), (0, 1)])
         with pytest.raises(LinkError, match="tree"):
             negdef_check(doubled)
 
     def test_rejects_disconnected(self):
         for graph in (
-            PlumbingGraph.build([-2, -2], []),
-            PlumbingGraph.build([-2, -2, -2, -2], [(0, 1), (0, 1), (2, 3)]),
-            PlumbingGraph.build([], []),
+            PlumbingGraph([-2, -2], []),
+            PlumbingGraph([-2, -2, -2, -2], [(0, 1), (0, 1), (2, 3)]),
+            PlumbingGraph([], []),
         ):
             with pytest.raises(LinkError, match="graph must be connected"):
                 negdef_check(graph)
+
+
+def is_tree(graph: PlumbingGraph) -> bool:
+    """Reference: connected, read off the walk's length, with one edge fewer
+    than vertices."""
+    return len(graph.edges) == graph.size - 1 and len(graph.walk()) == graph.size
 
 
 # -- reference: dense Sylvester test by fraction-free (Bareiss) elimination,
@@ -249,14 +267,14 @@ def random_tree(rng: random.Random) -> PlumbingGraph:
     rng.shuffle(labels)
     edges = [(labels[v], labels[rng.randrange(v)]) for v in range(1, n)]
     weights = [rng.randint(-5, 0) for _ in range(n)]
-    return PlumbingGraph.build(weights, edges)
+    return PlumbingGraph(weights, edges)
 
 
 class TestNegativeDefiniteAgainstReference:
     def test_reference_on_known_cases(self):
-        e8 = SeifertData.normalized(2, [(2, 1), (3, 2), (5, 4)])
+        e8 = SeifertData(2, [(2, 1), (3, 2), (5, 4)])
         assert reference_negdef(seifert_to_plumbing(e8))
-        b1 = SeifertData.normalized(1, [(2, 1), (2, 1), (2, 1)])
+        b1 = SeifertData(1, [(2, 1), (2, 1), (2, 1)])
         assert not reference_negdef(seifert_to_plumbing(b1))
 
     def test_random_trees(self):
@@ -264,7 +282,7 @@ class TestNegativeDefiniteAgainstReference:
         definite = 0
         for _ in range(6000):
             graph = random_tree(rng)
-            assert graph.is_tree()
+            assert is_tree(graph)
             expected = reference_negdef(graph)
             assert negdef_check(graph) == expected, graph
             definite += expected
@@ -281,7 +299,7 @@ class TestNegativeDefiniteAgainstReference:
                 p = rng.randint(2, 30)
                 q = rng.choice([q for q in range(1, p) if gcd(p, q) == 1])
                 fibers.append((p, q))
-            link = SeifertData.normalized(rng.randint(1, 4), fibers)
+            link = SeifertData(rng.randint(1, 4), fibers)
             graph = seifert_to_plumbing(link)
             assert negdef_check(graph) == reference_negdef(graph), link
 
@@ -319,26 +337,26 @@ class TestWalk:
             assert walk == reference_preorder(graph, root), graph
 
     def test_cycles_and_components_end(self):
-        triangle = PlumbingGraph.build([-2, -2, -2], [(0, 1), (1, 2), (0, 2)])
+        triangle = PlumbingGraph([-2, -2, -2], [(0, 1), (1, 2), (0, 2)])
         assert triangle.walk() == [(0, -1, 0), (1, 0, 1), (2, 1, 2)]
-        assert not triangle.is_tree()
+        assert not is_tree(triangle)
         # a triangle and a lone vertex have a tree's edge count, so is_tree walks
-        apart = PlumbingGraph.build([-2] * 4, [(0, 1), (1, 2), (0, 2)])
+        apart = PlumbingGraph([-2] * 4, [(0, 1), (1, 2), (0, 2)])
         assert [v for v, _, _ in apart.walk(2)] == [2, 0, 1]
-        assert not apart.is_tree()
+        assert not is_tree(apart)
         with pytest.raises(LinkError, match="connected tree"):
             graph_to_link(apart)
-        square = PlumbingGraph.build([-2] * 4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        square = PlumbingGraph([-2] * 4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert [v for v, _, _ in square.walk(2)] == [2, 1, 0, 3]
-        assert not square.is_tree()
+        assert not is_tree(square)
         # two components, the second with as many edges as the tree count allows
-        for graph in (PlumbingGraph.build([-2] * 4, [(0, 1), (2, 3)]),
-                      PlumbingGraph.build([-2] * 4, [(0, 1), (0, 1), (2, 3)])):
+        for graph in (PlumbingGraph([-2] * 4, [(0, 1), (2, 3)]),
+                      PlumbingGraph([-2] * 4, [(0, 1), (0, 1), (2, 3)])):
             assert [v for v, _, _ in graph.walk()] == [0, 1]
             assert [v for v, _, _ in graph.walk(3)] == [3, 2]
-            assert not graph.is_tree()
-        empty = PlumbingGraph.build([], [])
-        assert empty.walk() == [] and not empty.is_tree()
+            assert not is_tree(graph)
+        empty = PlumbingGraph([], [])
+        assert empty.walk() == [] and not is_tree(empty)
 
     def test_shuffled_plumbing_reads_back_as_the_normalized_link(self):
         # a lens reads back with the smaller of q and q^-1 mod p, the
@@ -348,7 +366,7 @@ class TestWalk:
             graph = seifert_to_plumbing(link)
             order = rng.sample(range(graph.size), graph.size)
             new = {old: k for k, old in enumerate(order)}
-            shuffled = PlumbingGraph.build(
+            shuffled = PlumbingGraph(
                 [graph.weights[old] for old in order],
                 [(new[i], new[j]) for i, j in graph.edges],
             )
@@ -391,8 +409,8 @@ class TestAdjacency:
                 assert graph.neighbors(i) is graph.neighbors(i)
 
     def test_cached_adjacency_leaves_equality_and_hash(self):
-        first = PlumbingGraph.build([-2, -3], [(0, 1)])
-        second = PlumbingGraph.build([-2, -3], [(1, 0)])
+        first = PlumbingGraph([-2, -3], [(0, 1)])
+        second = PlumbingGraph([-2, -3], [(1, 0)])
         first.neighbors(0)
         assert first == second and hash(first) == hash(second)
 
@@ -418,13 +436,13 @@ class TestEulerInvariants:
 
     @pytest.mark.parametrize("b", [-3, 0, 1, 5])
     def test_no_fibers_matches_reference(self, b):
-        link = SeifertData.normalized(b, [])
+        link = SeifertData(b, [])
         assert euler_invariants(link) == reference_euler_invariants(b, []) == (2, -b)
 
     @pytest.mark.parametrize("b", [-4, -1, 0])
     def test_nonpositive_b_matches_reference(self, b):
         fibers = [(2, 1), (3, 2), (7, 3)]
-        link = SeifertData.normalized(b, fibers)
+        link = SeifertData(b, fibers)
         assert euler_invariants(link) == reference_euler_invariants(b, fibers)
 
     def test_seeded_corpus_matches_reference(self):
@@ -435,21 +453,21 @@ class TestEulerInvariants:
             for _ in range(rng.randint(0, 5)):
                 p = rng.randint(2, 30)
                 fibers.append((p, rng.choice([q for q in range(1, p) if gcd(p, q) == 1])))
-            link = SeifertData.normalized(b, fibers)
+            link = SeifertData(b, fibers)
             assert euler_invariants(link) == reference_euler_invariants(b, fibers), link
 
     def test_icosahedral_values(self):
-        link = SeifertData.normalized(2, [(2, 1), (3, 1), (5, 1)])
+        link = SeifertData(2, [(2, 1), (3, 1), (5, 1)])
         chi, e = euler_invariants(link)
         assert chi == Fraction(1, 30)
         assert e == Fraction(-29, 30)
 
     def test_no_fibers(self):
-        link = SeifertData.normalized(2, [])
+        link = SeifertData(2, [])
         assert euler_invariants(link) == (Fraction(2), Fraction(-2))
 
     def test_boundary_case_e_zero(self):
-        link = SeifertData.normalized(1, [(2, 1), (2, 1)])
+        link = SeifertData(1, [(2, 1), (2, 1)])
         _, e = euler_invariants(link)
         assert e == 0
         assert finite_pi1_family(link).tag is FamilyTag.NOT_FINITE
@@ -463,7 +481,7 @@ class TestFamilyRecognition:
             assert recognized == family, link
 
     def test_icosahedral(self):
-        link = SeifertData.normalized(2, [(2, 1), (3, 1), (5, 1)])
+        link = SeifertData(2, [(2, 1), (3, 1), (5, 1)])
         assert finite_pi1_family(link) == Family(FamilyTag.ICOSAHEDRAL, (1, 1), *euler_invariants(link))
 
     def test_lens(self):
@@ -471,17 +489,17 @@ class TestFamilyRecognition:
         assert finite_pi1_family(link) == Family(FamilyTag.LENS, (7, 3), *euler_invariants(link))
 
     def test_not_finite_2_3_7(self):
-        link = SeifertData.normalized(2, [(2, 1), (3, 1), (7, 1)])
+        link = SeifertData(2, [(2, 1), (3, 1), (7, 1)])
         chi, _ = euler_invariants(link)
         assert chi == Fraction(-1, 42)
         assert not finite_pi1_family(link).is_finite
 
     def test_dihedral_all_twos(self):
-        link = SeifertData.normalized(3, [(2, 1), (2, 1), (2, 1)])
+        link = SeifertData(3, [(2, 1), (2, 1), (2, 1)])
         assert finite_pi1_family(link) == Family(FamilyTag.DIHEDRAL, (2, 1), *euler_invariants(link))
 
     def test_two_fiber_data_reduces_to_lens(self):
-        link = SeifertData.normalized(2, [(2, 1), (3, 1)])
+        link = SeifertData(2, [(2, 1), (3, 1)])
         family = finite_pi1_family(link)
         assert family.tag is FamilyTag.LENS
         lens = seifert_to_lens(link)
@@ -490,7 +508,7 @@ class TestFamilyRecognition:
         assert lens == LensData(7, 3)
 
     def test_four_fibers_not_finite(self):
-        link = SeifertData.normalized(2, [(2, 1), (2, 1), (2, 1), (2, 1)])
+        link = SeifertData(2, [(2, 1), (2, 1), (2, 1), (2, 1)])
         assert not finite_pi1_family(link).is_finite
 
 
@@ -504,15 +522,15 @@ class TestGraphInput:
         assert recovered.q == min(3, 5)
 
     def test_star_round_trip(self):
-        link = SeifertData.normalized(3, [(2, 1), (3, 1), (5, 2)])
+        link = SeifertData(3, [(2, 1), (3, 1), (5, 2)])
         recovered = graph_to_link(seifert_to_plumbing(link))
         assert recovered == link
 
     def test_single_minus_one_is_sphere(self):
-        assert graph_to_link(PlumbingGraph.build([-1], [])) == LensData(1, 0)
+        assert graph_to_link(PlumbingGraph([-1], [])) == LensData(1, 0)
 
     def test_reject_four_legs(self):
-        graph = PlumbingGraph.build(
+        graph = PlumbingGraph(
             [-2, -2, -2, -2, -2],
             [(0, 1), (0, 2), (0, 3), (0, 4)],
         )
@@ -520,12 +538,12 @@ class TestGraphInput:
             graph_to_link(graph)
 
     def test_reject_disconnected(self):
-        graph = PlumbingGraph.build([-2, -2], [])
+        graph = PlumbingGraph([-2, -2], [])
         with pytest.raises(LinkError):
             graph_to_link(graph)
 
     def test_reject_weight_above_minus_two(self):
-        graph = PlumbingGraph.build([-2, -1], [(0, 1)])
+        graph = PlumbingGraph([-2, -1], [(0, 1)])
         with pytest.raises(LinkError):
             graph_to_link(graph)
 

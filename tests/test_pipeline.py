@@ -22,7 +22,7 @@ from singmap.pipeline import (
 class TestParsing:
     def test_seifert_shorthand(self):
         link = parse_seifert_shorthand("2;(2,1)(3,2)(5,4)")
-        assert link == SeifertData.normalized(2, [(2, 1), (3, 2), (5, 4)])
+        assert link == SeifertData(2, [(2, 1), (3, 2), (5, 4)])
 
     def test_lens_shorthand(self):
         assert parse_lens_shorthand("5,2") == LensData(5, 2)
@@ -39,7 +39,7 @@ class TestParsing:
 
     def test_descriptor_seifert(self):
         link = parse_link_descriptor({"seifert": {"b": 2, "fibers": [[2, 1], [3, 1], [5, 1]]}})
-        assert link == SeifertData.normalized(2, [(2, 1), (3, 1), (5, 1)])
+        assert link == SeifertData(2, [(2, 1), (3, 1), (5, 1)])
 
     def test_descriptor_graph(self):
         link = parse_link_descriptor(
@@ -79,14 +79,14 @@ class TestParsing:
 
 class TestClassify:
     def test_e8(self):
-        output = classify_link(SeifertData.normalized(2, [(2, 1), (3, 2), (5, 4)]))
+        output = classify_link(SeifertData(2, [(2, 1), (3, 2), (5, 4)]))
         assert output.group.family is GroupFamily.BINARY_ICOSAHEDRAL
         assert output.report.multiplicity == 2
         assert output.is_image_of_finite_map
 
     def test_not_negative_definite(self):
         with pytest.raises(NotSingularityLinkError):
-            classify_link(SeifertData.normalized(1, [(2, 1), (2, 1), (2, 1)]))
+            classify_link(SeifertData(1, [(2, 1), (2, 1), (2, 1)]))
 
     def test_negative_definiteness_decided_once(self, monkeypatch):
         # classify_link and fundamental_cycle both ask; one elimination answers
@@ -98,14 +98,14 @@ class TestClassify:
             return real(graph)
 
         monkeypatch.setattr(linkdata, "_leaves_first_elimination", counting)
-        output = classify_link(SeifertData.normalized(2, [(2, 1), (3, 2), (5, 4)]))
+        output = classify_link(SeifertData(2, [(2, 1), (3, 2), (5, 4)]))
         assert len(calls) == 1 and calls[0] is output.graph
 
     @pytest.mark.parametrize("link", [
         LensData(5, 2),
-        SeifertData.normalized(2, [(2, 1), (3, 1)]),
-        SeifertData.normalized(2, [(2, 1), (3, 2), (5, 4)]),
-        SeifertData.normalized(2, [(2, 1), (2, 1), (3, 1)]),
+        SeifertData(2, [(2, 1), (3, 1)]),
+        SeifertData(2, [(2, 1), (3, 2), (5, 4)]),
+        SeifertData(2, [(2, 1), (2, 1), (3, 1)]),
     ])
     def test_euler_invariants_evaluated_once(self, monkeypatch, link):
         # finite_pi1_family evaluates them; the group and the output dict
@@ -124,7 +124,7 @@ class TestClassify:
 
     def test_infinite_pi1(self):
         with pytest.raises(InfinitePi1Error):
-            classify_link(SeifertData.normalized(2, [(2, 1), (3, 1), (7, 1)]))
+            classify_link(SeifertData(2, [(2, 1), (3, 1), (7, 1)]))
 
     def test_output_dict_is_json_ready(self):
         output = classify_link(LensData(5, 2))
@@ -148,7 +148,7 @@ class TestSynthesize:
 
     def test_bare_dihedral_map(self):
         # D_5: b = 2 with leg (3, 2); hypersurface, so 3 generators
-        output = synthesize_map(SeifertData.normalized(2, [(2, 1), (2, 1), (3, 2)]))
+        output = synthesize_map(SeifertData(2, [(2, 1), (2, 1), (3, 2)]))
         assert output.group.family is GroupFamily.BINARY_DIHEDRAL
         assert output.group.params == (3,)
         assert output.report.embedding_dimension == 3
@@ -159,11 +159,11 @@ class TestSynthesize:
 
     def test_dprime_unsupported(self):
         with pytest.raises(UnsupportedFamilyError):
-            synthesize_map(SeifertData.normalized(2, [(2, 1), (2, 1), (3, 1)]))
+            synthesize_map(SeifertData(2, [(2, 1), (2, 1), (3, 1)]))
 
     def test_tprime_unsupported(self):
         with pytest.raises(UnsupportedFamilyError):
-            synthesize_map(SeifertData.normalized(2, [(2, 1), (3, 1), (3, 2)]))
+            synthesize_map(SeifertData(2, [(2, 1), (3, 1), (3, 2)]))
 
     def test_relations_all_verified(self):
         output = synthesize_map(LensData(5, 2))
@@ -175,7 +175,7 @@ class TestSynthesize:
 
     def test_icosahedral_product_with_exact_degrees(self):
         # b = 3, q1 = 2, q2 = 4: m = 90 - 15 - 20 - 24 = 31, Z/31 x I*
-        link = SeifertData.normalized(3, [(2, 1), (3, 2), (5, 4)])
+        link = SeifertData(3, [(2, 1), (3, 2), (5, 4)])
         output = classify_link(link)
         assert output.group.family is GroupFamily.BINARY_ICOSAHEDRAL
         assert output.group.cyclic_factor == 31

@@ -28,13 +28,13 @@ from singmap.suites import family_sweep
 
 
 def star(b, fibers):
-    return seifert_to_plumbing(SeifertData.normalized(b, fibers))
+    return seifert_to_plumbing(SeifertData(b, fibers))
 
 
 def relabel(graph, order):
     """The graph with vertex order[k] renamed k."""
     new = {old: k for k, old in enumerate(order)}
-    return PlumbingGraph.build(
+    return PlumbingGraph(
         [graph.weights[old] for old in order],
         [(new[i], new[j]) for i, j in graph.edges],
     )
@@ -54,11 +54,11 @@ def naive_laufer(graph):
 
 class TestFundamentalCycle:
     def test_a2_chain(self):
-        graph = PlumbingGraph.build([-2, -2], [(0, 1)])
+        graph = PlumbingGraph([-2, -2], [(0, 1)])
         assert fundamental_cycle(graph).multiplicities == (1, 1)
 
     def test_single_minus_three(self):
-        graph = PlumbingGraph.build([-3], [])
+        graph = PlumbingGraph([-3], [])
         assert fundamental_cycle(graph).multiplicities == (1,)
 
     def test_e8_cycle(self):
@@ -70,7 +70,7 @@ class TestFundamentalCycle:
         assert sorted(cycle.multiplicities) == [2, 2, 3, 3, 4, 4, 5, 6]
 
     def test_rejects_non_negative_definite(self):
-        graph = PlumbingGraph.build([0], [])
+        graph = PlumbingGraph([0], [])
         with pytest.raises(LinkError):
             fundamental_cycle(graph)
 
@@ -98,7 +98,7 @@ class TestFundamentalCycle:
     def test_worklist_pushes_a_vertex_again(self):
         # a step that leaves its own vertex's product positive must push it
         # again; on this tree the worklist does so
-        graph = PlumbingGraph.build(
+        graph = PlumbingGraph(
             [-3, -2, -3, -2, -3, -2, -2, -2, -2, -2],
             [(0, 1), (1, 2), (0, 3), (1, 4), (3, 5), (5, 6), (5, 7), (0, 8), (1, 9)],
         )
@@ -110,7 +110,7 @@ class TestFundamentalCycle:
         checked = 0
         while checked < 300:
             size = rng.randint(2, 14)
-            graph = PlumbingGraph.build(
+            graph = PlumbingGraph(
                 [rng.choice([-2, -3]) for _ in range(size)],
                 [(rng.randrange(k), k) for k in range(1, size)],
             )
@@ -123,7 +123,7 @@ class TestFundamentalCycle:
 class TestRationality:
     def test_an_chain(self):
         for n in range(1, 8):
-            graph = PlumbingGraph.build([-2] * n, [(i, i + 1) for i in range(n - 1)])
+            graph = PlumbingGraph([-2] * n, [(i, i + 1) for i in range(n - 1)])
             cycle = fundamental_cycle(graph)
             p_a, rational = rationality_and_genus(graph, cycle)
             assert p_a == 0 and rational
@@ -134,7 +134,7 @@ class TestRationality:
         assert p_a == 0 and rational
 
     def test_single_minus_three(self):
-        graph = PlumbingGraph.build([-3], [])
+        graph = PlumbingGraph([-3], [])
         p_a, rational = rationality_and_genus(graph, fundamental_cycle(graph))
         assert p_a == 0 and rational
 
@@ -170,7 +170,7 @@ class TestMultiplicityReport:
 
 def seifert_family(tag, params, b, fibers):
     """Family(tag, params) with the Euler invariants of {b; fibers}."""
-    return Family(tag, params, *euler_invariants(SeifertData.normalized(b, fibers)))
+    return Family(tag, params, *euler_invariants(SeifertData(b, fibers)))
 
 
 def lens_family(p, q):
