@@ -46,20 +46,22 @@ EXIT_CODES = (
 )
 
 
-def _add_link_arguments(parser: argparse.ArgumentParser):
-    parser.add_argument("--lens", metavar="P,Q", help="lens space L(p,q)")
-    parser.add_argument(
-        "--seifert",
-        metavar="DATA",
-        help="Seifert invariants as 'b;(p1,q1)(p2,q2)(p3,q3)'",
-    )
-    parser.add_argument(
-        "--graph", metavar="FILE", help="JSON file with a link descriptor"
-    )
-    parser.add_argument("--text", action="store_true", help="human-readable output")
-    parser.add_argument(
-        "--json", action="store_true", help="JSON output (the default)"
-    )
+# the link arguments of classify and map, declared once and handed to both
+# sub-parsers as a parent
+_LINK_ARGUMENTS = argparse.ArgumentParser(add_help=False)
+_LINK_ARGUMENTS.add_argument("--lens", metavar="P,Q", help="lens space L(p,q)")
+_LINK_ARGUMENTS.add_argument(
+    "--seifert",
+    metavar="DATA",
+    help="Seifert invariants as 'b;(p1,q1)(p2,q2)(p3,q3)'",
+)
+_LINK_ARGUMENTS.add_argument(
+    "--graph", metavar="FILE", help="JSON file with a link descriptor"
+)
+_LINK_ARGUMENTS.add_argument("--text", action="store_true", help="human-readable output")
+_LINK_ARGUMENTS.add_argument(
+    "--json", action="store_true", help="JSON output (the default)"
+)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -190,12 +192,14 @@ def main(argv: Optional[list] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    classify = sub.add_parser("classify", help="recognize family, group and topology")
-    _add_link_arguments(classify)
+    classify = sub.add_parser(
+        "classify", help="recognize family, group and topology", parents=[_LINK_ARGUMENTS]
+    )
     classify.set_defaults(handler=_run_link, max_degree=None)
 
-    map_cmd = sub.add_parser("map", help="synthesize a map and verified relations")
-    _add_link_arguments(map_cmd)
+    map_cmd = sub.add_parser(
+        "map", help="synthesize a map and verified relations", parents=[_LINK_ARGUMENTS]
+    )
     map_cmd.add_argument(
         "--max-degree",
         default=None,

@@ -111,9 +111,12 @@ class PlumbingGraph:
     a float, a string or a bool), writes each edge (i, j) with i < j and
     sorts the edge list, so the same graph compares equal however its
     edges were written; an edge that is a loop or names no vertex is a
-    LinkError.  Every question about the tree's shape reads one walk: the
-    leaves-first elimination of negdef_check, graph_to_link's tree test,
-    bamboo and legs, and the CLI's text drawing."""
+    LinkError.  It is the one place that knows the graph is a tree: unless
+    there is one edge fewer than vertices and the walk from vertex 0
+    reaches them all, LinkError("plumbing graph must be a connected tree"),
+    so the empty graph is refused too.  Every question about the tree's
+    shape reads one walk: the leaves-first elimination of negdef_check,
+    graph_to_link's bamboo and legs, and the CLI's text drawing."""
 
     weights: Tuple[int, ...]
     edges: Tuple[Tuple[int, int], ...]
@@ -125,6 +128,8 @@ class PlumbingGraph:
         for i, j in self.edges:
             if not 0 <= i < j < self.size:
                 raise LinkError(f"bad edge ({i}, {j})")
+        if len(self.edges) != self.size - 1 or len(self.walk()) != self.size:
+            raise LinkError("plumbing graph must be a connected tree")
 
     @property
     def size(self) -> int:
@@ -151,12 +156,13 @@ class PlumbingGraph:
     def walk(self, root: int = 0) -> List[Tuple[int, int, int]]:
         """(vertex, parent, depth) for each vertex reached from root, in
         depth-first preorder with neighbours in ascending order; the root's
-        parent is -1, and the empty graph reaches nothing.  Each vertex is
-        taken once, so a cycle or a second component cannot make it loop,
-        and an explicit stack lets long chains walk too."""
+        parent is -1.  Each vertex is taken once, so the constructor can
+        walk a graph before it knows it is a tree: a cycle or a second
+        component ends the walk early instead of making it loop.  An
+        explicit stack lets long chains walk too."""
         seen = [False] * self.size
         order = []
-        stack = [(root, -1, 0)] if self.size else []
+        stack = [(root, -1, 0)]
         while stack:
             vertex, parent, depth = stack.pop()
             if seen[vertex]:
@@ -230,22 +236,17 @@ def negdef_check(graph: PlumbingGraph) -> bool:
     creates no fill-in (Neumann's plumbing calculus): each vertex's pivot is
     -w_v minus 1/pivot of each of its children, and -M is positive definite
     iff every pivot is positive.  The reversed walk from vertex 0 puts every
-    child before its parent.  Linear in the number of vertices, and run
-    once per graph: the answer is kept on the graph, so classify_link and
-    fundamental_cycle share one elimination.  LinkError when the graph is
-    not a tree.
+    child before its parent; PlumbingGraph's constructor has made sure it
+    reaches every vertex.  Linear in the number of vertices, and run once
+    per graph: the answer is kept on the graph, so classify_link and
+    fundamental_cycle share one elimination.
     """
     return graph._negative_definite
 
 
 def _leaves_first_elimination(graph: PlumbingGraph) -> bool:
-    walk = graph.walk()
-    if not graph.size or len(walk) != graph.size:
-        raise LinkError("graph must be connected")
-    if len(graph.edges) != graph.size - 1:
-        raise LinkError("graph must be a tree")
     pivots = [Fraction(-w) for w in graph.weights]
-    for v, parent, _ in reversed(walk):
+    for v, parent, _ in reversed(graph.walk()):
         if pivots[v] <= 0:
             return False
         if parent >= 0:
@@ -304,31 +305,19 @@ class Family:
 def _chain_to_lens(chain: Sequence[int]) -> Tuple[int, int]:
     """Canonical (p, q) of a bamboo, reading from the end giving smaller q:
     read from the other end, the chain gives q^-1 mod p."""
-    if not chain:
-        return (1, 0)
     p, q = hj_value(chain)
     return (p, min(q, pow(q, -1, p)))
-
-
-def seifert_to_lens(link: SeifertData) -> LensData:
-    """Collapse Seifert data with at most two singular fibers to a lens space."""
-    if len(link.fibers) > 2:
-        raise LinkError("only 0, 1 or 2 singular fibers give a lens space")
-    if link.b < 2:
-        raise LinkError(f"central weight -b with b = {link.b} is not in normal form")
-    chain: List[int] = []
-    if len(link.fibers) >= 1:
-        chain.extend(reversed(hj_expand(*link.fibers[0])))
-    chain.append(link.b)
-    if len(link.fibers) == 2:
-        chain.extend(hj_expand(*link.fibers[1]))
-    return LensData(*_chain_to_lens(chain))
 
 
 def finite_pi1_family(link) -> Family:
     """Match normalized link data against the finite-fundamental-group
     families, carrying the link's Euler invariants; NOT_FINITE when
-    chi <= 0 or e = 0."""
+    chi <= 0 or e = 0.
+
+    Seifert data with at most two singular fibers is a lens space, read
+    through its plumbing: a bamboo, which graph_to_link reads as every
+    other chain of weights.  Its central weight -b must then have b >= 2,
+    or LinkError."""
     chi, e = euler_invariants(link)
     return Family(*_family_of(link, chi, e), chi, e)
 
@@ -339,7 +328,9 @@ def _family_of(link, chi: Fraction, e: Fraction) -> Tuple[FamilyTag, Tuple[int, 
     if chi <= 0 or e == 0:
         return FamilyTag.NOT_FINITE, ()
     if len(link.fibers) <= 2:
-        lens = seifert_to_lens(link)
+        if link.b < 2:
+            raise LinkError(f"central weight -b with b = {link.b} is not in normal form")
+        lens = graph_to_link(seifert_to_plumbing(link))
         return FamilyTag.LENS, (lens.p, lens.q)
     # chi > 0 leaves three fibers only on the platonic triples (2, 2, p),
     # (2, 3, 3), (2, 3, 4) and (2, 3, 5); p = 2 forces q = 1
@@ -356,20 +347,19 @@ def _family_of(link, chi: Fraction, e: Fraction) -> Tuple[FamilyTag, Tuple[int, 
 def graph_to_link(graph: PlumbingGraph):
     """Recognize a normal-form bamboo or 3-legged star; reject anything else.
 
-    One walk answers everything: it starts at the first vertex of valence
+    The graph is a tree (PlumbingGraph's constructor checks it), and one
+    walk answers everything else: it starts at the first vertex of valence
     3, or else at the first of least valence (an end of a bamboo, or the
-    lone vertex), and the graph is a tree when it has one edge fewer than
-    vertices and the walk reaches them all.  Bamboos give LensData, read
-    as the walk (q canonicalized to the smaller of the two orientations);
-    stars give SeifertData, each leg the part of the walk from the centre
-    that starts at depth 1.
+    lone vertex).  Bamboos give LensData, read as the walk (q canonicalized
+    to the smaller of the two orientations), and they are the one reader
+    of a chain of weights, finite_pi1_family's two-fiber Seifert data
+    included; stars give SeifertData, each leg the part of the walk from
+    the centre that starts at depth 1.
     """
     valences = graph.valences()
     centers = [i for i, v in enumerate(valences) if v == 3]
-    root = centers[0] if centers else min(range(graph.size), key=valences.__getitem__, default=0)
+    root = centers[0] if centers else min(range(graph.size), key=valences.__getitem__)
     walk = graph.walk(root)
-    if len(graph.edges) != graph.size - 1 or len(walk) != graph.size:
-        raise LinkError("plumbing graph must be a connected tree")
     if graph.size == 1 and graph.weights[0] == -1:
         return LensData(1, 0)
     if any(v > 3 for v in valences):

@@ -46,6 +46,7 @@ from .invariants import (
 from .relations import (
     RelationSet,
     bounded_degree_relations,
+    check_relation_budget,
     monomial_relations,
     wahl_relation_count,
 )
@@ -244,9 +245,10 @@ def _generator_warnings(generator_count: int, report: SingularityReport) -> List
 
 
 def _cyclic_map(p: int, q: int, report: SingularityReport, max_degree):
+    # a map over the relation budget is refused from the embedding
+    # dimension, before any generator is listed or polynomial built
+    check_relation_budget(p, q, report.embedding_dimension)
     exponents = cyclic_invariant_generators(p, q)
-    # the relations first: a map over the relation budget is refused before
-    # any polynomial is built
     expected = _expected_relation_count(report, len(exponents))
     relations = monomial_relations(p, q, max_degree, expected)
     basis = InvariantBasis.from_polys(monomials_from_exponents(exponents))

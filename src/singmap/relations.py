@@ -10,12 +10,14 @@ relations sit there and nowhere else, and each image's binomials join its
 quadratic factorizations and the least of the others to the least
 quadratic one.  A map with more minimal relations than
 MAX_CYCLIC_RELATIONS, which Wahl's count gives from the number e of
-generators, is refused once those e exponent pairs are listed, before any
-polynomial or relation candidate is.  Maps by monomials in a Klein triple (binary
-polyhedral quotients and their cyclic products) get bounded-degree
-relations: per weighted degree w_i + w_j of a pair of generators, one
-fraction-free integer elimination of the degree matrix, the candidate
-monomials' Klein normal forms as columns.  Both routes list their
+generators, is refused by check_relation_budget; the pipeline reads e as
+the embedding dimension of the classification, so it refuses the map
+before any generator, polynomial or relation candidate is listed.  Maps
+by monomials in a Klein triple (binary polyhedral quotients and their
+cyclic products) get bounded-degree relations: per weighted degree
+w_i + w_j of a pair of generators, one fraction-free integer elimination
+of the degree matrix, the candidate monomials' Klein normal forms as
+columns.  Both routes list their
 candidates through one Factorizations over the generators: every exponent
 vector of total degree <= 2, and only the least one of higher total degree
 per target monomial, the only one of those that can matter.  The
@@ -93,6 +95,20 @@ MAX_CYCLIC_RELATIONS = 20_000
 
 class RelationBudgetError(ValueError):
     """A map with more minimal relations than the library builds."""
+
+
+def check_relation_budget(p: int, q: int, generator_count: int) -> None:
+    """RelationBudgetError unless the cyclic quotient map of L(p, q) with
+    generator_count generators has at most MAX_CYCLIC_RELATIONS minimal
+    relations by Wahl's count.  The count needs only the number of
+    generators, which the embedding dimension already gives (they agree
+    for every cyclic quotient, Riemenschneider, Math. Ann. 209, 1974), so
+    no generator has to be listed first."""
+    count = wahl_relation_count(generator_count)
+    if count > MAX_CYCLIC_RELATIONS:
+        raise RelationBudgetError(
+            f"L({p},{q}) has {count} minimal relations, more than "
+            f"the {MAX_CYCLIC_RELATIONS} a map is built with")
 
 
 @dataclass(frozen=True)
@@ -176,19 +192,16 @@ def monomial_relations(
     empty.  So only Q and min(H) are listed: the columns of
     Factorizations over the generators at the image are exactly those.
 
-    Wahl's count (e - 1)(e - 2)/2 is known once the e generators are
-    listed, before any image or factorization is; above
-    MAX_CYCLIC_RELATIONS the map is refused with RelationBudgetError, a
-    ValueError.
+    Wahl's count (e - 1)(e - 2)/2 is checked by check_relation_budget
+    once the e generators are listed, before any image or factorization
+    is; above MAX_CYCLIC_RELATIONS the map is refused with
+    RelationBudgetError, a ValueError.
     """
     gens = cyclic_invariant_generators(p, q)
     weights = tuple(a + b for a, b in gens)
     degree_bound = check_degree_bound(
         2 * p * max(weights) if degree_bound is None else degree_bound)
-    if wahl_relation_count(len(gens)) > MAX_CYCLIC_RELATIONS:
-        raise RelationBudgetError(
-            f"L({p},{q}) has {wahl_relation_count(len(gens))} minimal relations, more than "
-            f"the {MAX_CYCLIC_RELATIONS} a map is built with")
+    check_relation_budget(p, q, len(gens))
     if p == 1:
         return RelationSet((), 0, wahl_relation_count(len(gens)))
     nvars = len(gens)

@@ -371,6 +371,28 @@ class TestMap:
         assert err == ("error: L(1001,1) has 500500 minimal relations, more than the "
                        f"{MAX_CYCLIC_RELATIONS} a map is built with\n")
 
+    def test_large_lens_map_is_refused_before_any_generator(self, capsys, monkeypatch):
+        # the embedding dimension of the classification gives Wahl's count
+        def no_generators(p, q):
+            raise AssertionError(f"generators of L({p},{q}) listed before the refusal")
+
+        monkeypatch.setattr(pipeline, "cyclic_invariant_generators", no_generators)
+        code, out, err = run_cli(capsys, "map", "--lens", "1001,1")
+        assert (code, out) == (2, "")
+        assert err == ("error: L(1001,1) has 500500 minimal relations, more than the "
+                       f"{MAX_CYCLIC_RELATIONS} a map is built with\n")
+
+    def test_huge_lens_map_is_refused_at_once(self, capsys):
+        # L(10^6, 1) has 10^6 + 1 generators; listing them alone took about
+        # half a second and 150 MB
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "map", "--lens", "1000000,1")
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (2, "")
+        assert err == ("error: L(1000000,1) has 499999500000 minimal relations, more than the "
+                       f"{MAX_CYCLIC_RELATIONS} a map is built with\n")
+        assert elapsed < 0.5, f"map --lens 1000000,1 took {elapsed:.2f} s"
+
 
 class TestVerify:
     @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from singmap.linkdata import (
     hj_expand,
     hj_value,
     negdef_check,
-    seifert_to_lens,
     seifert_to_plumbing,
 )
 from singmap.invariants import cyclic_invariant_generators
@@ -213,21 +212,18 @@ class TestNegativeDefinite:
 
 
     def test_rejects_connected_non_tree(self):
-        triangle = PlumbingGraph([-2, -2, -2], [(0, 1), (1, 2), (0, 2)])
-        with pytest.raises(LinkError, match="tree"):
-            negdef_check(triangle)
-        doubled = PlumbingGraph([-2, -2], [(0, 1), (0, 1)])
-        with pytest.raises(LinkError, match="tree"):
-            negdef_check(doubled)
+        # a non-tree never reaches negdef_check: the constructor refuses it
+        for weights, edges in (([-2, -2, -2], [(0, 1), (1, 2), (0, 2)]),
+                               ([-2, -2], [(0, 1), (0, 1)])):
+            with pytest.raises(LinkError, match="^plumbing graph must be a connected tree$"):
+                PlumbingGraph(weights, edges)
 
     def test_rejects_disconnected(self):
-        for graph in (
-            PlumbingGraph([-2, -2], []),
-            PlumbingGraph([-2, -2, -2, -2], [(0, 1), (0, 1), (2, 3)]),
-            PlumbingGraph([], []),
-        ):
-            with pytest.raises(LinkError, match="graph must be connected"):
-                negdef_check(graph)
+        for weights, edges in (([-2, -2], []),
+                               ([-2, -2, -2, -2], [(0, 1), (0, 1), (2, 3)]),
+                               ([], [])):
+            with pytest.raises(LinkError, match="^plumbing graph must be a connected tree$"):
+                PlumbingGraph(weights, edges)
 
 
 def is_tree(graph: PlumbingGraph) -> bool:
@@ -337,26 +333,23 @@ class TestWalk:
             assert walk == reference_preorder(graph, root), graph
 
     def test_cycles_and_components_end(self):
-        triangle = PlumbingGraph([-2, -2, -2], [(0, 1), (1, 2), (0, 2)])
-        assert triangle.walk() == [(0, -1, 0), (1, 0, 1), (2, 1, 2)]
-        assert not is_tree(triangle)
-        # a triangle and a lone vertex have a tree's edge count, so is_tree walks
-        apart = PlumbingGraph([-2] * 4, [(0, 1), (1, 2), (0, 2)])
-        assert [v for v, _, _ in apart.walk(2)] == [2, 0, 1]
-        assert not is_tree(apart)
-        with pytest.raises(LinkError, match="connected tree"):
-            graph_to_link(apart)
-        square = PlumbingGraph([-2] * 4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert [v for v, _, _ in square.walk(2)] == [2, 1, 0, 3]
-        assert not is_tree(square)
-        # two components, the second with as many edges as the tree count allows
-        for graph in (PlumbingGraph([-2] * 4, [(0, 1), (2, 3)]),
-                      PlumbingGraph([-2] * 4, [(0, 1), (0, 1), (2, 3)])):
-            assert [v for v, _, _ in graph.walk()] == [0, 1]
-            assert [v for v, _, _ in graph.walk(3)] == [3, 2]
-            assert not is_tree(graph)
-        empty = PlumbingGraph([], [])
-        assert empty.walk() == [] and not is_tree(empty)
+        # the constructor walks a graph before it knows it is a tree, so the
+        # walk must end on a cycle or a second component for it to refuse
+        # them; a looping walk would hang here instead of raising
+        for weights, edges in (
+            ([-2] * 3, [(0, 1), (1, 2), (0, 2)]),  # triangle
+            # a triangle and a lone vertex have a tree's edge count, so the
+            # constructor walks
+            ([-2] * 4, [(0, 1), (1, 2), (0, 2)]),
+            ([-2] * 4, [(0, 1), (1, 2), (2, 3), (3, 0)]),  # 4-cycle
+            # two components, the second with as many edges as the tree
+            # count allows
+            ([-2] * 4, [(0, 1), (2, 3)]),
+            ([-2] * 4, [(0, 1), (0, 1), (2, 3)]),
+            ([], []),
+        ):
+            with pytest.raises(LinkError, match="^plumbing graph must be a connected tree$"):
+                PlumbingGraph(weights, edges)
 
     def test_shuffled_plumbing_reads_back_as_the_normalized_link(self):
         # a lens reads back with the smaller of q and q^-1 mod p, the
@@ -473,6 +466,20 @@ class TestEulerInvariants:
         assert finite_pi1_family(link).tag is FamilyTag.NOT_FINITE
 
 
+def reference_seifert_to_lens(link: SeifertData) -> LensData:
+    """Reference: the lens space of Seifert data with at most two singular
+    fibers, its chain of weights written out by hand, first fiber's
+    expansion reversed, then b, then the second fiber's."""
+    assert len(link.fibers) <= 2 and link.b >= 2
+    chain = []
+    if link.fibers:
+        chain.extend(reversed(hj_expand(*link.fibers[0])))
+    chain.append(link.b)
+    if len(link.fibers) == 2:
+        chain.extend(hj_expand(*link.fibers[1]))
+    return LensData(*reference_chain_to_lens(chain))
+
+
 class TestFamilyRecognition:
     def test_family_carries_euler_invariants(self):
         for link, family, _ in family_sweep(12, 12):
@@ -502,10 +509,34 @@ class TestFamilyRecognition:
         link = SeifertData(2, [(2, 1), (3, 1)])
         family = finite_pi1_family(link)
         assert family.tag is FamilyTag.LENS
-        lens = seifert_to_lens(link)
+        lens = reference_seifert_to_lens(link)
         assert (lens.p, lens.q) == family.params
         # chain [2, 2, 3] evaluates to 7/5 read one way, 7/3 the other
         assert lens == LensData(7, 3)
+
+    def test_two_fiber_sweep_matches_the_chain_reference(self):
+        # finite_pi1_family reads the bamboo through graph_to_link; the
+        # reference writes the chain out by hand
+        pairs = [(p, q) for p in range(2, 10) for q in range(1, p) if gcd(p, q) == 1]
+        fiber_lists = [[]] + [[f] for f in pairs] + [
+            [f, g] for i, f in enumerate(pairs) for g in pairs[i:]]
+        checked = 0
+        for b in range(2, 6):
+            for fibers in fiber_lists:
+                link = SeifertData(b, fibers)
+                lens = reference_seifert_to_lens(link)
+                assert finite_pi1_family(link).params == (lens.p, lens.q), link
+                checked += 1
+        assert checked == 4 * (1 + 27 + 27 * 28 // 2)
+
+    @pytest.mark.parametrize("b, fibers", [
+        # {1;} plumbs to the lone (-1)-vertex, which graph_to_link reads as
+        # the 3-sphere: the b check has to come first
+        (1, []), (1, [(2, 1)]), (1, [(2, 1), (3, 1)]), (0, [(2, 1)]), (-3, [(3, 2), (5, 1)]),
+    ])
+    def test_two_fiber_data_needs_b_at_least_two(self, b, fibers):
+        with pytest.raises(LinkError, match=rf"^central weight -b with b = {b} is not in normal form$"):
+            finite_pi1_family(SeifertData(b, fibers))
 
     def test_four_fibers_not_finite(self):
         link = SeifertData(2, [(2, 1), (2, 1), (2, 1), (2, 1)])
@@ -538,9 +569,8 @@ class TestGraphInput:
             graph_to_link(graph)
 
     def test_reject_disconnected(self):
-        graph = PlumbingGraph([-2, -2], [])
-        with pytest.raises(LinkError):
-            graph_to_link(graph)
+        with pytest.raises(LinkError, match="^plumbing graph must be a connected tree$"):
+            PlumbingGraph([-2, -2], [])
 
     def test_reject_weight_above_minus_two(self):
         graph = PlumbingGraph([-2, -1], [(0, 1)])

@@ -37,6 +37,8 @@ from singmap.invariants import (
     klein_invariants,
     monomials_from_exponents,
 )
+from singmap.linkdata import LensData
+from singmap.pipeline import classify_link
 from singmap.relations import (
     MAX_CYCLIC_RELATIONS,
     RelationBudgetError,
@@ -44,6 +46,7 @@ from singmap.relations import (
     _in_klein_triple,
     bounded_degree_relations,
     check_degree_bound,
+    check_relation_budget,
     monomial_relations,
     verify_relation,
     wahl_relation_count,
@@ -60,7 +63,21 @@ class TestMonomialRelations:
         assert 19900 <= MAX_CYCLIC_RELATIONS < 20100
         with pytest.raises(RelationBudgetError, match="L\\(201,1\\) has 20100 minimal relations"):
             monomial_relations(201, 1)
+        # the check itself reads only the generator count
+        check_relation_budget(200, 1, 201)
+        with pytest.raises(RelationBudgetError, match="L\\(201,1\\) has 20100 minimal relations"):
+            check_relation_budget(201, 1, 202)
         assert issubclass(RelationBudgetError, ValueError)
+
+    def test_embedding_dimension_counts_the_generators(self):
+        # the pipeline refuses a cyclic map from the embedding dimension,
+        # before listing the generators, so the two must agree
+        # (Riemenschneider, Math. Ann. 209, 1974)
+        pairs = [(1, 0)] + [(p, q) for p in range(2, 61) for q in range(1, p) if gcd(p, q) == 1]
+        for p, q in pairs:
+            report = classify_link(LensData(p, q)).report
+            assert report.embedding_dimension == len(cyclic_invariant_generators(p, q)), (p, q)
+        assert len(pairs) == 1102
 
     def test_5_2_contains_oracle_binomial(self):
         result = monomial_relations(5, 2)
